@@ -63,9 +63,6 @@ pub struct Config {
     /// rule (modules whose documented contract is IO under their own
     /// lock, e.g. the single-writer JSONL sink).
     pub lock_discipline_exempt_paths: Vec<String>,
-    /// Pairs of path suffixes whose recorded metric-path sets must be
-    /// equal (the real/virtual executor parity contract).
-    pub metric_parity_pairs: Vec<(String, String)>,
     /// `(metric-path prefix, owning file suffix)` pairs: every metric
     /// under the prefix must be recorded from the owning file alone, so
     /// the counter means the same thing wherever it shows up in a trace
@@ -146,10 +143,6 @@ impl Config {
                 // path never calls back into the service or a sink.
                 "crates/hpc/src/service.rs".to_string(),
             ],
-            metric_parity_pairs: vec![(
-                "crates/dataflow/src/real.rs".to_string(),
-                "crates/dataflow/src/sim.rs".to_string(),
-            )],
             metric_owner_prefixes: vec![
                 (
                     "cache/".to_string(),
@@ -173,6 +166,17 @@ impl Config {
                 (
                     "lineage/".to_string(),
                     "crates/obs/src/lineage.rs".to_string(),
+                ),
+                // Batch and live-drain counters are emitted by the one
+                // skeleton both executors run inside; a backend that
+                // records its own has left the shared frame.
+                (
+                    "service/live_".to_string(),
+                    "crates/dataflow/src/exec.rs".to_string(),
+                ),
+                (
+                    "dataflow/".to_string(),
+                    "crates/dataflow/src/exec.rs".to_string(),
                 ),
             ],
         }
@@ -314,13 +318,6 @@ mod tests {
         assert!(c.is_lock_discipline_exempt("crates/hpc/src/service.rs"));
         assert!(!c.is_lock_discipline_exempt("crates/dataflow/src/real.rs"));
         assert_eq!(
-            c.metric_parity_pairs,
-            vec![(
-                "crates/dataflow/src/real.rs".to_string(),
-                "crates/dataflow/src/sim.rs".to_string()
-            )]
-        );
-        assert_eq!(
             c.metric_owner_prefixes,
             vec![
                 ("cache/".to_string(), "crates/store/src/lib.rs".to_string()),
@@ -335,6 +332,14 @@ mod tests {
                 (
                     "lineage/".to_string(),
                     "crates/obs/src/lineage.rs".to_string()
+                ),
+                (
+                    "service/live_".to_string(),
+                    "crates/dataflow/src/exec.rs".to_string()
+                ),
+                (
+                    "dataflow/".to_string(),
+                    "crates/dataflow/src/exec.rs".to_string()
                 ),
             ]
         );

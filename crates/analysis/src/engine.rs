@@ -10,10 +10,13 @@
 //!    directives), while the per-file rule passes ([`crate::rules`])
 //!    emit findings *unsuppressed*.
 //! 2. **Workspace rules** — [`crate::wsrules`] scores the merged facts
-//!    (lock-discipline cycles, lock-unwrap, metric-parity), manifests
+//!    (lock-discipline cycles, lock-unwrap, metric ownership), manifests
 //!    are audited for dead dependencies, and [`crate::suppress::apply`]
 //!    applies every `sfcheck::allow` centrally — which is what lets the
-//!    allow-audit rule report directives that suppress nothing.
+//!    allow-audit rule report directives that suppress nothing. *Hard*
+//!    findings skip that step: wall-clock reads, metric ownership and
+//!    retired entry points are exempted per file in [`Config`] (pinned
+//!    by its unit tests), never per line.
 
 use crate::config::{Config, FileKind};
 use crate::facts::{extract, FileFacts};
@@ -155,13 +158,24 @@ pub fn check_workspace(root: &Path) -> Result<Vec<Finding>, CheckError> {
 /// [`check_workspace`] with an explicit [`Config`] (used by fixtures).
 pub fn check_workspace_with(root: &Path, config: &Config) -> Result<Vec<Finding>, CheckError> {
     let mut findings = Vec::new();
+    // Findings whose only exemption is a file-level `Config` entry
+    // (wall-clock reads, metric ownership, retired names): they bypass
+    // suppression, and a directive aimed at one is reported stale.
+    let mut hard = Vec::new();
     let members = discover_members(root)?;
 
     // Phase 1: per-file facts + unsuppressed per-file rule findings.
     let mut facts: Vec<FileFacts> = Vec::new();
     for member in &members {
         for (rel, scanned) in &member.files {
-            facts.push(check_file(member, rel, scanned, config, &mut findings));
+            facts.push(check_file(
+                member,
+                rel,
+                scanned,
+                config,
+                &mut findings,
+                &mut hard,
+            ));
         }
         audit_member_manifest(member, &mut findings);
     }
@@ -170,8 +184,7 @@ pub fn check_workspace_with(root: &Path, config: &Config) -> Result<Vec<Finding>
     // Phase 2: workspace rules over the merged facts.
     wsrules::lock_discipline(config, &facts, &mut findings);
     wsrules::lock_unwrap(&facts, &mut findings);
-    wsrules::metric_parity(config, &facts, &mut findings);
-    wsrules::metric_ownership(config, &facts, &mut findings);
+    wsrules::metric_ownership(config, &facts, &mut hard);
 
     // Central suppression + allow-audit.
     let allow_files: Vec<FileAllows> = facts
@@ -181,7 +194,9 @@ pub fn check_workspace_with(root: &Path, config: &Config) -> Result<Vec<Finding>
             allows: f.allows.clone(),
         })
         .collect();
-    Ok(suppress::apply(findings, &allow_files))
+    let mut kept = suppress::apply(findings, &allow_files);
+    kept.extend(hard);
+    Ok(kept)
 }
 
 fn read(root: &Path, rel: &str) -> Result<String, CheckError> {
@@ -290,6 +305,7 @@ fn check_file(
     scanned: &Scan,
     config: &Config,
     findings: &mut Vec<Finding>,
+    hard: &mut Vec<Finding>,
 ) -> FileFacts {
     let check = FileCheck {
         rel_path: rel,
@@ -311,9 +327,9 @@ fn check_file(
     let lock_chain_sites: Vec<(u32, u32)> =
         facts.lock_unwraps.iter().map(|u| (u.line, u.col)).collect();
     panic_hygiene(&check, &regions, &lock_chain_sites, findings);
-    determinism(config, &check, &regions, findings);
+    determinism(config, &check, &regions, findings, hard);
     unsafe_ban(&check, findings);
-    deprecation(&check, findings);
+    deprecation(&check, findings, hard);
     error_display(&check, &regions, findings);
     metric_name(&check, &regions, findings);
     if rel.ends_with("src/lib.rs") {

@@ -30,8 +30,10 @@
 //!   acyclic, and no guard may be held across spawn/join/recv/file IO;
 //! * **lock-unwrap** — `.lock().unwrap()` propagates poison as a panic;
 //!   recover with `.unwrap_or_else(PoisonError::into_inner)`;
-//! * **metric-parity** — the real and virtual executors must record the
-//!   identical literal metric-path set, or trace byte-equality breaks;
+//! * **metric-parity** — metric paths under an owned prefix (`cache/`,
+//!   `fault/`, `recovery/`, `lineage/`, `dataflow/`, `service/live_`)
+//!   are recorded from their one owning file, so both executors reach
+//!   the same recording site and parity holds by construction;
 //! * **allow-audit** — an `sfcheck::allow` that suppresses nothing is
 //!   itself a finding, so escape hatches cannot rot silently.
 //!

@@ -25,7 +25,7 @@ pub enum Rule {
     /// `.lock().unwrap()`/`.expect()` instead of the sanctioned
     /// `PoisonError::into_inner` guard recovery.
     LockUnwrap,
-    /// A metric path recorded by one executor but not its counterpart.
+    /// A metric path under an owned prefix recorded outside its owner.
     MetricParity,
     /// An `sfcheck::allow` directive that suppresses nothing.
     AllowAudit,

@@ -195,13 +195,21 @@ pub fn panic_hygiene(
     }
 }
 
+/// Wall-clock identifiers among the determinism bans. Their only
+/// exemption is file-level (`Config::deterministic_exempt_paths`), so
+/// they are reported as *hard* findings no allow directive covers.
+const WALL_CLOCK: [&str; 3] = ["Instant", "SystemTime", "time"];
+
 /// Determinism: no hash-ordered collections, wall-clock time,
 /// environment reads, or thread-identity logic in deterministic crates.
+/// Wall-clock reads go to `hard` (see [`crate::engine`]), the rest to
+/// `findings`.
 pub fn determinism(
     config: &Config,
     check: &FileCheck<'_>,
     regions: &[(u32, u32)],
     findings: &mut Vec<Finding>,
+    hard: &mut Vec<Finding>,
 ) {
     if !check.deterministic || check.kind != FileKind::Lib {
         return;
@@ -211,6 +219,11 @@ pub fn determinism(
         if t.kind != TokKind::Ident || in_regions(t.line, regions) {
             continue;
         }
+        let findings = if WALL_CLOCK.contains(&t.text.as_str()) {
+            &mut *hard
+        } else {
+            &mut *findings
+        };
         for (ident, why) in &config.nondeterministic_idents {
             if &t.text == ident {
                 findings.push(Finding {
@@ -259,14 +272,43 @@ pub fn unsafe_ban(check: &FileCheck<'_>, findings: &mut Vec<Finding>) {
     }
 }
 
+/// Entry points whose deprecation cycle ended in deletion: `(preceding
+/// keyword or "" for any use, identifier)`. They stay deleted — with or
+/// without `#[deprecated]`, with or without an allow directive.
+const RETIRED: [(&str, &str); 5] = [
+    ("", "map_with_faults"),
+    ("", "FaultBatchResult"),
+    ("", "SimResult"),
+    ("fn", "simulate"),
+    ("struct", "Client"),
+];
+
 /// Deprecation: a `#[deprecated]` attribute may not linger. Workspace
 /// policy (DESIGN.md) gives a deprecated shim exactly one PR cycle: the
 /// PR after the one that deprecated it deletes it. The attribute is
 /// therefore itself a finding — fires in every file kind, tests
-/// included — unless an allow directive names the removal plan.
-pub fn deprecation(check: &FileCheck<'_>, findings: &mut Vec<Finding>) {
+/// included — unless an allow directive names the removal plan. Once
+/// deleted, a [`RETIRED`] name coming back is a *hard* finding.
+pub fn deprecation(check: &FileCheck<'_>, findings: &mut Vec<Finding>, hard: &mut Vec<Finding>) {
     let toks = &check.scan.tokens;
     for (i, t) in toks.iter().enumerate() {
+        if t.kind == TokKind::Ident
+            && RETIRED.iter().any(|&(before, name)| {
+                t.text == name && (before.is_empty() || (i >= 1 && toks[i - 1].text == before))
+            })
+        {
+            hard.push(Finding {
+                rule: Rule::Deprecation,
+                file: check.rel_path.to_string(),
+                line: t.line,
+                col: t.col,
+                message: format!(
+                    "`{}` was deleted when its deprecation cycle ended; use the Batch API \
+                     instead of reintroducing it",
+                    t.text
+                ),
+            });
+        }
         if t.kind == TokKind::Ident
             && t.text == "deprecated"
             && i >= 2
@@ -634,14 +676,17 @@ mod tests {
         let s = scan(src);
         let check = lib_check(&s, "crates/msa/src/x.rs", deterministic);
         let regions = test_regions(&s);
-        let mut findings = Vec::new();
+        let (mut findings, mut hard) = (Vec::new(), Vec::new());
         determinism(
             &Config::workspace_default(),
             &check,
             &regions,
             &mut findings,
+            &mut hard,
         );
-        finalize(check.rel_path, &s, findings)
+        let mut kept = finalize(check.rel_path, &s, findings);
+        kept.extend(hard);
+        kept
     }
 
     #[test]
@@ -680,6 +725,21 @@ mod tests {
         assert!(run_det(src, true).is_empty());
     }
 
+    #[test]
+    fn wall_clock_has_no_per_line_escape_hatch() {
+        // The allow covers nothing: the read still fires and the
+        // directive itself is reported stale.
+        let src = "// sfcheck::allow(determinism, just this once)\nuse std::time::Instant;";
+        let f = run_det(src, true);
+        let mut rules: Vec<Rule> = f.iter().map(|f| f.rule).collect();
+        rules.sort();
+        assert_eq!(
+            rules,
+            vec![Rule::Determinism, Rule::Determinism, Rule::AllowAudit],
+            "{f:?}"
+        );
+    }
+
     fn run_unsafe(src: &str) -> Vec<Finding> {
         let s = scan(src);
         let check = lib_check(&s, "crates/x/src/lib.rs", false);
@@ -704,9 +764,11 @@ mod tests {
     fn run_deprecation(src: &str) -> Vec<Finding> {
         let s = scan(src);
         let check = lib_check(&s, "crates/x/src/lib.rs", false);
-        let mut findings = Vec::new();
-        deprecation(&check, &mut findings);
-        finalize(check.rel_path, &s, findings)
+        let (mut findings, mut hard) = (Vec::new(), Vec::new());
+        deprecation(&check, &mut findings, &mut hard);
+        let mut kept = finalize(check.rel_path, &s, findings);
+        kept.extend(hard);
+        kept
     }
 
     #[test]
@@ -724,6 +786,24 @@ mod tests {
             "// the #[deprecated] era is over\npub const S: &str = \"#[deprecated]\";"
         )
         .is_empty());
+    }
+
+    #[test]
+    fn retired_entry_points_stay_deleted_even_under_an_allow() {
+        let src = "// sfcheck::allow(deprecated, just a shim)\npub fn map_with_faults() {}\n\
+                   pub fn simulate() {}\npub struct Client;\npub fn simulate_more(c: Client) {}";
+        let f = run_deprecation(src);
+        let hits: Vec<u32> = f
+            .iter()
+            .filter(|f| f.rule == Rule::Deprecation)
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(
+            hits,
+            vec![2, 3, 4],
+            "uses of `Client` and `simulate_more` pass"
+        );
+        assert!(f.iter().any(|f| f.rule == Rule::AllowAudit), "{f:?}");
     }
 
     #[test]

@@ -2,14 +2,14 @@
 //!
 //! Per-file passes (`rules`) see one file at a time; the rules here see
 //! the whole workspace — the lock-order graph spans files within a
-//! crate, and metric parity compares two executors that never appear in
-//! the same file.
+//! crate, and metric ownership needs every file's recording sites to
+//! find the one that is not the owner.
 
 use crate::config::{Config, FileKind};
 use crate::facts::FileFacts;
 use crate::graph;
 use crate::report::{Finding, Rule};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Whether lock-discipline applies to this file: library and binary
 /// code, minus configured exemptions. Tests, benches, and examples may
@@ -128,34 +128,13 @@ pub fn lock_unwrap(facts: &[FileFacts], findings: &mut Vec<Finding>) {
     }
 }
 
-/// metric-parity: each configured file pair must record the identical
-/// set of literal metric paths. The real and virtual executors replicate
-/// the paper's load-balance numbers via byte-identical traces; a metric
-/// recorded by one side only silently breaks `lens --diff` baselines.
-pub fn metric_parity(config: &Config, facts: &[FileFacts], findings: &mut Vec<Finding>) {
-    for (a_suffix, b_suffix) in &config.metric_parity_pairs {
-        let a = facts
-            .iter()
-            .find(|f| f.rel_path == *a_suffix || f.rel_path.ends_with(a_suffix));
-        let b = facts
-            .iter()
-            .find(|f| f.rel_path == *b_suffix || f.rel_path.ends_with(b_suffix));
-        let (Some(a), Some(b)) = (a, b) else {
-            continue; // pair not present in this tree (fixture workspaces)
-        };
-        report_asymmetry(a, b, findings);
-        report_asymmetry(b, a, findings);
-    }
-}
-
 /// metric-ownership: metric paths under a configured prefix may only be
-/// recorded from the one file that owns them. The result store's
-/// `cache/*` counters keep executor parity *by construction* — every
-/// backend reaches the single recording site inside the store — and a
-/// second recording site would double-count hits or drift the two
-/// executors' traces apart. Reported under [`Rule::MetricParity`]: it is
-/// the same contract (one metric set, wherever recorded) enforced at the
-/// source instead of pairwise.
+/// recorded from the one file that owns them. Executor parity holds *by
+/// construction*: every backend reaches the single recording site (the
+/// store for `cache/*`, the batch skeleton in `dataflow/src/exec.rs` for
+/// `dataflow/*` and `service/live_*`), and a second recording site would
+/// double-count or drift the two executors' traces apart. Reported
+/// under [`Rule::MetricParity`].
 pub fn metric_ownership(config: &Config, facts: &[FileFacts], findings: &mut Vec<Finding>) {
     for (prefix, owner_suffix) in &config.metric_owner_prefixes {
         for f in facts.iter().filter(|f| f.kind == FileKind::Lib) {
@@ -170,36 +149,13 @@ pub fn metric_ownership(config: &Config, facts: &[FileFacts], findings: &mut Vec
                     col: m.col,
                     message: format!(
                         "metric path \"{}\" is owned by {}: `{}*` counters must be \
-                         recorded from the store's single site so both executors stay \
+                         recorded from that single site so both executors stay \
                          in parity by construction",
                         m.path, owner_suffix, prefix
                     ),
                 });
             }
         }
-    }
-}
-
-/// Report every metric path `present` records that `absent` does not,
-/// attributed to the recording site so a line-level allow can cover it.
-fn report_asymmetry(present: &FileFacts, absent: &FileFacts, findings: &mut Vec<Finding>) {
-    let absent_paths: BTreeSet<&str> = absent.metrics.iter().map(|m| m.path.as_str()).collect();
-    let mut seen: BTreeSet<&str> = BTreeSet::new();
-    for m in &present.metrics {
-        if absent_paths.contains(m.path.as_str()) || !seen.insert(m.path.as_str()) {
-            continue;
-        }
-        findings.push(Finding {
-            rule: Rule::MetricParity,
-            file: present.rel_path.clone(),
-            line: m.line,
-            col: m.col,
-            message: format!(
-                "metric path \"{}\" is recorded by {} but not by {}: executor traces \
-                 must record the identical metric set or trace byte-equality breaks",
-                m.path, present.rel_path, absent.rel_path
-            ),
-        });
     }
 }
 
@@ -278,57 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn metric_parity_reports_both_directions_once_per_path() {
-        let real = "pub fn f(r: &Recorder) {\n r.add(\"exec/shared\", 1.0);\n \
-                    r.add(\"exec/real_only\", 1.0);\n r.add(\"exec/real_only\", 2.0);\n}";
-        let sim = "pub fn f(r: &Recorder) {\n r.add(\"exec/shared\", 1.0);\n \
-                   r.add(\"exec/sim_only\", 1.0);\n}";
-        let facts = vec![
-            facts_for("crates/dataflow/src/real.rs", "dataflow", real),
-            facts_for("crates/dataflow/src/sim.rs", "dataflow", sim),
-        ];
-        let mut findings = Vec::new();
-        metric_parity(&Config::workspace_default(), &facts, &mut findings);
-        assert_eq!(findings.len(), 2, "{findings:?}");
-        assert!(findings[0].message.contains("real_only"));
-        assert!(findings[1].message.contains("sim_only"));
-    }
-
-    #[test]
-    fn metric_parity_covers_service_live_counters() {
-        // The run_live drain counters are part of the executor-pair
-        // contract: dropping one from a single backend must fire.
-        let real = "pub fn run_live(r: &Recorder) {\n \
-                    r.add(\"service/live_completed\", 1.0);\n \
-                    r.add(\"service/live_waits\", 1.0);\n \
-                    r.add(\"service/live_carryover\", 1.0);\n}";
-        let sim = "pub fn run_live(r: &Recorder) {\n \
-                   r.add(\"service/live_completed\", 1.0);\n \
-                   r.add(\"service/live_waits\", 1.0);\n}";
-        let facts = vec![
-            facts_for("crates/dataflow/src/real.rs", "dataflow", real),
-            facts_for("crates/dataflow/src/sim.rs", "dataflow", sim),
-        ];
-        let mut findings = Vec::new();
-        metric_parity(&Config::workspace_default(), &facts, &mut findings);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("service/live_carryover"));
-        assert!(findings[0].file.ends_with("real.rs"));
-    }
-
-    #[test]
-    fn metric_parity_skips_absent_pairs() {
-        let facts = vec![facts_for(
-            "crates/x/src/lib.rs",
-            "x",
-            "pub fn f(r: &R) { r.add(\"a/b\", 1.0); }",
-        )];
-        let mut findings = Vec::new();
-        metric_parity(&Config::workspace_default(), &facts, &mut findings);
-        assert!(findings.is_empty());
-    }
-
-    #[test]
     fn cache_counters_outside_the_store_are_flagged() {
         let rogue = "pub fn f(r: &Recorder) { r.add(\"cache/hit\", 1.0); }";
         let facts = vec![facts_for(
@@ -386,6 +291,24 @@ mod tests {
         metric_ownership(&Config::workspace_default(), &facts, &mut findings);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("crates/hpc/src/service.rs"));
+    }
+
+    #[test]
+    fn executor_counters_outside_the_batch_skeleton_are_flagged() {
+        // A backend that grows its own dataflow/* or service/live_*
+        // counter has left the shared frame: both must fire, and the
+        // owner itself stays clean.
+        let rogue = "pub fn run_live(r: &Recorder) {\n r.add(\"service/live_waits\", 1.0);\n \
+                     r.add(\"dataflow/retries\", 1.0);\n}";
+        let facts = vec![
+            facts_for("crates/dataflow/src/real.rs", "dataflow", rogue),
+            facts_for("crates/dataflow/src/exec.rs", "dataflow", rogue),
+        ];
+        let mut findings = Vec::new();
+        metric_ownership(&Config::workspace_default(), &facts, &mut findings);
+        assert_eq!(findings.len(), 2, "{findings:?}");
+        assert!(findings.iter().all(|f| f.file.ends_with("real.rs")));
+        assert!(findings[0].message.contains("crates/dataflow/src/exec.rs"));
     }
 
     #[test]

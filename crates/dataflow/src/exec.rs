@@ -198,14 +198,23 @@ pub enum BatchStatus {
     /// Every task completed.
     Complete,
     /// The deadline cut dispatching; the named tasks carried over to a
-    /// follow-on job (in queue-policy order).
+    /// follow-on job.
     Partial {
-        /// Task ids left undone, in the order a resume would run them.
+        /// Task ids left undone, sorted by submission index (the same
+        /// on both backends, whatever the queue policy).
         carried_over: Vec<String>,
     },
 }
 
 impl BatchStatus {
+    fn from_carryover(carried_over: Vec<String>) -> Self {
+        if carried_over.is_empty() {
+            Self::Complete
+        } else {
+            Self::Partial { carried_over }
+        }
+    }
+
     /// Whether the batch was cut by its deadline.
     #[must_use]
     pub fn is_partial(&self) -> bool {
@@ -405,10 +414,11 @@ pub struct LivePlan<'a> {
 
 /// A backend that can run a validated [`Plan`].
 ///
-/// Implementations must honor the plan's scheduling contract — every
-/// task completes exactly once, records carry seconds since batch start —
-/// and use [`open_batch_span`]/[`close_batch_span`] so all backends emit
-/// the same telemetry shape.
+/// Implementations must honor the plan's scheduling contract: every
+/// task completes exactly once and records carry seconds since batch
+/// start. The in-tree backends supply only a lane runner and a live
+/// drain; the frame around them (prologue, lane sequencing, outcome,
+/// telemetry) exists once in this module, so they cannot drift apart.
 pub trait Executor {
     /// Run the plan over `items` (`items.len() == plan.specs.len()`).
     fn execute<I, O, F>(&self, plan: &Plan<'_>, items: &[I], f: &F) -> BatchOutcome<O>
@@ -468,8 +478,7 @@ impl<'a> Batch<'a> {
     /// Start describing a batch that owns its task specs — the caller
     /// hands over the `Vec` and the builder is `'static` as far as the
     /// task list is concerned. This is the constructor services and
-    /// other long-lived submitters use; see the crate root for the
-    /// migration notes.
+    /// other long-lived submitters use.
     #[must_use]
     pub fn from_specs(specs: Vec<TaskSpec>) -> Self {
         Self::from_cow(Cow::Owned(specs))
@@ -795,12 +804,376 @@ impl<'a> Batch<'a> {
     }
 }
 
-/// Open the batch span on the plan's recorder. Returns the span and the
-/// clock reading at open, for [`close_batch_span`].
-#[must_use]
-pub fn open_batch_span(plan: &Plan<'_>) -> (SpanId, f64) {
+/// One execution interval on a worker, as handed to the [`Ledger`].
+#[derive(Clone, Copy)]
+pub(crate) struct Ran {
+    pub worker: usize,
+    pub start: f64,
+    pub end: f64,
+    /// Seconds of the interval charged as busy (the simulator leaves
+    /// retry backoff out; wall-clocked intervals charge all of it).
+    pub busy: f64,
+}
+
+impl Ran {
+    /// An interval that is busy from start to end.
+    pub(crate) fn new(worker: usize, start: f64, end: f64) -> Self {
+        Self {
+            worker,
+            start,
+            end,
+            busy: end - start,
+        }
+    }
+}
+
+/// Everything a batch accumulates while its lanes run: the one place a
+/// completion becomes a [`TaskRecord`] and a [`JournalEntry`], and the
+/// one place worker occupancy is charged. The simulator calls it
+/// directly; the thread backend shares it behind a single mutex.
+pub(crate) struct Ledger<'a, O> {
+    specs: &'a [TaskSpec],
+    journal: Option<&'a Journal>,
+    records: Vec<TaskRecord>,
+    cancelled: Vec<TaskRecord>,
+    outputs: Vec<Option<O>>,
+    worker_busy: Vec<f64>,
+    worker_finish: Vec<f64>,
+    /// Tasks that burned the current lane's attempt budget, in burn
+    /// order; the frame drains it into the next lane's queue.
+    pub(crate) exhausted: Vec<usize>,
+}
+
+impl<'a, O> Ledger<'a, O> {
+    fn new(plan: &Plan<'a>, lanes: usize) -> Self {
+        let n = plan.specs.len();
+        Self {
+            specs: plan.specs,
+            journal: plan.journal,
+            records: Vec::with_capacity(n),
+            cancelled: Vec::new(),
+            outputs: (0..n).map(|_| None).collect(),
+            worker_busy: vec![0.0; lanes],
+            worker_finish: vec![0.0; lanes],
+            exhausted: Vec::new(),
+        }
+    }
+
+    /// Occupancy of workers outside the batch's lanes (a replayed
+    /// journal may name any) is not tracked.
+    fn charge(&mut self, ran: Ran) {
+        if let Some(busy) = self.worker_busy.get_mut(ran.worker) {
+            *busy += ran.busy;
+            self.worker_finish[ran.worker] = self.worker_finish[ran.worker].max(ran.end);
+        }
+    }
+
+    fn record(&self, idx: usize, ran: Ran, attempts: u32) -> TaskRecord {
+        TaskRecord {
+            task_id: self.specs[idx].id.clone(),
+            worker_id: ran.worker,
+            start: ran.start,
+            end: ran.end,
+            attempts,
+        }
+    }
+
+    /// Task `idx` completed: record it, journal it, keep its output
+    /// (`None` = compute it inline when the batch finishes).
+    pub(crate) fn complete(&mut self, idx: usize, ran: Ran, attempts: u32, out: Option<O>) {
+        self.charge(ran);
+        if let Some(journal) = self.journal {
+            journal.record(JournalEntry {
+                task: self.specs[idx].id.clone(),
+                worker: ran.worker,
+                start: ran.start,
+                end: ran.end,
+                attempts,
+            });
+        }
+        self.records.push(self.record(idx, ran, attempts));
+        self.outputs[idx] = out;
+    }
+
+    /// The losing half of a speculative race (attempts = 0).
+    pub(crate) fn cancel(&mut self, idx: usize, ran: Ran) {
+        self.charge(ran);
+        self.cancelled.push(self.record(idx, ran, 0));
+    }
+
+    /// Task `idx` burned its whole attempt budget on `ran.worker` and
+    /// completed nowhere: the occupancy is charged and the task moves
+    /// to the next lane.
+    pub(crate) fn burn(&mut self, idx: usize, ran: Ran) {
+        self.charge(ran);
+        self.exhausted.push(idx);
+    }
+
+    /// Whether task `idx` already has an output (a replayed resume).
+    pub(crate) fn holds(&self, idx: usize) -> bool {
+        self.outputs[idx].is_some()
+    }
+}
+
+/// One lane of workers, as the frame hands it to a backend's runner.
+pub(crate) struct PassParams<'a> {
+    pub specs: &'a [TaskSpec],
+    /// Modeled duration per task, by submission index.
+    pub durations: &'a [f64],
+    /// Queue order of the lane (submission indices).
+    pub order: &'a [usize],
+    pub workers: usize,
+    /// Worker ids are `id_offset..id_offset + workers`.
+    pub id_offset: usize,
+    /// When the lane's workers become free (virtual backends).
+    pub start_at: f64,
+    pub lane: Lane,
+    /// Failed executions each task burned in earlier lanes.
+    pub prior_failures: u32,
+    /// Absolute completion horizon (`None` = unbounded).
+    pub deadline: Option<f64>,
+    /// Straggler threshold `k` (`None` = speculation off).
+    pub speculation: Option<f64>,
+    /// Per-task speculation flags, by submission index.
+    pub spec_flags: &'a [bool],
+    /// `worker id → tasks_before_death` (first fault per worker wins).
+    pub budgets: &'a BTreeMap<usize, usize>,
+    pub fault_plan: &'a FaultPlan<'a>,
+}
+
+/// What one lane reports back, beyond what it wrote to the [`Ledger`].
+pub(crate) struct PassResult {
+    /// Worker ids that registered, in registration order.
+    pub registered: Vec<usize>,
+    /// Tasks never dispatched because the deadline cut the lane.
+    pub carryover: Vec<usize>,
+    /// When the lane drained, on the backend's clock.
+    pub makespan: f64,
+    pub requeued: usize,
+    pub speculated: usize,
+    pub speculation_wins: usize,
+}
+
+/// The frozen path, once for every backend: prepare, run the standard
+/// lane, run the high-memory rerun lane unless the deadline already cut,
+/// assemble the outcome, close the span. `run_lane` is all a backend
+/// supplies.
+pub(crate) fn run_frozen<I, O, F>(
+    plan: &Plan<'_>,
+    items: &[I],
+    f: &F,
+    mut run_lane: impl FnMut(&PassParams<'_>, &mut Ledger<'_, O>) -> PassResult,
+) -> BatchOutcome<O>
+where
+    F: Fn(&TaskSpec, &I) -> O,
+{
     let t0 = plan.recorder.now();
-    (plan.recorder.span_start(plan.label), t0)
+    let span = plan.recorder.span_start(plan.label);
+    let specs = plan.specs;
+    let owned_durations: Vec<f64>;
+    let durations: &[f64] = match plan.durations {
+        Some(d) => d,
+        None => {
+            owned_durations = specs.iter().map(|s| s.cost_hint).collect();
+            &owned_durations
+        }
+    };
+    let fault_plan = FaultPlan::new(plan.task_faults, plan.retry);
+    let spec_flags = crate::deadline::speculation_flags(
+        specs,
+        durations,
+        &fault_plan,
+        plan.speculation,
+        plan.workers,
+    );
+    let mut budgets: BTreeMap<usize, usize> = BTreeMap::new();
+    for fault in plan.faults {
+        budgets
+            .entry(fault.worker)
+            .or_insert(fault.tasks_before_death);
+    }
+    let no_budgets = BTreeMap::new();
+    let q_width = plan.quarantine_workers.unwrap_or(0);
+    let mut ledger = Ledger::new(plan, plan.workers + q_width);
+
+    let order = plan.policy.order(specs);
+    let standard = PassParams {
+        specs,
+        durations,
+        order: &order,
+        workers: plan.workers,
+        id_offset: 0,
+        start_at: 0.0,
+        lane: Lane::Standard,
+        prior_failures: 0,
+        deadline: plan.deadline,
+        speculation: plan.speculation,
+        spec_flags: &spec_flags,
+        budgets: &budgets,
+        fault_plan: &fault_plan,
+    };
+    let pass1 = run_lane(&standard, &mut ledger);
+    let exhausted = std::mem::take(&mut ledger.exhausted);
+    let mut registered_workers = pass1.registered;
+    let mut carryover = pass1.carryover;
+    let mut requeued = pass1.requeued;
+    let mut makespan = pass1.makespan;
+    let mut quarantined = 0;
+    if !carryover.is_empty() {
+        // A deadline that already cut the standard lane skips the rerun:
+        // its start time would differ from the uninterrupted run's, so
+        // the exhausted tasks carry over and a resume re-runs them.
+        carryover.extend_from_slice(&exhausted);
+    } else if !exhausted.is_empty() {
+        // §3.3's dedicated rerun: a fresh high-memory lane, numbered
+        // after the standard workers, starts once the standard lane
+        // drains.
+        let pass2 = run_lane(
+            &PassParams {
+                order: &exhausted,
+                workers: q_width,
+                id_offset: plan.workers,
+                start_at: pass1.makespan,
+                lane: Lane::HighMemory,
+                prior_failures: plan.retry.max_attempts,
+                speculation: None,
+                budgets: &no_budgets,
+                ..standard
+            },
+            &mut ledger,
+        );
+        debug_assert!(
+            ledger.exhausted.is_empty(),
+            "validation rejects doomed tasks"
+        );
+        quarantined = exhausted.len() - pass2.carryover.len();
+        carryover.extend_from_slice(&pass2.carryover);
+        requeued += pass2.requeued;
+        if quarantined > 0 {
+            makespan = makespan.max(pass2.makespan);
+            registered_workers.extend(pass2.registered);
+        }
+    }
+    let quarantine_makespan = if quarantined > 0 {
+        makespan - pass1.makespan
+    } else {
+        0.0
+    };
+
+    // Carried-over ids are journalled and reported by submission index.
+    carryover.sort_unstable();
+    let carried_over: Vec<String> = carryover.iter().map(|&i| specs[i].id.clone()).collect();
+    if let Some(journal) = plan.journal {
+        for task in &carried_over {
+            journal.record_carryover(task.clone());
+        }
+    }
+    // An unused rerun lane is trimmed so utilization only counts
+    // workers that could have run.
+    let lanes_width = plan.workers + if quarantined > 0 { q_width } else { 0 };
+    ledger.worker_busy.truncate(lanes_width);
+    ledger.worker_finish.truncate(lanes_width);
+    let outcome = BatchOutcome {
+        // Tasks that never ran here (carried over, or every task of a
+        // simulated batch) get their output inline, in submission order.
+        outputs: ledger
+            .outputs
+            .into_iter()
+            .enumerate()
+            .map(|(i, o)| o.unwrap_or_else(|| f(&specs[i], &items[i])))
+            .collect(),
+        // Replayed journal records may end later than this run's clock.
+        makespan: ledger
+            .records
+            .iter()
+            .chain(&ledger.cancelled)
+            .fold(makespan, |m, r| m.max(r.end)),
+        records: ledger.records,
+        cancelled: ledger.cancelled,
+        workers: plan.workers,
+        registered_workers,
+        worker_busy: ledger.worker_busy,
+        worker_finish: ledger.worker_finish,
+        requeued,
+        deaths: budgets.len(),
+        quarantined,
+        quarantine_makespan,
+        resumed: plan.completed.len(),
+        status: BatchStatus::from_carryover(carried_over),
+        speculated: pass1.speculated,
+        speculation_wins: pass1.speculation_wins,
+    };
+    close_batch_span(plan, span, t0, &outcome);
+    outcome
+}
+
+/// What a backend's live drain hands back to [`finish_live`].
+pub(crate) struct LiveDrain {
+    /// One record per dispatched task, in completion order.
+    pub records: Vec<TaskRecord>,
+    /// Worker ids that registered, in registration order.
+    pub registered: Vec<usize>,
+    /// Pulls that found nothing dispatchable yet.
+    pub waits: usize,
+}
+
+/// The live path, once for every backend: open the span, let the
+/// backend drain the queue, assemble the outcome, emit the
+/// `service/live_*` counters. Whatever the drain left queued carries
+/// over.
+pub(crate) fn finish_live(
+    plan: &LivePlan<'_>,
+    queue: &SubmissionQueue,
+    drain: impl FnOnce() -> LiveDrain,
+) -> BatchOutcome<()> {
+    let rec = plan.recorder;
+    let t0 = rec.now();
+    let span = rec.span_start(plan.label);
+    let LiveDrain {
+        records,
+        registered,
+        waits,
+    } = drain();
+    let (worker_busy, worker_finish) = per_worker_stats(&records, plan.workers);
+    let outcome = BatchOutcome {
+        outputs: vec![(); records.len()],
+        makespan: records.iter().map(|r| r.end).fold(0.0, f64::max),
+        records,
+        workers: plan.workers,
+        registered_workers: registered,
+        worker_busy,
+        worker_finish,
+        requeued: 0,
+        deaths: 0,
+        quarantined: 0,
+        quarantine_makespan: 0.0,
+        resumed: 0,
+        status: BatchStatus::from_carryover(queue.pending_ids()),
+        cancelled: Vec::new(),
+        speculated: 0,
+        speculation_wins: 0,
+    };
+    if rec.is_enabled() {
+        for r in &outcome.records {
+            rec.task(
+                Some(span),
+                &r.task_id,
+                r.worker_id,
+                r.start,
+                r.end,
+                r.attempts,
+            );
+        }
+        rec.add("service/live_completed", outcome.records.len() as f64);
+        rec.add("service/live_waits", waits as f64);
+        let carried = outcome.status.carried_over().len();
+        if carried > 0 {
+            rec.add("service/live_carryover", carried as f64);
+        }
+        rec.advance_clock_to(t0 + outcome.makespan);
+    }
+    rec.span_end(span);
+    outcome
 }
 
 /// Emit per-task events and close the batch span, advancing virtual
@@ -815,7 +1188,7 @@ pub fn open_batch_span(plan: &Plan<'_>) -> (SpanId, f64) {
 /// marker span when the deadline cut the batch. When the plan asked for
 /// progress telemetry, `monitor/...` gauges are interleaved at their
 /// completion timestamps (see [`Batch::progress`]).
-pub fn close_batch_span<O>(plan: &Plan<'_>, span: SpanId, t0: f64, outcome: &BatchOutcome<O>) {
+fn close_batch_span<O>(plan: &Plan<'_>, span: SpanId, t0: f64, outcome: &BatchOutcome<O>) {
     let rec = plan.recorder;
     if !rec.is_enabled() {
         return;
@@ -962,8 +1335,7 @@ pub fn group_by_worker(records: &[TaskRecord], lanes: usize) -> Vec<Vec<&TaskRec
 
 /// Per-worker busy seconds and finish times derived from task records,
 /// via the same grouped pass as [`BatchOutcome::worker_timelines`].
-#[must_use]
-pub fn per_worker_stats(records: &[TaskRecord], workers: usize) -> (Vec<f64>, Vec<f64>) {
+fn per_worker_stats(records: &[TaskRecord], workers: usize) -> (Vec<f64>, Vec<f64>) {
     let groups = group_by_worker(records, workers);
     let busy = groups
         .iter()

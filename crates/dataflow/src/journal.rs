@@ -18,13 +18,14 @@
 //! ```
 //!
 //! `task_carryover` lines name tasks a deadline-cut batch left undone
-//! (see `Batch::deadline`), in the order a resume would run them. A kill
+//! (see `Batch::deadline`), sorted by submission index. A kill
 //! mid-append can truncate the file mid-byte; [`Journal::parse_jsonl`]
 //! drops such a torn final line (the half-written task simply re-runs)
 //! and flags it via [`Journal::had_torn_tail`], which `Batch::resume`
 //! surfaces as a `dataflow/journal_torn` counter.
 
 use crate::retry::ResilienceError;
+use crate::sync::lock;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 use summitfold_obs::json::{self, ObjectWriter};
@@ -76,54 +77,40 @@ impl Journal {
         Self::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<JournalEntry>> {
-        // Poisoning can only come from a panic between push calls; the
-        // vector itself stays consistent.
-        self.entries
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     /// Append one completed task.
     pub fn record(&self, entry: JournalEntry) {
-        self.lock().push(entry);
+        lock(&self.entries).push(entry);
     }
 
     /// Snapshot of all entries in append order.
     #[must_use]
     pub fn entries(&self) -> Vec<JournalEntry> {
-        self.lock().clone()
+        lock(&self.entries).clone()
     }
 
     /// Number of journaled completions.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.lock().len()
+        lock(&self.entries).len()
     }
 
     /// Whether nothing has been journaled.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
+        lock(&self.entries).is_empty()
     }
 
-    /// Note a task the deadline left undone, in resume order. Carryover
-    /// lines are written at batch end, after every completion.
+    /// Note a task the deadline left undone. Carryover lines are written
+    /// at batch end, after every completion, sorted by submission index.
     pub fn record_carryover(&self, task: impl Into<String>) {
-        self.carryover
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(task.into());
+        lock(&self.carryover).push(task.into());
     }
 
-    /// Tasks journaled as carried over by a deadline-cut batch, in the
-    /// order a resume would run them.
+    /// Tasks journaled as carried over by a deadline-cut batch, sorted
+    /// by submission index.
     #[must_use]
     pub fn carried_over(&self) -> Vec<String> {
-        self.carryover
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
+        lock(&self.carryover).clone()
     }
 
     /// Whether [`Journal::parse_jsonl`] dropped a torn final line (the
@@ -162,11 +149,8 @@ impl Journal {
     /// newline (empty string for an empty journal).
     #[must_use]
     pub fn to_jsonl(&self) -> String {
-        let entries = self.lock();
-        let carryover = self
-            .carryover
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let entries = lock(&self.entries);
+        let carryover = lock(&self.carryover);
         let mut out = String::with_capacity(entries.len() * 96 + carryover.len() * 48);
         for e in entries.iter() {
             out.push_str(&e.to_json_line());

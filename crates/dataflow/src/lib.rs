@@ -25,7 +25,11 @@
 //! Because independent-task dataflow with greedy workers *is* list
 //! scheduling, the policy measured on 48 real threads is exactly the
 //! policy simulated at 6000 virtual workers — the property the Fig 2 and
-//! ablation A1 experiments rely on. Both backends return the same
+//! ablation A1 experiments rely on. It holds by construction: a backend
+//! is one lane runner plus one live drain, and everything around them
+//! (prologue, standard → high-memory lane sequencing, the ledger that
+//! turns completions into records, outcome and telemetry) exists once,
+//! in [`exec`]. Both backends return the same
 //! [`exec::BatchOutcome`] and emit the same span/task telemetry into an
 //! [`summitfold_obs::Recorder`], so `stats::to_csv` and
 //! `stats::ascii_gantt` artifacts regenerate byte-identically from a
@@ -61,22 +65,6 @@
 //! classes, and both executors drain it through
 //! [`exec::Executor::run_live`] — workers *pull* dispatches one at a
 //! time instead of walking a plan frozen at `run()` time.
-//!
-//! ## Migrating to the owned Batch API
-//!
-//! Two call shapes changed when the live layer landed:
-//!
-//! * **Owned specs.** [`exec::Batch::new`] still borrows
-//!   `&[TaskSpec]`, but callers that build their task list on the fly
-//!   (services, follow-on planners) should hand it over with
-//!   [`exec::Batch::from_specs`]`(Vec<TaskSpec>)` — the builder owns
-//!   the list, nothing has to outlive it, and `Batch` is now `Clone`
-//!   (no longer `Copy`).
-//! * **One speculation knob.** The `speculate()` / `speculation(k)`
-//!   pair collapsed into `speculation(Option<f64>)`:
-//!   `.speculate()` becomes `.speculation(None)` (the documented
-//!   default, [`deadline::DEFAULT_SPECULATION_FACTOR`] = 1.5×) and
-//!   `.speculation(k)` becomes `.speculation(Some(k))`.
 
 pub mod chaos;
 pub mod deadline;

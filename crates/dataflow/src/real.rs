@@ -13,36 +13,43 @@
 //! 4. per-task start/end statistics are collected for the CSV report and
 //!    the telemetry trace.
 //!
-//! [`ThreadExecutor`] is the [`crate::exec::Executor`] backend; it honors
-//! a worker-death schedule (see [`crate::fault`]), re-queueing the
-//! in-flight task of a dying worker so the batch drains on the survivors,
-//! and the task-level fault model (see [`crate::retry`]): failed attempts
-//! really re-execute the closure, backoff delays really sleep, and tasks
-//! that exhaust the standard lane re-run in a second scope of high-memory
-//! workers once the standard lane drains. A deadline stops workers from
-//! starting tasks whose modeled duration would overrun the wall-clock
-//! budget (in-flight work finishes; the rest carries over), and tasks
-//! flagged by [`crate::deadline::speculation_flags`] enqueue a
-//! speculative twin the moment their primary starts — the first
-//! completion claims the task, the loser records as cancelled. Resume
-//! replays journaled records verbatim (wall-clock times are not
-//! reproducible) and schedules only the remainder; outputs of replayed
-//! and carried-over tasks are recomputed inline so the outcome stays
-//! fully populated for any output type. With `Batch::progress(n)` the
-//! shared span-closing path interleaves `monitor/...` health gauges at
-//! completion timestamps; task counts are cross-executor-deterministic,
-//! rate/utilization values reflect the measured wall-clock timings.
+//! [`ThreadExecutor`] is the [`crate::exec::Executor`] backend. It
+//! supplies exactly two things — `run_lane`, one lane of worker threads,
+//! and the live drain in `run_live` — and everything around them (the
+//! prologue, standard → high-memory lane sequencing, the ledger that
+//! turns completions into records and journal lines, the outcome and its
+//! telemetry) is the shared frame in [`crate::exec`]. What legitimately
+//! differs from [`crate::sim`] lives here:
+//!
+//! * **racing threads, not a heap** — workers pull from a mutex-guarded
+//!   deque; a dying worker (see [`crate::fault`]) re-queues its pull and
+//!   exits, and the survivors drain the queue;
+//! * **really executed faults** — per the task-level model in
+//!   [`crate::retry`], failed attempts re-execute the closure, backoff
+//!   delays sleep, and retry-exhausted tasks burn their whole budget on
+//!   the worker before the frame hands them to the high-memory lane;
+//! * **wall-clock deadlines** — a worker will not start a task whose
+//!   modeled duration would overrun the budget; in-flight work finishes;
+//! * **raced speculation** — tasks flagged by
+//!   [`crate::deadline::speculation_flags`] enqueue a twin the moment
+//!   their primary starts; the first completion claims the task and the
+//!   loser records as cancelled (the simulator decides the race
+//!   analytically);
+//! * **resume replays the journal verbatim** — wall-clock times cannot
+//!   be re-derived, so journaled records go back into the ledger as
+//!   written (outputs recomputed inline) and only the remainder runs
+//!   (the simulator re-derives the whole schedule instead).
 
+use crate::deadline::would_overrun;
 use crate::exec::{
-    close_batch_span, open_batch_span, per_worker_stats, BatchOutcome, BatchStatus, Executor,
-    LivePlan, Plan,
+    finish_live, run_frozen, BatchOutcome, Executor, Ledger, LiveDrain, LivePlan, PassParams,
+    PassResult, Plan, Ran,
 };
-use crate::journal::JournalEntry;
-use crate::retry::{FaultPlan, Lane, PassOutcome};
+use crate::retry::{Lane, PassOutcome};
 use crate::source::{Pull, SubmissionQueue};
 use crate::sync::lock;
 use crate::task::{TaskRecord, TaskSpec};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -50,6 +57,178 @@ use std::time::Instant;
 fn sleep_secs(s: f64) {
     if s > 0.0 {
         std::thread::sleep(std::time::Duration::from_secs_f64(s));
+    }
+}
+
+/// One lane on OS threads: `p.workers` workers drain `p.order` through a
+/// shared deque, wall-clocked from `epoch`. Failed attempts really
+/// re-execute `f` (results discarded) and backoff delays really sleep on
+/// the worker; completions, cancellations and burns go to the shared
+/// ledger behind the lane's one mutex.
+fn run_lane<I, O, F>(
+    p: &PassParams<'_>,
+    ledger: &mut Ledger<'_, O>,
+    epoch: Instant,
+    items: &[I],
+    f: &F,
+) -> PassResult
+where
+    I: Sync,
+    O: Send,
+    F: Fn(&TaskSpec, &I) -> O + Sync,
+{
+    let now = || epoch.elapsed().as_secs_f64();
+    let retry = p.fault_plan.policy();
+    // The scheduler queue: pending (task index, is_twin) pairs in lane
+    // order, minus what a resume already replayed into the ledger. The
+    // whole lane is enqueued before any worker starts; workers drain the
+    // deque until the remaining counter proves every primary resolved
+    // (twins of claimed tasks drop silently), a dying worker re-queues
+    // its pull, or the deadline stops dispatch.
+    let queue = &Mutex::new(
+        p.order
+            .iter()
+            .filter(|&&idx| !ledger.holds(idx))
+            .map(|&idx| (idx, false))
+            .collect::<VecDeque<(usize, bool)>>(),
+    );
+    let remaining = AtomicUsize::new(lock(queue).len());
+    // An empty queue is final unless dying workers can re-queue a pull
+    // or starting primaries can enqueue a twin.
+    let refills = !p.budgets.is_empty() || p.order.iter().any(|&idx| p.spec_flags[idx]);
+    // Registration list: workers announce themselves before accepting
+    // work.
+    let registered = &Mutex::new(Vec::with_capacity(p.workers));
+    // First-completion-wins claims for speculated tasks.
+    let claims: Vec<AtomicBool> = p.specs.iter().map(|_| AtomicBool::new(false)).collect();
+    let requeued = AtomicUsize::new(0);
+    let speculated = AtomicUsize::new(0);
+    let speculation_wins = AtomicUsize::new(0);
+    let deadline_hit = AtomicBool::new(false);
+    {
+        let ledger = Mutex::new(&mut *ledger);
+        let work = |worker_id: usize| {
+            lock(registered).push(worker_id);
+            let budget = p.budgets.get(&worker_id).copied();
+            let mut completed = 0usize;
+            loop {
+                if remaining.load(Ordering::Acquire) == 0 {
+                    return; // every primary resolved somewhere
+                }
+                if deadline_hit.load(Ordering::Acquire) {
+                    return; // dispatch stopped; leftovers carry over
+                }
+                let Some((idx, twin)) = lock(queue).pop_front() else {
+                    if refills {
+                        std::thread::yield_now();
+                        continue;
+                    }
+                    return; // queue drained — lane complete for this worker
+                };
+                if budget == Some(completed) {
+                    // The worker dies holding this pull: re-queue it and
+                    // exit (Dask reschedules tasks of lost workers the
+                    // same way). Only primaries count as re-queued work.
+                    lock(queue).push_back((idx, twin));
+                    if !twin {
+                        requeued.fetch_add(1, Ordering::Relaxed);
+                    }
+                    return;
+                }
+                let run = || f(&p.specs[idx], &items[idx]);
+                if twin {
+                    // Speculative duplicate: skip if the primary already
+                    // claimed the task (never launched).
+                    if claims[idx].load(Ordering::Acquire) {
+                        continue;
+                    }
+                    speculated.fetch_add(1, Ordering::Relaxed);
+                    let start = now();
+                    let out = run();
+                    let ran = Ran::new(worker_id, start, now());
+                    if claims[idx].swap(true, Ordering::AcqRel) {
+                        lock(&ledger).cancel(idx, ran); // the primary finished first
+                    } else {
+                        speculation_wins.fetch_add(1, Ordering::Relaxed);
+                        lock(&ledger).complete(idx, ran, p.prior_failures + 1, Some(out));
+                        remaining.fetch_sub(1, Ordering::Release);
+                        completed += 1;
+                    }
+                    continue;
+                }
+                if would_overrun(p.deadline, now() + p.durations[idx]) {
+                    // Starting this task would overrun the walltime
+                    // budget: put it back at the head and stop all
+                    // dispatch.
+                    lock(queue).push_front((idx, false));
+                    deadline_hit.store(true, Ordering::Release);
+                    return;
+                }
+                let start = now();
+                match p
+                    .fault_plan
+                    .pass(&p.specs[idx].id, p.lane, p.prior_failures)
+                {
+                    PassOutcome::Succeeds { failures } => {
+                        if p.spec_flags[idx] {
+                            // Enqueue the speculative twin before
+                            // starting, so an idle worker races it.
+                            lock(queue).push_back((idx, true));
+                        }
+                        for i in 1..=failures {
+                            let _ = run();
+                            sleep_secs(retry.backoff_after(i));
+                        }
+                        let out = run();
+                        let ran = Ran::new(worker_id, start, now());
+                        if p.spec_flags[idx] && claims[idx].swap(true, Ordering::AcqRel) {
+                            lock(&ledger).cancel(idx, ran); // the twin finished first
+                            continue;
+                        }
+                        let attempts = p.prior_failures + failures + 1;
+                        lock(&ledger).complete(idx, ran, attempts, Some(out));
+                        completed += 1;
+                    }
+                    PassOutcome::Exhausts => {
+                        // Burn the lane's full attempt budget (sleeping
+                        // between attempts, not after the last), then
+                        // hand the task to the next lane.
+                        for i in 1..=retry.max_attempts {
+                            let _ = run();
+                            if i < retry.max_attempts {
+                                sleep_secs(retry.backoff_after(i));
+                            }
+                        }
+                        lock(&ledger).burn(idx, Ran::new(worker_id, start, now()));
+                    }
+                }
+                remaining.fetch_sub(1, Ordering::Release);
+            }
+        };
+        std::thread::scope(|scope| {
+            for worker_id in p.id_offset..p.id_offset + p.workers {
+                let work = &work;
+                scope.spawn(move || work(worker_id));
+            }
+        });
+    }
+    // Race-free deterministic rerun order regardless of which worker
+    // exhausted which task first.
+    ledger.exhausted.sort_unstable();
+    let leftover = std::mem::take(&mut *lock(queue));
+    let registered = std::mem::take(&mut *lock(registered));
+    PassResult {
+        registered,
+        // Undispatched primaries whose twins did not finish for them.
+        carryover: leftover
+            .into_iter()
+            .filter(|&(idx, twin)| !twin && !claims[idx].load(Ordering::Acquire))
+            .map(|(idx, _)| idx)
+            .collect(),
+        makespan: now(),
+        requeued: requeued.into_inner(),
+        speculated: speculated.into_inner(),
+        speculation_wins: speculation_wins.into_inner(),
     }
 }
 
@@ -70,537 +249,86 @@ impl Executor for ThreadExecutor {
         O: Send,
         F: Fn(&TaskSpec, &I) -> O + Sync,
     {
-        let (span, t0) = open_batch_span(plan);
-        let n = items.len();
-        let specs = plan.specs;
-        let has_faults = !plan.faults.is_empty();
-        let fault_plan = FaultPlan::new(plan.task_faults, plan.retry);
-        let owned_durations: Vec<f64>;
-        let model_durations: &[f64] = match plan.durations {
-            Some(d) => d,
-            None => {
-                owned_durations = specs.iter().map(|s| s.cost_hint).collect();
-                &owned_durations
-            }
-        };
-        let spec_flags = crate::deadline::speculation_flags(
-            specs,
-            model_durations,
-            &fault_plan,
-            plan.speculation,
-            plan.workers,
-        );
-        let speculating = spec_flags.iter().any(|&b| b);
-
-        // Resume: tasks the journal already records are not re-enqueued.
-        // Their records replay verbatim (wall-clock times cannot be
-        // re-derived) and their outputs are recomputed inline here.
-        let mut order: VecDeque<usize> = plan.policy.order(specs).into();
-        let mut initial_records: Vec<TaskRecord> = Vec::with_capacity(n);
-        let mut initial_outputs: Vec<Option<O>> = (0..n).map(|_| None).collect();
-        let resumed = plan.completed.len();
-        if resumed > 0 {
-            order.retain(|&idx| !plan.completed.contains_key(&specs[idx].id));
-            for (idx, spec) in specs.iter().enumerate() {
-                let Some(entry) = plan.completed.get(&spec.id) else {
-                    continue;
-                };
-                initial_outputs[idx] = Some(f(spec, &items[idx]));
-                initial_records.push(TaskRecord {
-                    task_id: entry.task.clone(),
-                    worker_id: entry.worker,
-                    start: entry.start,
-                    end: entry.end,
-                    attempts: entry.attempts,
-                });
-                if let Some(journal) = plan.journal {
-                    journal.record(entry.clone());
-                }
-            }
-        }
-
-        // The scheduler queue: pending (task index, is_twin) pairs in
-        // policy order. The whole batch is enqueued before any worker
-        // starts; workers drain the deque until the remaining counter
-        // proves every primary resolved (twins of claimed tasks drop
-        // silently), a dying worker re-queues its pull, or the deadline
-        // stops dispatch.
-        let pending = order.len();
-        let queue: Mutex<VecDeque<(usize, bool)>> =
-            Mutex::new(order.into_iter().map(|idx| (idx, false)).collect());
-
-        // Registration list: workers announce themselves before accepting
-        // work.
-        let registered: Mutex<Vec<usize>> = Mutex::new(Vec::with_capacity(plan.workers));
-
-        let outputs: Mutex<Vec<Option<O>>> = Mutex::new(initial_outputs);
-        let records: Mutex<Vec<TaskRecord>> = Mutex::new(initial_records);
-        let cancelled: Mutex<Vec<TaskRecord>> = Mutex::new(Vec::new());
-        let quarantine: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        // First-completion-wins claims for speculated tasks.
-        let claims: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-        let requeued = AtomicUsize::new(0);
-        let speculated = AtomicUsize::new(0);
-        let speculation_wins = AtomicUsize::new(0);
-        let deadline_hit = AtomicBool::new(false);
-        let remaining = AtomicUsize::new(pending);
-        let epoch = Instant::now();
-
-        std::thread::scope(|scope| {
-            for worker_id in 0..plan.workers {
-                let budget = plan
-                    .faults
-                    .iter()
-                    .find(|fault| fault.worker == worker_id)
-                    .map(|fault| fault.tasks_before_death);
-                let queue = &queue;
-                let registered = &registered;
-                let outputs = &outputs;
-                let records = &records;
-                let cancelled = &cancelled;
-                let quarantine = &quarantine;
-                let claims = &claims;
-                let requeued = &requeued;
-                let speculated = &speculated;
-                let speculation_wins = &speculation_wins;
-                let deadline_hit = &deadline_hit;
-                let remaining = &remaining;
-                let fault_plan = &fault_plan;
-                let spec_flags = &spec_flags;
-                scope.spawn(move || {
-                    lock(registered).push(worker_id);
-                    let mut completed = 0usize;
-                    loop {
-                        if remaining.load(Ordering::Acquire) == 0 {
-                            return; // every primary resolved somewhere
-                        }
-                        if deadline_hit.load(Ordering::Acquire) {
-                            return; // dispatch stopped; leftovers carry over
-                        }
-                        let Some((idx, twin)) = lock(queue).pop_front() else {
-                            if has_faults || speculating {
-                                // Queue momentarily empty but tasks may be
-                                // re-queued by dying workers (or twins
-                                // enqueued by starting primaries); spin
-                                // politely.
-                                std::thread::yield_now();
-                                continue;
-                            }
-                            return; // queue drained — batch complete for this worker
-                        };
-                        if budget == Some(completed) {
-                            // The worker dies holding this pull: re-queue
-                            // it and exit (Dask reschedules tasks of lost
-                            // workers the same way). Only primaries count
-                            // as re-queued work.
-                            lock(queue).push_back((idx, twin));
-                            if !twin {
-                                requeued.fetch_add(1, Ordering::Relaxed);
-                            }
-                            return;
-                        }
-                        if twin {
-                            // Speculative duplicate: skip if the primary
-                            // already claimed the task (never launched).
-                            if claims[idx].load(Ordering::Acquire) {
-                                continue;
-                            }
-                            speculated.fetch_add(1, Ordering::Relaxed);
-                            let start = epoch.elapsed().as_secs_f64();
-                            let out = f(&specs[idx], &items[idx]);
-                            let end = epoch.elapsed().as_secs_f64();
-                            if claims[idx].swap(true, Ordering::AcqRel) {
-                                // The primary finished first: this
-                                // execution cancels (attempts = 0).
-                                lock(cancelled).push(TaskRecord {
-                                    task_id: specs[idx].id.clone(),
-                                    worker_id,
-                                    start,
-                                    end,
-                                    attempts: 0,
-                                });
-                            } else {
-                                speculation_wins.fetch_add(1, Ordering::Relaxed);
-                                lock(outputs)[idx] = Some(out);
-                                if let Some(journal) = plan.journal {
-                                    journal.record(JournalEntry {
-                                        task: specs[idx].id.clone(),
-                                        worker: worker_id,
-                                        start,
-                                        end,
-                                        attempts: 1,
-                                    });
-                                }
-                                lock(records).push(TaskRecord {
-                                    task_id: specs[idx].id.clone(),
-                                    worker_id,
-                                    start,
-                                    end,
-                                    attempts: 1,
-                                });
-                                remaining.fetch_sub(1, Ordering::Release);
-                                completed += 1;
-                            }
-                            continue;
-                        }
-                        if plan.deadline.is_some_and(|dl| {
-                            epoch.elapsed().as_secs_f64() + model_durations[idx] > dl
-                        }) {
-                            // Starting this task would overrun the
-                            // walltime budget: put it back at the head
-                            // and stop all dispatch.
-                            lock(queue).push_front((idx, false));
-                            deadline_hit.store(true, Ordering::Release);
-                            return;
-                        }
-                        let start = epoch.elapsed().as_secs_f64();
-                        match fault_plan.pass(&specs[idx].id, Lane::Standard, 0) {
-                            PassOutcome::Succeeds { failures } => {
-                                if spec_flags[idx] {
-                                    // Enqueue the speculative twin before
-                                    // starting, so an idle worker races it.
-                                    lock(queue).push_back((idx, true));
-                                }
-                                // Failed attempts really execute (their
-                                // results are discarded) and the backoff
-                                // delays really sleep on this worker.
-                                for i in 1..=failures {
-                                    let _ = f(&specs[idx], &items[idx]);
-                                    sleep_secs(plan.retry.backoff_after(i));
-                                }
-                                let out = f(&specs[idx], &items[idx]);
-                                let end = epoch.elapsed().as_secs_f64();
-                                if spec_flags[idx] && claims[idx].swap(true, Ordering::AcqRel) {
-                                    // The twin finished first: this
-                                    // execution cancels (attempts = 0).
-                                    lock(cancelled).push(TaskRecord {
-                                        task_id: specs[idx].id.clone(),
-                                        worker_id,
-                                        start,
-                                        end,
-                                        attempts: 0,
-                                    });
-                                    continue;
-                                }
-                                lock(outputs)[idx] = Some(out);
-                                if let Some(journal) = plan.journal {
-                                    journal.record(JournalEntry {
-                                        task: specs[idx].id.clone(),
-                                        worker: worker_id,
-                                        start,
-                                        end,
-                                        attempts: failures + 1,
-                                    });
-                                }
-                                lock(records).push(TaskRecord {
-                                    task_id: specs[idx].id.clone(),
-                                    worker_id,
-                                    start,
-                                    end,
-                                    attempts: failures + 1,
-                                });
-                                remaining.fetch_sub(1, Ordering::Release);
-                                completed += 1;
-                            }
-                            PassOutcome::Exhausts => {
-                                // Burn the lane's full attempt budget
-                                // (sleeping between attempts, not after the
-                                // last), then hand the task to quarantine.
-                                let burned = plan.retry.max_attempts;
-                                for i in 1..=burned {
-                                    let _ = f(&specs[idx], &items[idx]);
-                                    if i < burned {
-                                        sleep_secs(plan.retry.backoff_after(i));
-                                    }
-                                }
-                                lock(quarantine).push(idx);
-                                remaining.fetch_sub(1, Ordering::Release);
-                            }
-                        }
+        let mut epoch = None;
+        run_frozen(plan, items, f, |p, ledger| {
+            if p.lane == Lane::Standard {
+                // Resume: journaled records replay verbatim (wall-clock
+                // times cannot be re-derived) and their outputs are
+                // recomputed inline; the lane then skips what the
+                // ledger already holds.
+                for (idx, spec) in p.specs.iter().enumerate() {
+                    if let Some(e) = plan.completed.get(&spec.id) {
+                        let out = f(spec, &items[idx]);
+                        ledger.complete(
+                            idx,
+                            Ran::new(e.worker, e.start, e.end),
+                            e.attempts,
+                            Some(out),
+                        );
                     }
-                });
-            }
-        });
-
-        let pass1_elapsed = epoch.elapsed().as_secs_f64();
-        let standard_cut = deadline_hit.load(Ordering::Acquire);
-        // Undispatched primaries whose twins did not finish for them carry
-        // over to a follow-on batch.
-        let mut carryover_idx: Vec<usize> = queue
-            .into_inner()
-            .unwrap_or_else(|p| p.into_inner())
-            .into_iter()
-            .filter(|&(idx, twin)| !twin && !claims[idx].load(Ordering::Acquire))
-            .map(|(idx, _)| idx)
-            .collect();
-        let mut quarantined_tasks = quarantine.into_inner().unwrap_or_else(|p| p.into_inner());
-        // Race-free deterministic rerun order regardless of which worker
-        // exhausted which task first.
-        quarantined_tasks.sort_unstable();
-        let q_width = plan.quarantine_workers.unwrap_or(0);
-
-        // Quarantine rerun lane: a second scope of wider-memory workers
-        // (ids following the standard lane's) drains the exhausted tasks
-        // after the standard lane finishes — §3.3's dedicated rerun. A
-        // deadline that already cut the standard lane skips the rerun
-        // entirely (its start time would differ in the follow-on run), so
-        // the exhausted tasks carry over instead.
-        let mut quarantined = 0usize;
-        if !quarantined_tasks.is_empty() && !standard_cut {
-            let qqueue: Mutex<VecDeque<usize>> =
-                Mutex::new(quarantined_tasks.iter().copied().collect());
-            let q_deadline_hit = AtomicBool::new(false);
-            let prior = plan.retry.max_attempts;
-            std::thread::scope(|scope| {
-                for q in 0..q_width {
-                    let worker_id = plan.workers + q;
-                    let qqueue = &qqueue;
-                    let q_deadline_hit = &q_deadline_hit;
-                    let registered = &registered;
-                    let outputs = &outputs;
-                    let records = &records;
-                    let fault_plan = &fault_plan;
-                    scope.spawn(move || {
-                        lock(registered).push(worker_id);
-                        loop {
-                            if q_deadline_hit.load(Ordering::Acquire) {
-                                return;
-                            }
-                            let Some(idx) = lock(qqueue).pop_front() else {
-                                return;
-                            };
-                            if plan.deadline.is_some_and(|dl| {
-                                epoch.elapsed().as_secs_f64() + model_durations[idx] > dl
-                            }) {
-                                lock(qqueue).push_front(idx);
-                                q_deadline_hit.store(true, Ordering::Release);
-                                return;
-                            }
-                            let start = epoch.elapsed().as_secs_f64();
-                            // Validation rejects tasks that exhaust even
-                            // this lane, so the pass always succeeds.
-                            let failures =
-                                match fault_plan.pass(&specs[idx].id, Lane::HighMemory, prior) {
-                                    PassOutcome::Succeeds { failures } => failures,
-                                    PassOutcome::Exhausts => 0,
-                                };
-                            for i in 1..=failures {
-                                let _ = f(&specs[idx], &items[idx]);
-                                sleep_secs(plan.retry.backoff_after(i));
-                            }
-                            let out = f(&specs[idx], &items[idx]);
-                            let end = epoch.elapsed().as_secs_f64();
-                            let attempts = prior + failures + 1;
-                            lock(outputs)[idx] = Some(out);
-                            if let Some(journal) = plan.journal {
-                                journal.record(JournalEntry {
-                                    task: specs[idx].id.clone(),
-                                    worker: worker_id,
-                                    start,
-                                    end,
-                                    attempts,
-                                });
-                            }
-                            lock(records).push(TaskRecord {
-                                task_id: specs[idx].id.clone(),
-                                worker_id,
-                                start,
-                                end,
-                                attempts,
-                            });
-                        }
-                    });
                 }
-            });
-            let leftover = qqueue.into_inner().unwrap_or_else(|p| p.into_inner());
-            quarantined = quarantined_tasks.len() - leftover.len();
-            carryover_idx.extend(leftover);
-        } else if standard_cut {
-            carryover_idx.extend(quarantined_tasks.iter().copied());
-        }
-
-        let elapsed = epoch.elapsed().as_secs_f64();
-        let registered_workers = registered.into_inner().unwrap_or_else(|p| p.into_inner());
-        let outputs: Vec<O> = outputs
-            .into_inner()
-            .unwrap_or_else(|p| p.into_inner())
-            .into_iter()
-            .enumerate()
-            // Carried-over tasks never ran; recompute their outputs inline
-            // so callers still get a dense result vector.
-            .map(|(i, o)| o.unwrap_or_else(|| f(&specs[i], &items[i])))
-            .collect();
-        let records = records.into_inner().unwrap_or_else(|p| p.into_inner());
-        let cancelled = cancelled.into_inner().unwrap_or_else(|p| p.into_inner());
-        // Replayed journal records may end later than this run's clock.
-        let makespan = records
-            .iter()
-            .chain(cancelled.iter())
-            .fold(elapsed, |m, r| m.max(r.end));
-        let lanes_width = plan.workers + if quarantined > 0 { q_width } else { 0 };
-        let all_recorded: Vec<TaskRecord> =
-            records.iter().chain(cancelled.iter()).cloned().collect();
-        let (worker_busy, worker_finish) = per_worker_stats(&all_recorded, lanes_width);
-        let deaths = plan
-            .faults
-            .iter()
-            .map(|fault| fault.worker)
-            .collect::<BTreeSet<_>>()
-            .len();
-        // Carryover names are journalled and reported in submission-index
-        // order on both backends.
-        carryover_idx.sort_unstable();
-        let carried_over: Vec<String> = carryover_idx
-            .iter()
-            .map(|&idx| specs[idx].id.clone())
-            .collect();
-        if let Some(journal) = plan.journal {
-            for name in &carried_over {
-                journal.record_carryover(name.clone());
             }
-        }
-        let status = if carried_over.is_empty() {
-            BatchStatus::Complete
-        } else {
-            BatchStatus::Partial { carried_over }
-        };
-        let outcome = BatchOutcome {
-            outputs,
-            records,
-            cancelled,
-            makespan,
-            workers: plan.workers,
-            registered_workers,
-            worker_busy,
-            worker_finish,
-            requeued: requeued.into_inner(),
-            deaths,
-            quarantined,
-            quarantine_makespan: if quarantined > 0 {
-                makespan - pass1_elapsed
-            } else {
-                0.0
-            },
-            speculated: speculated.into_inner(),
-            speculation_wins: speculation_wins.into_inner(),
-            status,
-            resumed,
-        };
-        close_batch_span(plan, span, t0, &outcome);
-        outcome
+            // The batch clock starts when the first lane does.
+            run_lane(p, ledger, *epoch.get_or_insert_with(Instant::now), items, f)
+        })
     }
 
     fn run_live(&self, plan: &LivePlan<'_>, queue: &SubmissionQueue) -> BatchOutcome<()> {
-        let rec = plan.recorder;
-        let t0 = rec.now();
-        let span = rec.span_start(plan.label);
-        let registered: Mutex<Vec<usize>> = Mutex::new(Vec::with_capacity(plan.workers));
-        let records: Mutex<Vec<TaskRecord>> = Mutex::new(Vec::new());
-        let waits = AtomicUsize::new(0);
-        let deadline_hit = AtomicBool::new(false);
-        let epoch = Instant::now();
-        // Live workers pull dispatches one at a time, wall-clocked:
-        // `Wait` sleeps until the next arrival (capped, then re-check),
-        // `Pending` yields — the queue is open and a concurrent
-        // submitter may still push — and `Drained` retires the worker.
-        // Tasks are scheduling-only on the live path (`cost_hint`
-        // models the work); a dispatch whose modeled completion would
-        // overrun the deadline is returned to the queue and stops all
-        // dispatch, mirroring the frozen path.
-        std::thread::scope(|scope| {
-            for worker_id in 0..plan.workers {
-                let registered = &registered;
-                let records = &records;
-                let waits = &waits;
-                let deadline_hit = &deadline_hit;
-                scope.spawn(move || {
-                    lock(registered).push(worker_id);
-                    loop {
-                        if deadline_hit.load(Ordering::Acquire) {
-                            return;
+        finish_live(plan, queue, || {
+            let registered = &Mutex::new(Vec::with_capacity(plan.workers));
+            let records: Mutex<Vec<TaskRecord>> = Mutex::new(Vec::new());
+            let waits = AtomicUsize::new(0);
+            let deadline_hit = AtomicBool::new(false);
+            let epoch = Instant::now();
+            // Live workers pull dispatches one at a time, wall-clocked:
+            // `Wait` sleeps until the next arrival (capped, then
+            // re-check), `Pending` yields — the queue is open and a
+            // concurrent submitter may still push — and `Drained` retires
+            // the worker. Tasks are scheduling-only on the live path
+            // (`cost_hint` models the work); a dispatch whose modeled
+            // completion would overrun the deadline is returned to the
+            // queue and stops all dispatch, mirroring the frozen path.
+            let work = |worker_id: usize| {
+                lock(registered).push(worker_id);
+                while !deadline_hit.load(Ordering::Acquire) {
+                    let now = epoch.elapsed().as_secs_f64();
+                    match queue.pull(now) {
+                        Pull::Task(d) => {
+                            if would_overrun(plan.deadline, now + d.spec.cost_hint.max(0.0)) {
+                                queue.requeue(d);
+                                deadline_hit.store(true, Ordering::Release);
+                                return;
+                            }
+                            let start = epoch.elapsed().as_secs_f64();
+                            let end = epoch.elapsed().as_secs_f64();
+                            lock(&records).push(TaskRecord::new(d.spec.id, worker_id, start, end));
                         }
-                        let now = epoch.elapsed().as_secs_f64();
-                        match queue.pull(now) {
-                            Pull::Task(d) => {
-                                if plan
-                                    .deadline
-                                    .is_some_and(|dl| now + d.spec.cost_hint.max(0.0) > dl)
-                                {
-                                    queue.requeue(d);
-                                    deadline_hit.store(true, Ordering::Release);
-                                    return;
-                                }
-                                let start = epoch.elapsed().as_secs_f64();
-                                let end = epoch.elapsed().as_secs_f64();
-                                lock(records).push(TaskRecord {
-                                    task_id: d.spec.id,
-                                    worker_id,
-                                    start,
-                                    end,
-                                    attempts: 1,
-                                });
-                            }
-                            Pull::Wait(t) => {
-                                waits.fetch_add(1, Ordering::Relaxed);
-                                sleep_secs((t - now).clamp(0.0, 0.005));
-                            }
-                            Pull::Pending => {
-                                waits.fetch_add(1, Ordering::Relaxed);
-                                std::thread::yield_now();
-                            }
-                            Pull::Drained => return,
+                        Pull::Wait(t) => {
+                            waits.fetch_add(1, Ordering::Relaxed);
+                            sleep_secs((t - now).clamp(0.0, 0.005));
                         }
+                        Pull::Pending => {
+                            waits.fetch_add(1, Ordering::Relaxed);
+                            std::thread::yield_now();
+                        }
+                        Pull::Drained => return,
                     }
-                });
+                }
+            };
+            std::thread::scope(|scope| {
+                for worker_id in 0..plan.workers {
+                    let work = &work;
+                    scope.spawn(move || work(worker_id));
+                }
+            });
+            let records = std::mem::take(&mut *lock(&records));
+            let registered = std::mem::take(&mut *lock(registered));
+            LiveDrain {
+                records,
+                registered,
+                waits: waits.into_inner(),
             }
-        });
-        let records = records.into_inner().unwrap_or_else(|p| p.into_inner());
-        let makespan = records.iter().map(|r| r.end).fold(0.0, f64::max);
-        let (worker_busy, worker_finish) = per_worker_stats(&records, plan.workers);
-        let carried_over = queue.pending_ids();
-        let outcome = BatchOutcome {
-            outputs: vec![(); records.len()],
-            records,
-            makespan,
-            workers: plan.workers,
-            registered_workers: registered.into_inner().unwrap_or_else(|p| p.into_inner()),
-            worker_busy,
-            worker_finish,
-            requeued: 0,
-            deaths: 0,
-            quarantined: 0,
-            quarantine_makespan: 0.0,
-            resumed: 0,
-            status: if carried_over.is_empty() {
-                BatchStatus::Complete
-            } else {
-                BatchStatus::Partial { carried_over }
-            },
-            cancelled: Vec::new(),
-            speculated: 0,
-            speculation_wins: 0,
-        };
-        if rec.is_enabled() {
-            for r in &outcome.records {
-                rec.task(
-                    Some(span),
-                    &r.task_id,
-                    r.worker_id,
-                    r.start,
-                    r.end,
-                    r.attempts,
-                );
-            }
-            rec.add("service/live_completed", outcome.records.len() as f64);
-            rec.add("service/live_waits", waits.into_inner() as f64);
-            let carried = outcome.status.carried_over().len();
-            if carried > 0 {
-                rec.add("service/live_carryover", carried as f64);
-            }
-            rec.advance_clock_to(t0 + outcome.makespan);
-        }
-        rec.span_end(span);
-        outcome
+        })
     }
 }
 

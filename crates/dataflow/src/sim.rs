@@ -8,38 +8,39 @@
 //! ordering ablation are produced at 1200–6000 workers without a
 //! supercomputer.
 //!
-//! [`VirtualExecutor`] is the [`crate::exec::Executor`] backend. Task-level
-//! faults are replayed deterministically: a retried task occupies its
-//! worker for every failed attempt plus the policy's backoff delays, and
-//! tasks that exhaust the standard lane are re-scheduled in a second
-//! quarantine pass on the high-memory worker ids. Worker-death schedules
-//! are modeled in virtual time: a worker that has completed its budget
-//! retires the moment it would pull another task, re-queueing that task
-//! onto the surviving workers — the same `deaths`/`requeued` accounting
-//! as [`crate::real::ThreadExecutor`]. Deadlines cut dispatching at the
-//! first task whose completion would overrun the budget (an absolute
-//! virtual-time horizon, so resumed batches pass a later horizon for
-//! each follow-on job), and stragglers flagged by
-//! [`crate::deadline::speculation_flags`] race a speculative duplicate
-//! on the next-free worker. Resume is re-derivation: the schedule is a
-//! pure function of the batch description, so a resumed simulation
-//! recomputes every record bit-for-bit and `Batch::resume` cross-checks
-//! them against the journal. With `Batch::progress(n)` the shared
-//! span-closing path also interleaves `monitor/...` health gauges at
-//! completion timestamps; on this backend the whole snapshot sequence
-//! is deterministic.
+//! [`VirtualExecutor`] is the [`crate::exec::Executor`] backend. It
+//! supplies exactly two things — `schedule_pass`, one lane of list
+//! scheduling, and the live drain in `run_live` — inside the frame in
+//! [`crate::exec`] that [`crate::real::ThreadExecutor`] shares, so lane
+//! sequencing, records, journal lines, outcome and telemetry cannot
+//! differ between the two. What legitimately differs lives here:
+//!
+//! * **an earliest-free-worker heap, not threads** — a retried task
+//!   occupies its worker for every failed attempt plus the policy's
+//!   backoff (busy time excludes the backoff); a worker at its death
+//!   budget retires the moment it would pull another task, re-queueing
+//!   it, with the thread backend's `deaths`/`requeued` accounting;
+//! * **virtual deadlines** — dispatch stops at the first task whose
+//!   completion would overrun an absolute virtual-time horizon, so
+//!   resumed batches pass a later horizon for each follow-on job;
+//! * **analytic speculation** — a straggler flagged by
+//!   [`crate::deadline::speculation_flags`] races a duplicate on the
+//!   next-free worker and the earlier modeled finish wins;
+//! * **resume is re-derivation** — the schedule is a pure function of
+//!   the batch description, so a resumed simulation recomputes every
+//!   record bit-for-bit and `Batch::resume` cross-checks them against
+//!   the journal.
 
 use crate::deadline::would_overrun;
 use crate::exec::{
-    close_batch_span, open_batch_span, per_worker_stats, BatchOutcome, BatchStatus, Executor,
-    LivePlan, Plan,
+    finish_live, run_frozen, BatchOutcome, Executor, Ledger, LiveDrain, LivePlan, PassParams,
+    PassResult, Plan, Ran,
 };
-use crate::journal::JournalEntry;
-use crate::retry::{FaultPlan, Lane, PassOutcome};
+use crate::retry::PassOutcome;
 use crate::source::{OrderCursor, Pull, SubmissionQueue};
 use crate::task::{TaskRecord, TaskSpec};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Earliest-free-worker min-heap slot: (free_time, worker_id). Times are
 /// always finite, so `total_cmp` is a total order consistent with the
@@ -58,67 +59,23 @@ impl Ord for Slot {
     }
 }
 
-/// Mutable scheduling state for one pass, shared across lanes.
-struct PassState<'a> {
-    records: Vec<TaskRecord>,
-    cancelled: Vec<TaskRecord>,
-    worker_finish: &'a mut Vec<f64>,
-    worker_busy: &'a mut Vec<f64>,
-}
-
-/// Immutable inputs of one scheduling pass.
-struct PassParams<'a> {
-    specs: &'a [TaskSpec],
-    durations: &'a [f64],
-    order: &'a [usize],
-    workers: usize,
-    id_offset: usize,
-    start_at: f64,
-    per_task_overhead: f64,
-    lane: Lane,
-    prior_failures: u32,
-    /// Absolute completion horizon (`None` = unbounded).
-    deadline: Option<f64>,
-    /// Straggler threshold `k` (`None` = speculation off).
-    speculation: Option<f64>,
-    /// Per-task speculation flags, indexed by submission index.
-    spec_flags: &'a [bool],
-    /// `worker id → tasks_before_death`, standard lane only.
-    budgets: &'a BTreeMap<usize, usize>,
-}
-
-/// Accounting of one scheduling pass.
-struct PassResult {
-    /// Tasks that burned the lane's attempt budget (for the next lane).
-    exhausted: Vec<usize>,
-    /// Tasks never dispatched because the deadline cut the pass.
-    carryover: Vec<usize>,
-    makespan: f64,
-    requeued: usize,
-    speculated: usize,
-    speculation_wins: usize,
-}
-
-/// Greedy list scheduling of `order` onto workers `id_offset..id_offset +
-/// workers`, all free at `start_at`. Tasks that exhaust the lane's retry
-/// budget burn their attempts on the worker and are returned (in order)
-/// for the next lane; tasks whose completion would overrun the deadline
-/// stop the pass and carry over. Preconditions (workers > 0, durations
-/// correspond to specs, at least one worker survives the budgets) are
-/// guaranteed by [`crate::exec::Batch`] validation.
-fn schedule_pass(
-    p: &PassParams<'_>,
-    fault_plan: &FaultPlan<'_>,
-    state: &mut PassState<'_>,
-) -> PassResult {
-    let policy = fault_plan.policy();
+/// Greedy list scheduling of `p.order` onto the lane's workers, all free
+/// at `p.start_at`, with `overhead` seconds of dispatch gap before each
+/// task. Tasks that exhaust the lane's retry budget burn their attempts
+/// on the worker and move to the next lane; tasks whose completion would
+/// overrun the deadline stop the pass and carry over. Preconditions
+/// (workers > 0, durations correspond to specs, at least one worker
+/// survives the budgets) are guaranteed by [`crate::exec::Batch`]
+/// validation.
+fn schedule_pass<O>(p: &PassParams<'_>, overhead: f64, ledger: &mut Ledger<'_, O>) -> PassResult {
+    let policy = p.fault_plan.policy();
     let mut heap: BinaryHeap<Reverse<Slot>> = (0..p.workers)
         .map(|w| Reverse(Slot(p.start_at, p.id_offset + w)))
         .collect();
     // Successful completions per worker, checked against death budgets.
     let mut successes: BTreeMap<usize, usize> = BTreeMap::new();
     let mut out = PassResult {
-        exhausted: Vec::new(),
+        registered: (p.id_offset..p.id_offset + p.workers).collect(),
         carryover: Vec::new(),
         makespan: p.start_at,
         requeued: 0,
@@ -154,8 +111,11 @@ fn schedule_pass(
             break (free_at, w);
         };
         let d = p.durations[idx];
-        let start = free_at + p.per_task_overhead;
-        match fault_plan.pass(&p.specs[idx].id, p.lane, p.prior_failures) {
+        let start = free_at + overhead;
+        match p
+            .fault_plan
+            .pass(&p.specs[idx].id, p.lane, p.prior_failures)
+        {
             PassOutcome::Succeeds { failures } => {
                 let occupancy =
                     f64::from(failures + 1) * d + policy.backoff_before_success(failures);
@@ -182,7 +142,7 @@ fn schedule_pass(
                         }
                     };
                     if let Some((f2, w2)) = twin {
-                        let start2 = f2.max(launch) + p.per_task_overhead;
+                        let start2 = f2.max(launch) + overhead;
                         let end2 = start2 + expected;
                         if start2 >= end {
                             // The original finishes before the duplicate
@@ -205,26 +165,15 @@ fn schedule_pass(
                             } else {
                                 (w, start, w2, start2)
                             };
-                            state.records.push(TaskRecord {
-                                task_id: p.specs[idx].id.clone(),
-                                worker_id: win_w,
-                                start: win_start,
-                                end: winner_end,
-                                attempts: p.prior_failures + 1,
-                            });
                             // The loser runs until the winner's finish
-                            // cancels it: attempts = 0, real occupancy.
-                            state.cancelled.push(TaskRecord {
-                                task_id: p.specs[idx].id.clone(),
-                                worker_id: lose_w,
-                                start: lose_start,
-                                end: winner_end,
-                                attempts: 0,
-                            });
-                            state.worker_busy[win_w] += winner_end - win_start;
-                            state.worker_busy[lose_w] += winner_end - lose_start;
-                            state.worker_finish[win_w] = winner_end;
-                            state.worker_finish[lose_w] = winner_end;
+                            // cancels it: real occupancy on both workers.
+                            ledger.complete(
+                                idx,
+                                Ran::new(win_w, win_start, winner_end),
+                                p.prior_failures + 1,
+                                None,
+                            );
+                            ledger.cancel(idx, Ran::new(lose_w, lose_start, winner_end));
                             out.makespan = out.makespan.max(winner_end);
                             *successes.entry(win_w).or_insert(0) += 1;
                             heap.push(Reverse(Slot(winner_end, w)));
@@ -240,15 +189,16 @@ fn schedule_pass(
                     out.carryover.extend_from_slice(cursor.rest());
                     break 'dispatch;
                 }
-                state.records.push(TaskRecord {
-                    task_id: p.specs[idx].id.clone(),
-                    worker_id: w,
-                    start,
-                    end,
-                    attempts: p.prior_failures + failures + 1,
-                });
-                state.worker_finish[w] = end;
-                state.worker_busy[w] += f64::from(failures + 1) * d;
+                let busy = f64::from(failures + 1) * d;
+                ledger.complete(
+                    idx,
+                    Ran {
+                        busy,
+                        ..Ran::new(w, start, end)
+                    },
+                    p.prior_failures + failures + 1,
+                    None,
+                );
                 out.makespan = out.makespan.max(end);
                 *successes.entry(w).or_insert(0) += 1;
                 heap.push(Reverse(Slot(end, w)));
@@ -256,18 +206,22 @@ fn schedule_pass(
             PassOutcome::Exhausts => {
                 // The task burns its full attempt budget on this worker,
                 // completes nowhere, and moves to the next lane.
-                let burned = policy.max_attempts;
-                let end = start + f64::from(burned) * d + policy.backoff_before_exhaustion();
+                let busy = f64::from(policy.max_attempts) * d;
+                let end = start + busy + policy.backoff_before_exhaustion();
                 if would_overrun(p.deadline, end) {
                     heap.push(Reverse(Slot(free_at, w)));
                     out.carryover.push(idx);
                     out.carryover.extend_from_slice(cursor.rest());
                     break 'dispatch;
                 }
-                state.worker_finish[w] = end;
-                state.worker_busy[w] += f64::from(burned) * d;
+                ledger.burn(
+                    idx,
+                    Ran {
+                        busy,
+                        ..Ran::new(w, start, end)
+                    },
+                );
                 out.makespan = out.makespan.max(end);
-                out.exhausted.push(idx);
                 heap.push(Reverse(Slot(end, w)));
             }
         }
@@ -307,275 +261,49 @@ impl Executor for VirtualExecutor {
         O: Send,
         F: Fn(&TaskSpec, &I) -> O + Sync,
     {
-        let (span, t0) = open_batch_span(plan);
-        let owned_durations: Vec<f64>;
-        let durations: &[f64] = match plan.durations {
-            Some(d) => d,
-            None => {
-                owned_durations = plan.specs.iter().map(|s| s.cost_hint).collect();
-                &owned_durations
-            }
-        };
-        let order = plan.policy.order(plan.specs);
-        let fault_plan = FaultPlan::new(plan.task_faults, plan.retry);
-        let quarantine_width = plan.quarantine_workers.unwrap_or(0);
-        let spec_flags = crate::deadline::speculation_flags(
-            plan.specs,
-            durations,
-            &fault_plan,
-            plan.speculation,
-            plan.workers,
-        );
-        // First fault per worker wins, like the thread workers' `find`.
-        let mut budgets: BTreeMap<usize, usize> = BTreeMap::new();
-        for fault in plan.faults {
-            budgets
-                .entry(fault.worker)
-                .or_insert(fault.tasks_before_death);
-        }
-
-        let mut worker_finish = vec![0.0f64; plan.workers + quarantine_width];
-        let mut worker_busy = vec![0.0f64; plan.workers + quarantine_width];
-        let mut state = PassState {
-            records: Vec::with_capacity(plan.specs.len()),
-            cancelled: Vec::new(),
-            worker_finish: &mut worker_finish,
-            worker_busy: &mut worker_busy,
-        };
-
-        let pass1 = schedule_pass(
-            &PassParams {
-                specs: plan.specs,
-                durations,
-                order: &order,
-                workers: plan.workers,
-                id_offset: 0,
-                start_at: 0.0,
-                per_task_overhead: self.per_task_overhead,
-                lane: Lane::Standard,
-                prior_failures: 0,
-                deadline: plan.deadline,
-                speculation: plan.speculation,
-                spec_flags: &spec_flags,
-                budgets: &budgets,
-            },
-            &fault_plan,
-            &mut state,
-        );
-        let pass1_makespan = pass1.makespan;
-        let standard_cut = !pass1.carryover.is_empty();
-        let mut carryover_idx = pass1.carryover;
-        let mut requeued = pass1.requeued;
-        let speculated = pass1.speculated;
-        let speculation_wins = pass1.speculation_wins;
-
-        // Quarantine rerun lane: a fresh high-memory allocation starts
-        // once the standard lane drains (§3.3's dedicated rerun). A
-        // deadline-cut standard lane skips it entirely — the rerun's
-        // start time would diverge from the uninterrupted run's, and the
-        // carryover resume re-derives it instead.
-        let mut quarantined = 0;
-        let mut makespan = pass1_makespan;
-        if !pass1.exhausted.is_empty() {
-            if standard_cut {
-                carryover_idx.extend_from_slice(&pass1.exhausted);
-            } else {
-                let no_budgets = BTreeMap::new();
-                let pass2 = schedule_pass(
-                    &PassParams {
-                        specs: plan.specs,
-                        durations,
-                        order: &pass1.exhausted,
-                        workers: quarantine_width,
-                        id_offset: plan.workers,
-                        start_at: pass1_makespan,
-                        per_task_overhead: self.per_task_overhead,
-                        lane: Lane::HighMemory,
-                        prior_failures: plan.retry.max_attempts,
-                        deadline: plan.deadline,
-                        speculation: None,
-                        spec_flags: &spec_flags,
-                        budgets: &no_budgets,
-                    },
-                    &fault_plan,
-                    &mut state,
-                );
-                debug_assert!(
-                    pass2.exhausted.is_empty(),
-                    "validation rejects doomed tasks"
-                );
-                quarantined = pass1.exhausted.len() - pass2.carryover.len();
-                carryover_idx.extend_from_slice(&pass2.carryover);
-                requeued += pass2.requeued;
-                if quarantined > 0 {
-                    makespan = makespan.max(pass2.makespan);
-                }
-            }
-        }
-        let quarantine_makespan = if quarantined > 0 {
-            makespan - pass1_makespan
-        } else {
-            0.0
-        };
-        // Carryover names in submission order: deterministic across
-        // backends and policies.
-        carryover_idx.sort_unstable();
-        let carried_over: Vec<String> = carryover_idx
-            .iter()
-            .map(|&i| plan.specs[i].id.clone())
-            .collect();
-
-        // Trim unused quarantine worker slots so the arrays only cover
-        // workers that could have run (keeps utilization meaningful).
-        let lanes_width = if quarantined > 0 {
-            plan.workers + quarantine_width
-        } else {
-            plan.workers
-        };
-        let records = state.records;
-        let cancelled = state.cancelled;
-        worker_finish.truncate(lanes_width);
-        worker_busy.truncate(lanes_width);
-
-        if let Some(journal) = plan.journal {
-            for r in &records {
-                journal.record(JournalEntry {
-                    task: r.task_id.clone(),
-                    worker: r.worker_id,
-                    start: r.start,
-                    end: r.end,
-                    attempts: r.attempts,
-                });
-            }
-            for task in &carried_over {
-                journal.record_carryover(task.clone());
-            }
-        }
-
-        let deaths = plan
-            .faults
-            .iter()
-            .map(|fault| fault.worker)
-            .collect::<BTreeSet<_>>()
-            .len();
-        let status = if carried_over.is_empty() {
-            BatchStatus::Complete
-        } else {
-            BatchStatus::Partial { carried_over }
-        };
-        let outputs = plan
-            .specs
-            .iter()
-            .zip(items)
-            .map(|(spec, item)| f(spec, item))
-            .collect();
-        let outcome = BatchOutcome {
-            outputs,
-            records,
-            makespan,
-            workers: plan.workers,
-            registered_workers: (0..lanes_width).collect(),
-            worker_busy,
-            worker_finish,
-            requeued,
-            deaths,
-            quarantined,
-            quarantine_makespan,
-            resumed: plan.completed.len(),
-            status,
-            cancelled,
-            speculated,
-            speculation_wins,
-        };
-        close_batch_span(plan, span, t0, &outcome);
-        outcome
+        run_frozen(plan, items, f, |p, ledger| {
+            schedule_pass(p, self.per_task_overhead, ledger)
+        })
     }
 
     fn run_live(&self, plan: &LivePlan<'_>, queue: &SubmissionQueue) -> BatchOutcome<()> {
-        let rec = plan.recorder;
-        let t0 = rec.now();
-        let span = rec.span_start(plan.label);
-        let mut heap: BinaryHeap<Reverse<Slot>> =
-            (0..plan.workers).map(|w| Reverse(Slot(0.0, w))).collect();
-        let mut records: Vec<TaskRecord> = Vec::new();
-        let mut waits = 0usize;
-        // Earliest-free worker pulls the queue's next dispatch at its
-        // free time; `Wait` re-heaps the worker at the next arrival
-        // (strictly later, so the loop always progresses), `Pending` /
-        // `Drained` retires it. A dispatch whose completion would
-        // overrun the horizon is returned to the queue and cuts the
-        // run, mirroring the frozen path's stop-at-first-overrun.
-        'run: while let Some(Reverse(Slot(free_at, w))) = heap.pop() {
-            match queue.pull(free_at) {
-                Pull::Task(d) => {
-                    let start = free_at + self.per_task_overhead;
-                    let end = start + d.spec.cost_hint.max(0.0);
-                    if would_overrun(plan.deadline, end) {
-                        queue.requeue(d);
-                        break 'run;
+        finish_live(plan, queue, || {
+            let mut heap: BinaryHeap<Reverse<Slot>> =
+                (0..plan.workers).map(|w| Reverse(Slot(0.0, w))).collect();
+            let mut drain = LiveDrain {
+                records: Vec::new(),
+                registered: (0..plan.workers).collect(),
+                waits: 0,
+            };
+            // Earliest-free worker pulls the queue's next dispatch at its
+            // free time; `Wait` re-heaps the worker at the next arrival
+            // (strictly later, so the loop always progresses), `Pending` /
+            // `Drained` retires it. A dispatch whose completion would
+            // overrun the horizon is returned to the queue and cuts the
+            // run, mirroring the frozen path's stop-at-first-overrun.
+            while let Some(Reverse(Slot(free_at, w))) = heap.pop() {
+                match queue.pull(free_at) {
+                    Pull::Task(d) => {
+                        let start = free_at + self.per_task_overhead;
+                        let end = start + d.spec.cost_hint.max(0.0);
+                        if would_overrun(plan.deadline, end) {
+                            queue.requeue(d);
+                            break;
+                        }
+                        drain
+                            .records
+                            .push(TaskRecord::new(d.spec.id, w, start, end));
+                        heap.push(Reverse(Slot(end, w)));
                     }
-                    records.push(TaskRecord {
-                        task_id: d.spec.id.clone(),
-                        worker_id: w,
-                        start,
-                        end,
-                        attempts: 1,
-                    });
-                    heap.push(Reverse(Slot(end, w)));
+                    Pull::Wait(t) => {
+                        drain.waits += 1;
+                        heap.push(Reverse(Slot(t.max(free_at), w)));
+                    }
+                    Pull::Pending | Pull::Drained => {}
                 }
-                Pull::Wait(t) => {
-                    waits += 1;
-                    heap.push(Reverse(Slot(t.max(free_at), w)));
-                }
-                Pull::Pending | Pull::Drained => {}
             }
-        }
-        let makespan = records.iter().map(|r| r.end).fold(0.0, f64::max);
-        let (worker_busy, worker_finish) = per_worker_stats(&records, plan.workers);
-        let carried_over = queue.pending_ids();
-        let outcome = BatchOutcome {
-            outputs: vec![(); records.len()],
-            records,
-            makespan,
-            workers: plan.workers,
-            registered_workers: (0..plan.workers).collect(),
-            worker_busy,
-            worker_finish,
-            requeued: 0,
-            deaths: 0,
-            quarantined: 0,
-            quarantine_makespan: 0.0,
-            resumed: 0,
-            status: if carried_over.is_empty() {
-                BatchStatus::Complete
-            } else {
-                BatchStatus::Partial { carried_over }
-            },
-            cancelled: Vec::new(),
-            speculated: 0,
-            speculation_wins: 0,
-        };
-        if rec.is_enabled() {
-            for r in &outcome.records {
-                rec.task(
-                    Some(span),
-                    &r.task_id,
-                    r.worker_id,
-                    r.start,
-                    r.end,
-                    r.attempts,
-                );
-            }
-            rec.add("service/live_completed", outcome.records.len() as f64);
-            rec.add("service/live_waits", waits as f64);
-            let carried = outcome.status.carried_over().len();
-            if carried > 0 {
-                rec.add("service/live_carryover", carried as f64);
-            }
-            rec.advance_clock_to(t0 + outcome.makespan);
-        }
-        rec.span_end(span);
-        outcome
+            drain
+        })
     }
 }
 

@@ -185,9 +185,28 @@ fn executors_agree_on_speculation_set() {
     }
 }
 
+/// Counters whose *presence* depends on which thread wins a race: a
+/// dying worker may pull a twin instead of a primary, and a twin only
+/// launches if an idle worker reaches it before its primary finishes.
+const RACY_COUNTERS: [&str; 3] = [
+    "dataflow/requeued",
+    "dataflow/speculated",
+    "dataflow/speculation_wins",
+];
+
+fn counter_names(rec: &Recorder) -> BTreeSet<String> {
+    Trace::from_events(rec.events())
+        .counter_totals()
+        .into_keys()
+        .filter(|k| !RACY_COUNTERS.contains(&k.as_str()))
+        .collect()
+}
+
 /// Composed chaos on the simulator: worker deaths, task faults,
 /// stragglers, quarantine, deadline kills, and a byte-level torn journal
-/// tail — the completion/partition/resume invariants all hold.
+/// tail — the completion/partition/resume invariants all hold. The same
+/// seeded settings then run on the thread executor, and everything that
+/// does not depend on a clock must come out the same.
 #[test]
 fn chaos_invariants_hold_under_composed_faults() {
     let exec = VirtualExecutor::new(0.25);
@@ -220,7 +239,12 @@ fn chaos_invariants_hold_under_composed_faults() {
         };
 
         let journal = Journal::new();
-        let full = batch().journal(&journal).run(&exec).expect("full run");
+        let full_rec = Recorder::virtual_time();
+        let full = batch()
+            .journal(&journal)
+            .recorder(&full_rec)
+            .run(&exec)
+            .expect("full run");
         let all_ids: BTreeSet<String> = specs.iter().map(|s| s.id.clone()).collect();
         assert_eq!(full.records.len(), n, "seed {seed}");
         assert_eq!(task_id_set(&full.records), all_ids, "seed {seed}");
@@ -270,6 +294,81 @@ fn chaos_invariants_hold_under_composed_faults() {
             totals.get("dataflow/journal_torn").copied(),
             Some(1.0),
             "seed {seed}: the torn tail is visible in telemetry"
+        );
+
+        // The same settings on real threads (tiny backoffs: the thread
+        // executor really sleeps them; 1 ms of work per task so the
+        // dying worker reaches its budget). Task set, attempts, lane
+        // counts and counter names are executor-invariant.
+        let threads = || batch().retry(RetryPolicy::new(3, 1e-4, 4e-4));
+        let items = vec![(); n];
+        let work = |_: &TaskSpec, (): &()| std::thread::sleep(Duration::from_millis(1));
+        let real_rec = Recorder::wall();
+        let real_journal = Journal::new();
+        let real_full = threads()
+            .recorder(&real_rec)
+            .journal(&real_journal)
+            .run_with(&ThreadExecutor, &items, work)
+            .expect("thread full run");
+        assert_eq!(task_id_set(&real_full.records), all_ids, "seed {seed}");
+        let attempts = |records: &[summitfold::dataflow::TaskRecord]| -> BTreeMap<String, u32> {
+            records
+                .iter()
+                .map(|r| (r.task_id.clone(), r.attempts))
+                .collect()
+        };
+        assert_eq!(
+            attempts(&real_full.records),
+            attempts(&full.records),
+            "seed {seed}"
+        );
+        assert_eq!(real_full.quarantined, full.quarantined, "seed {seed}");
+        assert_eq!(real_full.deaths, full.deaths, "seed {seed}");
+        assert_eq!(
+            counter_names(&real_rec),
+            counter_names(&full_rec),
+            "seed {seed}: full runs emit the same counters"
+        );
+
+        // A kill between tasks: both executors skip exactly the
+        // journaled prefix and still complete every task once.
+        let k = rng.below(n + 1);
+        let sim_resumed = batch()
+            .resume(&exec, &journal.truncated(k))
+            .expect("sim resume");
+        let real_resumed = threads()
+            .resume(&ThreadExecutor, &real_journal.truncated(k))
+            .expect("thread resume");
+        assert_eq!((sim_resumed.resumed, real_resumed.resumed), (k, k));
+        assert_eq!(task_id_set(&real_resumed.records), all_ids, "seed {seed}");
+        assert_eq!(real_resumed.records.len(), n, "seed {seed}");
+
+        // A wall clock and a virtual clock only agree on a cut that
+        // lands between batch start and the shortest task: nothing
+        // fits, so everything carries over — on both executors, in
+        // submission order, under the same counters.
+        let horizon = durations.iter().copied().fold(f64::INFINITY, f64::min) / 2.0;
+        let (sim_rec, real_rec) = (Recorder::virtual_time(), Recorder::wall());
+        let sim_cut = batch()
+            .deadline(horizon)
+            .recorder(&sim_rec)
+            .run(&exec)
+            .expect("sim cut");
+        let real_cut = threads()
+            .deadline(horizon)
+            .recorder(&real_rec)
+            .run_with(&ThreadExecutor, &items, work)
+            .expect("thread cut");
+        let submitted: Vec<String> = specs.iter().map(|s| s.id.clone()).collect();
+        for (label, out) in [("sim", &sim_cut), ("thread", &real_cut)] {
+            assert!(out.records.is_empty(), "seed {seed} {label}");
+            assert_eq!(out.quarantined, 0, "seed {seed} {label}");
+            assert_eq!(out.status.carried_over(), submitted, "seed {seed} {label}");
+        }
+        assert_eq!(
+            counter_names(&real_rec),
+            counter_names(&sim_rec),
+            "seed {seed}: cut runs emit the same counters"
         );
     }
 }

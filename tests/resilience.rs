@@ -161,6 +161,51 @@ fn attempt_counts_agree_across_executors() {
     }
 }
 
+/// A retry-exhausted task occupies its standard-lane worker for every
+/// attempt it burns before moving to the rerun lane. Both executors
+/// charge that time, so the standard lane shows neither an idle worker
+/// nor a phantom idle tail.
+#[test]
+fn burned_attempts_are_charged_to_the_standard_lane() {
+    let sleep_s = 0.02;
+    let specs = [TaskSpec::new("big", sleep_s)];
+    let faults = [TaskFault::oom("big")];
+    let batch = || {
+        Batch::new(&specs)
+            .workers(1)
+            .retry(RetryPolicy::new(3, 0.0, 0.0))
+            .task_faults(&faults)
+            .quarantine(1)
+    };
+    let sim = batch().run(&VirtualExecutor::new(0.0)).expect("sim");
+    let real = batch()
+        .run_with(&ThreadExecutor, &[()], |_, ()| {
+            std::thread::sleep(std::time::Duration::from_secs_f64(sleep_s));
+        })
+        .expect("thread");
+    for (label, out) in [("sim", &sim), ("thread", &real)] {
+        assert_eq!(out.quarantined, 1, "{label}");
+        assert_eq!(out.records[0].attempts, 4, "{label}: 3 burned + the rerun");
+        let burned = 3.0 * sleep_s - 1e-9;
+        assert!(
+            out.worker_busy[0] >= burned,
+            "{label}: {:?}",
+            out.worker_busy
+        );
+        assert!(
+            out.worker_finish[0] >= burned,
+            "{label}: {:?}",
+            out.worker_finish
+        );
+        // The lane drains when the burn ends (thread-join latency aside).
+        assert!(
+            out.standard_idle_tail() < sleep_s,
+            "{label}: idle tail {}",
+            out.standard_idle_tail()
+        );
+    }
+}
+
 /// An OOM-shaped batch completes through the quarantine lane, the
 /// high-memory rerun is charged to the ledger as its own stage, and the
 /// whole story is visible in a `lens --trace`-parseable JSONL trace.
