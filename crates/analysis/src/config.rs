@@ -130,18 +130,6 @@ impl Config {
                 // Sinks must not call back into the recorder (sink.rs
                 // module docs), so the held guard cannot deadlock.
                 "crates/obs/src/sink.rs".to_string(),
-                // The result store's documented contract is the same
-                // single-writer shape: journal appends and blob writes
-                // happen under the index lock so concurrent puts cannot
-                // interleave a torn journal, and the store never calls
-                // back into itself or the recorder's sinks while held.
-                "crates/store/src/lib.rs".to_string(),
-                // The folding service's WAL has the identical contract:
-                // a campaign's task+admit block and each settle line
-                // append under the state lock so admission and
-                // settlement stay total-ordered on disk, and the append
-                // path never calls back into the service or a sink.
-                "crates/hpc/src/service.rs".to_string(),
             ],
             metric_owner_prefixes: vec![
                 (
@@ -314,8 +302,8 @@ mod tests {
     fn lock_discipline_exemption_default() {
         let c = Config::workspace_default();
         assert!(c.is_lock_discipline_exempt("crates/obs/src/sink.rs"));
-        assert!(c.is_lock_discipline_exempt("crates/store/src/lib.rs"));
-        assert!(c.is_lock_discipline_exempt("crates/hpc/src/service.rs"));
+        assert!(!c.is_lock_discipline_exempt("crates/store/src/lib.rs"));
+        assert!(!c.is_lock_discipline_exempt("crates/hpc/src/service.rs"));
         assert!(!c.is_lock_discipline_exempt("crates/dataflow/src/real.rs"));
         assert_eq!(
             c.metric_owner_prefixes,

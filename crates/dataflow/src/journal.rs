@@ -20,10 +20,14 @@
 //! `task_carryover` lines name tasks a deadline-cut batch left undone
 //! (see `Batch::deadline`), sorted by submission index. A kill
 //! mid-append can truncate the file mid-byte; [`Journal::parse_jsonl`]
-//! drops such a torn final line (the half-written task simply re-runs)
-//! and flags it via [`Journal::had_torn_tail`], which `Batch::resume`
-//! surfaces as a `dataflow/journal_torn` counter.
+//! applies the workspace's one torn-tail rule ([`crate::log`]): a final
+//! line without its `\n` is not a record, parseable or not. It is
+//! dropped (the task it named simply re-runs) and flagged via
+//! [`Journal::had_torn_tail`], which `Batch::resume` surfaces as a
+//! `dataflow/journal_torn` counter. The journal shares the rule, not the
+//! sealing: its lines stay unsealed.
 
+use crate::log::complete_lines;
 use crate::retry::ResilienceError;
 use crate::sync::lock;
 use std::collections::BTreeMap;
@@ -168,39 +172,30 @@ impl Journal {
 
     /// Parse a JSONL journal written by [`Journal::to_jsonl`].
     ///
-    /// A malformed *final* line in a text not ending with a newline is a
-    /// torn tail — the producer was killed mid-append. The partial entry
-    /// is dropped (its task re-runs on resume) and the journal reports
-    /// [`Journal::had_torn_tail`].
+    /// A final line not ending with a newline is a torn tail — the
+    /// producer was killed mid-append. It is dropped (its task re-runs
+    /// on resume) and the journal reports [`Journal::had_torn_tail`].
     ///
     /// # Errors
     /// Returns [`ResilienceError::Journal`] naming the first malformed
-    /// line (bad JSON, an unknown event kind, or a missing field) other
-    /// than a torn tail.
+    /// complete line (bad JSON, an unknown event kind, or a missing
+    /// field).
     pub fn parse_jsonl(text: &str) -> Result<Self, ResilienceError> {
         let mut entries = Vec::new();
         let mut carryover = Vec::new();
-        let mut torn_tail = false;
-        let ends_nl = text.ends_with('\n');
-        let lines: Vec<&str> = text.lines().collect();
-        for (i, raw) in lines.iter().enumerate() {
-            let line_no = i + 1;
+        let (body, torn_tail) = complete_lines(text);
+        for (i, raw) in body.lines().enumerate() {
             let line = raw.trim();
             if line.is_empty() {
                 continue;
             }
-            let err = |message: String| ResilienceError::Journal {
-                line: line_no,
+            let parsed = Self::parse_line(line).map_err(|message| ResilienceError::Journal {
+                line: i + 1,
                 message,
-            };
-            let last = i + 1 == lines.len();
-            match Self::parse_line(line) {
-                Ok(ParsedLine::Done(entry)) => entries.push(entry),
-                Ok(ParsedLine::Carryover(task)) => carryover.push(task),
-                // The half-written final line of a killed append carries
-                // no usable data; the task it named simply re-runs.
-                Err(_) if last && !ends_nl => torn_tail = true,
-                Err(message) => return Err(err(message)),
+            })?;
+            match parsed {
+                ParsedLine::Done(entry) => entries.push(entry),
+                ParsedLine::Carryover(task) => carryover.push(task),
             }
         }
         Ok(Self {
@@ -342,7 +337,9 @@ mod tests {
         // trailing newline. Every cut inside the last line must parse to
         // the surviving prefix with the torn flag set.
         let last_line_start = text[..text.len() - 1].rfind('\n').unwrap() + 1;
-        for cut in last_line_start + 1..text.len() - 1 {
+        // The last cut is the complete line with only its newline missing:
+        // still not a record, by the one torn-tail rule.
+        for cut in last_line_start + 1..text.len() {
             let torn = Journal::parse_jsonl(&text[..cut]).expect("torn tail tolerated");
             assert_eq!(torn.len(), 1, "cut at byte {cut}");
             assert_eq!(torn.entries()[0].task, "a");

@@ -49,6 +49,8 @@
 //! bit flips, failed puts, kills at named code points) that the store
 //! and the folding service observe through a shared [`chaos::IoFaults`]
 //! handle, making crash/corruption recovery a seeded, replayable test.
+//! Both persist through [`log`]: one append-only JSONL primitive (one
+//! torn-tail rule, seals as data, one fault-gated append).
 //!
 //! The deadline layer (see [`deadline`]) adds walltime budgets — a batch
 //! stops dispatching tasks that would overrun `Batch::deadline`, journals
@@ -71,6 +73,7 @@ pub mod deadline;
 pub mod exec;
 pub mod fault;
 pub mod journal;
+pub mod log;
 pub mod policy;
 pub mod real;
 pub mod retry;

@@ -36,46 +36,61 @@
 //! replay byte-identically. The thread backend keeps the same dispatch
 //! *order* under due arrivals but wall timings differ run to run.
 //!
-//! # Crash recovery
+//! # Crash recovery: log → record → apply
 //!
 //! With [`ServiceConfig::dir`] set, the service keeps a write-ahead log
-//! (`service.jsonl`, sealed lines — see
-//! [`summitfold_obs::json::ObjectWriter::finish_sealed`]) of every
-//! admission, rejection and settlement. The log is torn-tail tolerant
-//! and ordered so that durable state never runs ahead of it:
+//! (`service.jsonl`): a [`summitfold_dataflow::log::Log`] of sealed
+//! lines, with one private `Record` type (one encoder, one decoder) for
+//! the six line kinds. Service state changes *only* by applying a
+//! record, through two transitions — apply-admission and
+//! apply-settlement — that are the only code touching the attribution
+//! and settled maps, tenant tallies, ledgers, monitors, lineage
+//! breadcrumbs, the store refile and the admission counters:
 //!
-//! * a campaign's `task` lines are committed by the trailing `admit`
-//!   line — a crash mid-append leaves an uncommitted block that replay
-//!   ignores;
-//! * a task's `settle` line is written *before* its artifact is filed
-//!   in the result store, so store-has-artifact implies
-//!   WAL-has-settlement and a resumed service never re-charges settled
-//!   work.
+//! * [`FoldingService::submit`] = decide (kill point, cache lookups,
+//!   quota, backpressure) → append → apply-admission;
+//! * settlement = kill point → append → apply-settlement, per record;
+//! * [`FoldingService::resume`] = for each recovered record → apply.
 //!
-//! [`FoldingService::resume`] reconstructs quotas, ledgers, monitors
-//! and the pending queue from the log (idempotently: replaying a
-//! settlement twice is a no-op) and returns a [`RecoveryReport`].
-//! Un-settled tasks are requeued with their original arrivals, so on
-//! the virtual executor a killed-and-resumed session converges to the
-//! same canonical [`settlement_trace`](FoldingService::settlement_trace)
-//! as an uninterrupted run. Injected faults
-//! ([`summitfold_dataflow::chaos`]) enter through
-//! [`ServiceConfig::faults`]: the WAL write path and the
+//! A resumed service therefore equals an uninterrupted one by
+//! construction. What legitimately differs between live and replay is
+//! passed to the transitions as data: the *already-settled set* (empty
+//! live; on replay, tasks whose `settle` line is on the log are reserved
+//! and attributed but neither looked up nor requeued) and the
+//! *settlement instant* of the `lineage/settled` breadcrumb (`t0 + end`
+//! live; the span-relative `end` on replay, the batch origin having died
+//! with the process). The post-put liveness check is the same on both
+//! paths: a fault handle that dies during a refile stops a resume as it
+//! stops a live settlement.
+//!
+//! Durable state never runs ahead of the log: a campaign's `task` lines
+//! are committed by the trailing `admit` line in one gated append (a
+//! crash mid-append leaves an uncommitted block replay ignores); a
+//! `settle` line is written *before* the artifact is filed, so
+//! store-has-artifact implies WAL-has-settlement and settled work is
+//! never re-charged; memory is applied only after the append landed.
+//! Replay is idempotent, drops a torn tail (the log's rule), skips and
+//! counts lines whose seal fails, and requeues un-settled tasks at their
+//! original arrivals, so on the virtual executor a killed-and-resumed
+//! session converges to the same canonical
+//! [`settlement_trace`](FoldingService::settlement_trace). Injected
+//! faults ([`summitfold_dataflow::chaos`]) enter through
+//! [`ServiceConfig::faults`]: the WAL append (`service/wal`) and the
 //! `service/admit` / `service/settle` kill points observe the same
 //! deterministic schedule as the store.
 
 use crate::ledger::Ledger;
 use crate::machine::Machine;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::fs;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use summitfold_dataflow::chaos::{IoFaults, WriteOutcome};
+use summitfold_dataflow::log::Log;
 use summitfold_dataflow::{
     BatchError, BatchOutcome, ClassConfig, DispatchEntry, Executor, LiveRun, SubmissionQueue,
-    SubmitError, TaskSpec,
+    SubmitError, TaskRecord, TaskSpec,
 };
 use summitfold_obs::json::{self, ObjectWriter, Seal, Value};
 use summitfold_obs::{lineage, Event, HealthSnapshot, Monitor, MonitorConfig, Recorder, Sink as _};
@@ -409,6 +424,151 @@ struct State {
     ran: bool,
 }
 
+/// One WAL line; `encode` and `decode` alone know the wire format.
+/// Where a line *is* one of the workspace's own types — `open` the
+/// shape fields of a [`ServiceConfig`], `tenant` a [`TenantSpec`],
+/// `task` a [`TaskSpec`], `settle` a completion [`TaskRecord`] plus the
+/// cost charged — that type is the payload, borrowed when writing and
+/// owned when read back.
+#[derive(Debug)]
+enum Record<'a> {
+    /// Header: the service shape (label, workers, queue depth).
+    Open(Cow<'a, ServiceConfig>),
+    /// Roster: one registered tenant.
+    Tenant(Cow<'a, TenantSpec>),
+    /// One task of the admission block the next `Admit` commits.
+    Task(Cow<'a, TaskSpec>),
+    /// Commits the preceding `tasks` task lines as one campaign.
+    Admit {
+        tenant: String,
+        campaign: String,
+        arrival: f64,
+        tasks: usize,
+    },
+    /// A typed rejection (`quota` or `saturated`).
+    Reject { tenant: String, kind: String },
+    /// One settled task (full task id) and the cost charged for it.
+    Settle(Cow<'a, TaskRecord>, f64),
+}
+
+/// The WAL stores finite numbers only.
+fn finite(x: f64) -> f64 {
+    if x.is_finite() {
+        x
+    } else {
+        0.0
+    }
+}
+
+impl Record<'_> {
+    fn encode(&self) -> String {
+        let mut w = ObjectWriter::new();
+        match self {
+            Self::Open(cfg) => {
+                w.str_field("event", "open");
+                w.str_field("label", &cfg.label);
+                w.int_field("workers", cfg.workers as u64);
+                w.int_field("depth", cfg.max_queue_depth as u64);
+            }
+            Self::Tenant(t) => {
+                w.str_field("event", "tenant");
+                w.str_field("name", &t.name);
+                w.num_field("weight", t.weight);
+                w.int_field("priority", u64::from(t.priority));
+                w.num_field("quota", t.quota_node_hours);
+                w.int_field("cached", u64::from(t.cached));
+            }
+            Self::Task(t) => {
+                w.str_field("event", "task");
+                w.str_field("task", &t.id);
+                w.num_field("cost", finite(t.cost_hint));
+            }
+            Self::Admit {
+                tenant,
+                campaign,
+                arrival,
+                tasks,
+            } => {
+                w.str_field("event", "admit");
+                w.str_field("tenant", tenant);
+                w.str_field("campaign", campaign);
+                w.num_field("arrival", finite(*arrival));
+                w.int_field("tasks", *tasks as u64);
+            }
+            Self::Reject { tenant, kind } => {
+                w.str_field("event", "reject");
+                w.str_field("tenant", tenant);
+                w.str_field("kind", kind);
+            }
+            Self::Settle(r, cost) => {
+                w.str_field("event", "settle");
+                w.str_field("task", &r.task_id);
+                w.num_field("cost", *cost);
+                w.int_field("worker", r.worker_id as u64);
+                w.num_field("start", r.start);
+                w.num_field("end", r.end);
+                w.int_field("attempts", u64::from(r.attempts));
+            }
+        }
+        w.finish_sealed()
+    }
+
+    /// `None` unless the line's seal verifies and it is a well-formed
+    /// record: every WAL line is written sealed, so `Absent` means
+    /// corrupt, not legacy.
+    fn decode(line: &str, seal: Seal) -> Option<Self> {
+        let obj = json::parse_object(line)
+            .ok()
+            .filter(|_| seal == Seal::Valid)?;
+        let s = |key: &str| obj.get(key).and_then(Value::as_str).map(str::to_owned);
+        let n = |key: &str| obj.get(key).and_then(Value::as_num);
+        Some(match obj.get("event")?.as_str()? {
+            "open" => Self::Open(Cow::Owned(ServiceConfig {
+                label: s("label")?,
+                workers: n("workers")? as usize,
+                max_queue_depth: n("depth")? as usize,
+                ..ServiceConfig::default()
+            })),
+            "tenant" => Self::Tenant(Cow::Owned(TenantSpec {
+                name: s("name")?,
+                weight: n("weight")?,
+                priority: n("priority")? as u32,
+                quota_node_hours: n("quota")?,
+                cached: n("cached")? != 0.0,
+            })),
+            "task" => Self::Task(Cow::Owned(TaskSpec::new(s("task")?, n("cost")?))),
+            "admit" => Self::Admit {
+                tenant: s("tenant")?,
+                campaign: s("campaign")?,
+                arrival: n("arrival")?,
+                tasks: n("tasks")? as usize,
+            },
+            "reject" => Self::Reject {
+                tenant: s("tenant")?,
+                kind: s("kind")?,
+            },
+            "settle" => Self::Settle(
+                Cow::Owned(TaskRecord {
+                    task_id: s("task")?,
+                    worker_id: n("worker")? as usize,
+                    start: n("start")?,
+                    end: n("end")?,
+                    attempts: n("attempts")? as u32,
+                }),
+                n("cost")?,
+            ),
+            _ => return None,
+        })
+    }
+}
+
+/// A campaign's task block under its service-wide ids,
+/// `{tenant}:{campaign}:{task}`.
+fn namespaced(tenant: &str, campaign: &str, specs: &[TaskSpec]) -> Vec<TaskSpec> {
+    let full = |s: &TaskSpec| TaskSpec::new(format!("{tenant}:{campaign}:{}", s.id), s.cost_hint);
+    specs.iter().map(full).collect()
+}
+
 /// A long-running, multi-tenant folding service. See the
 /// [module docs](self) for the architecture.
 ///
@@ -420,6 +580,9 @@ pub struct FoldingService {
     cfg: ServiceConfig,
     queue: SubmissionQueue,
     recorder: Arc<Recorder>,
+    /// The write-ahead log, if [`ServiceConfig::dir`] is set. Appends
+    /// happen under the state guard: total-ordered on disk.
+    wal: Option<Log>,
     state: Mutex<State>,
 }
 
@@ -436,8 +599,14 @@ impl FoldingService {
         tenants: Vec<TenantSpec>,
         recorder: Arc<Recorder>,
     ) -> Result<Self, ServiceError> {
-        let svc = Self::build(cfg, tenants, recorder)?;
-        svc.wal_start()?;
+        let mut svc = Self::build(cfg, tenants, recorder)?;
+        if let Some(path) = wal_path(&svc.cfg) {
+            let wal = Log::create(path.clone(), "service/wal", svc.cfg.faults.clone());
+            svc.wal = Some(wal.map_err(|e| ServiceError::Wal {
+                message: format!("start {}: {e}", path.display()),
+            })?);
+            svc.wal_append(&svc.header(&svc.lock()))?;
+        }
         Ok(svc)
     }
 
@@ -496,6 +665,7 @@ impl FoldingService {
             cfg,
             queue: SubmissionQueue::with_classes(&classes),
             recorder,
+            wal: None,
             state: Mutex::new(State {
                 tenants: states,
                 attribution: BTreeMap::new(),
@@ -511,89 +681,35 @@ impl FoldingService {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The WAL path, if the service keeps one.
-    fn wal_path(&self) -> Option<PathBuf> {
-        self.cfg.dir.as_ref().map(|d| d.join(WAL_FILE))
+    /// The WAL's header block — the service shape, then the roster —
+    /// which [`new`](Self::new) writes and [`resume`](Self::resume)
+    /// verifies against.
+    fn header<'s>(&'s self, state: &'s State) -> Vec<Record<'s>> {
+        let roster = state.tenants.iter().map(|t| Cow::Borrowed(&t.spec));
+        std::iter::once(Record::Open(Cow::Borrowed(&self.cfg)))
+            .chain(roster.map(Record::Tenant))
+            .collect()
     }
 
-    /// Start a fresh WAL: truncate any previous log, then write the
-    /// `open` header and one `tenant` line per tenant — the roster
-    /// [`resume`](Self::resume) verifies against.
-    fn wal_start(&self) -> Result<(), ServiceError> {
-        let Some(path) = self.wal_path() else {
-            return Ok(());
-        };
-        if let Some(dir) = path.parent() {
-            fs::create_dir_all(dir).map_err(|e| ServiceError::Wal {
-                message: format!("create {}: {e}", dir.display()),
-            })?;
-        }
-        fs::write(&path, "").map_err(|e| ServiceError::Wal {
-            message: format!("truncate {}: {e}", path.display()),
-        })?;
-        let state = self.lock();
-        let mut lines = Vec::with_capacity(state.tenants.len() + 1);
-        let mut w = ObjectWriter::new();
-        w.str_field("event", "open");
-        w.str_field("label", &self.cfg.label);
-        w.int_field("workers", self.cfg.workers as u64);
-        w.int_field("depth", self.cfg.max_queue_depth as u64);
-        lines.push(w.finish_sealed());
-        for t in &state.tenants {
-            let mut w = ObjectWriter::new();
-            w.str_field("event", "tenant");
-            w.str_field("name", &t.spec.name);
-            w.num_field("weight", t.spec.weight);
-            w.int_field("priority", u64::from(t.spec.priority));
-            w.num_field("quota", t.spec.quota_node_hours);
-            w.int_field("cached", u64::from(t.spec.cached));
-            lines.push(w.finish_sealed());
-        }
-        drop(state);
-        self.wal_append(&lines)
-    }
-
-    /// Append sealed `lines` to the WAL as one write, gated by the
-    /// fault handle. A torn append persists the prefix and reports the
+    /// Append `records` to the WAL as one write, gated by the fault
+    /// handle. A torn append persists the prefix and reports the
     /// process killed; nothing in memory may be applied after an `Err`.
-    fn wal_append(&self, lines: &[String]) -> Result<(), ServiceError> {
-        let Some(path) = self.wal_path() else {
+    fn wal_append(&self, records: &[Record<'_>]) -> Result<(), ServiceError> {
+        let Some(wal) = &self.wal else {
             return Ok(());
         };
-        let mut bytes = Vec::new();
-        for l in lines {
-            bytes.extend_from_slice(l.as_bytes());
-            bytes.push(b'\n');
-        }
-        match self
-            .cfg
-            .faults
-            .on_write("service/wal", &mut bytes, &self.recorder)
-        {
-            WriteOutcome::Full => append_bytes(&path, &bytes).map_err(|e| ServiceError::Wal {
-                message: format!("append {}: {e}", path.display()),
+        let lines: Vec<String> = records.iter().map(Record::encode).collect();
+        match wal.append(&lines, &self.recorder) {
+            Ok(WriteOutcome::Full) => Ok(()),
+            Ok(_) => Err(match self.cfg.faults.kill_reason() {
+                Some(point) => ServiceError::Killed { point },
+                None => ServiceError::Wal {
+                    message: "injected fault failed the append".to_owned(),
+                },
             }),
-            WriteOutcome::Torn(keep) => {
-                let _ = append_bytes(&path, &bytes[..keep]);
-                Err(ServiceError::Killed {
-                    point: "service/wal".to_owned(),
-                })
-            }
-            WriteOutcome::Fail => {
-                if self.cfg.faults.is_killed() {
-                    Err(ServiceError::Killed {
-                        point: self
-                            .cfg
-                            .faults
-                            .kill_reason()
-                            .unwrap_or_else(|| "service/wal".to_owned()),
-                    })
-                } else {
-                    Err(ServiceError::Wal {
-                        message: "injected fault failed the append".to_owned(),
-                    })
-                }
-            }
+            Err(e) => Err(ServiceError::Wal {
+                message: format!("append {}: {e}", wal.path().display()),
+            }),
         }
     }
 
@@ -607,26 +723,115 @@ impl FoldingService {
             .collect()
     }
 
-    /// The campaign-independent store identity of one service task:
-    /// keyed on tenant, raw task id and modeled cost, never on the
-    /// campaign name, so a resubmission hits whatever it is called.
-    fn service_artifact(tenant: &str, task: &str, cost: f64) -> Artifact {
-        Artifact::new(
+    /// The campaign-independent store identity of the task with full id
+    /// `{tenant}:{campaign}:{task}`: keyed on tenant, raw task id and
+    /// modeled cost, never on the campaign name, so a resubmission hits
+    /// whatever it is called — at admission lookup and settlement filing.
+    fn service_artifact(full_id: &str, cost: f64) -> Option<Artifact> {
+        let mut parts = full_id.splitn(3, ':');
+        let (tenant, _campaign, task) = (parts.next()?, parts.next()?, parts.next()?);
+        let content = format!("{tenant}|{task}|{cost}");
+        Some(Artifact::new(
             STAGE,
             STORE_PRESET,
-            &format!("{tenant}|{task}|{cost}"),
+            &content,
             vec![format!("{cost}")],
-        )
+        ))
     }
 
-    /// One sealed WAL `reject` line (appended best-effort: the typed
-    /// rejection error dominates a WAL failure).
-    fn wal_reject_line(tenant: &str, kind: &str) -> String {
-        let mut w = ObjectWriter::new();
-        w.str_field("event", "reject");
-        w.str_field("tenant", tenant);
-        w.str_field("kind", kind);
-        w.finish_sealed()
+    /// Count one rejection of `kind`; `false` if the kind is unknown.
+    fn count_rejection(&self, kind: &str) -> bool {
+        match kind {
+            "quota" => self.recorder.add("service/rejected_quota", 1.0),
+            "saturated" => self.recorder.add("service/rejected_saturated", 1.0),
+            _ => return false,
+        }
+        true
+    }
+
+    /// Log (best-effort: the typed rejection error dominates a WAL
+    /// failure) and count one rejected submission.
+    fn reject(&self, tenant: &str, kind: &str) {
+        let line = Record::Reject {
+            tenant: tenant.to_owned(),
+            kind: kind.to_owned(),
+        };
+        let _ = self.wal_append(&[line]);
+        self.count_rejection(kind);
+    }
+
+    /// Which tasks of a [`namespaced`] `block` the result store serves,
+    /// for a [`cached`](TenantSpec::cached) tenant. The task-scoped
+    /// lookup stamps its `lineage/cache_*` breadcrumb with the counted
+    /// outcome — a lookup that happened, even if the campaign is later
+    /// rejected. Tasks in `settled` already ran and are not looked up.
+    fn cache_hits(
+        &self,
+        cached: bool,
+        block: &[TaskSpec],
+        settled: &BTreeSet<String>,
+    ) -> Vec<bool> {
+        let Some(store) = self.cfg.store.as_deref().filter(|_| cached) else {
+            return vec![false; block.len()];
+        };
+        let lookup = |s: &TaskSpec| {
+            let artifact = Self::service_artifact(&s.id, s.cost_hint.max(0.0))?;
+            store.get_for_task(artifact.key(), &s.id, &self.recorder)
+        };
+        let hit = |s: &TaskSpec| !settled.contains(&s.id) && lookup(s).is_some();
+        block.iter().map(hit).collect()
+    }
+
+    /// The admission transition — the only code that reserves quota,
+    /// attributes and enqueues tasks, and emits the admission breadcrumbs
+    /// and counters. `hits[i]` settles `block[i]` from the store at
+    /// admission (no queue slot, reservation or charge); every other
+    /// task is reserved and attributed, and enqueued unless `settled`
+    /// says it already ran (replay: its charge lands when its settle
+    /// record applies). Returns the number of tasks enqueued.
+    fn apply_admission(
+        &self,
+        state: &mut State,
+        class: usize,
+        arrival: f64,
+        block: &[TaskSpec],
+        hits: &[bool],
+        settled: &BTreeSet<String>,
+    ) -> Result<usize, ServiceError> {
+        let tasks = || block.iter().zip(hits);
+        let enqueue = tasks().filter(|(s, &hit)| !hit && !settled.contains(&s.id));
+        let queued = self
+            .queue
+            .submit(class, arrival, enqueue.map(|(s, _)| s.clone()))
+            .map_err(ServiceError::Submit)?;
+        // Breadcrumbs only once the WAL append and queue submit both
+        // succeeded: a rejected campaign leaves no admission trail. Hits
+        // settle at admission, so their journey closes at the arrival.
+        let (rec, at) = (&*self.recorder, finite(arrival));
+        let (mut reserved, mut live, mut cached) = (0.0_f64, 0usize, 0usize);
+        for (s, &hit) in tasks() {
+            lineage::admitted(rec, &s.id, at);
+            lineage::wal(rec, &s.id, rec.now());
+            if hit {
+                lineage::settled(rec, &s.id, at);
+                cached += 1;
+            } else {
+                reserved += s.cost_hint.max(0.0);
+                live += 1;
+                let owed = (class, s.cost_hint.max(0.0));
+                state.attribution.insert(s.id.clone(), owed);
+            }
+        }
+        let t = &mut state.tenants[class];
+        t.admitted_node_seconds += reserved;
+        t.campaigns += 1;
+        t.cached_tasks += cached;
+        rec.add("service/admitted_campaigns", 1.0);
+        rec.add("service/admitted_tasks", live as f64);
+        if cached > 0 {
+            rec.add("service/cache_settled_tasks", cached as f64);
+        }
+        Ok(queued)
     }
 
     /// Submit a campaign for `tenant`: `specs` become dispatchable at
@@ -665,112 +870,46 @@ impl FoldingService {
                 point: "service/admit".to_owned(),
             });
         }
+        // Decide: cache lookups, then quota and backpressure over the
+        // tasks that would actually queue.
         let t = &state.tenants[class];
-        let store = self.cfg.store.as_deref().filter(|_| t.spec.cached);
-        let mut live: Vec<&TaskSpec> = Vec::with_capacity(specs.len());
-        let mut hit_flags: Vec<bool> = Vec::with_capacity(specs.len());
-        let mut cached_hits = 0usize;
-        for s in &specs {
-            // The task-scoped lookup stamps the journey breadcrumb
-            // (`lineage/cache_hit`/`cache_miss`) alongside the counted
-            // outcome; like the counters it records the lookup that
-            // happened even if the campaign is later rejected.
-            let hit = store.is_some_and(|st| {
-                let key = Self::service_artifact(tenant, &s.id, s.cost_hint.max(0.0)).key();
-                let ns = format!("{tenant}:{campaign}:{}", s.id);
-                st.get_for_task(key, &ns, &self.recorder).is_some()
-            });
-            hit_flags.push(hit);
-            if hit {
-                cached_hits += 1;
-            } else {
-                live.push(s);
-            }
-        }
-        let requested_node_seconds: f64 = live.iter().map(|s| s.cost_hint.max(0.0)).sum();
+        let block = namespaced(tenant, campaign, &specs);
+        let nothing_settled = BTreeSet::new();
+        let hits = self.cache_hits(t.spec.cached, &block, &nothing_settled);
+        let live = || specs.iter().zip(&hits).filter(|(_, &hit)| !hit);
+        let requested_node_seconds: f64 = live().map(|(s, _)| s.cost_hint.max(0.0)).sum();
         let remaining = t.spec.quota_node_hours * 3600.0 - t.admitted_node_seconds;
         if requested_node_seconds > remaining {
-            let _ = self.wal_append(&[Self::wal_reject_line(tenant, "quota")]);
-            self.recorder.add("service/rejected_quota", 1.0);
+            self.reject(tenant, "quota");
             return Err(ServiceError::QuotaExceeded {
                 tenant: tenant.to_owned(),
                 requested_node_hours: requested_node_seconds / 3600.0,
                 remaining_node_hours: remaining.max(0.0) / 3600.0,
             });
         }
-        if self.queue.len() + live.len() > self.cfg.max_queue_depth {
-            let _ = self.wal_append(&[Self::wal_reject_line(tenant, "saturated")]);
-            self.recorder.add("service/rejected_saturated", 1.0);
+        if self.queue.len() + live().count() > self.cfg.max_queue_depth {
+            self.reject(tenant, "saturated");
             return Err(ServiceError::Saturated {
                 queued: self.queue.len(),
                 limit: self.cfg.max_queue_depth,
             });
         }
-        // WAL commit comes first: `task` lines for the whole campaign
-        // (hits included — resume re-derives the hit set organically),
-        // made real by the trailing `admit` line, all in one gated
-        // append. A tear inside the block leaves it uncommitted.
-        let mut lines = Vec::with_capacity(specs.len() + 1);
-        for s in &specs {
-            let mut w = ObjectWriter::new();
-            w.str_field("event", "task");
-            w.str_field("task", &s.id);
-            w.num_field(
-                "cost",
-                if s.cost_hint.is_finite() {
-                    s.cost_hint
-                } else {
-                    0.0
-                },
-            );
-            lines.push(w.finish_sealed());
-        }
-        let mut w = ObjectWriter::new();
-        w.str_field("event", "admit");
-        w.str_field("tenant", tenant);
-        w.str_field("campaign", campaign);
-        w.num_field("arrival", if arrival.is_finite() { arrival } else { 0.0 });
-        w.int_field("tasks", specs.len() as u64);
-        lines.push(w.finish_sealed());
-        self.wal_append(&lines)?;
-        let namespaced: Vec<TaskSpec> = live
-            .iter()
-            .map(|s| TaskSpec::new(format!("{tenant}:{campaign}:{}", s.id), s.cost_hint))
-            .collect();
-        let count = self
-            .queue
-            .submit(class, arrival, namespaced.iter().cloned())
-            .map_err(ServiceError::Submit)?;
-        for s in &namespaced {
-            state
-                .attribution
-                .insert(s.id.clone(), (class, s.cost_hint.max(0.0)));
-        }
-        // Lineage breadcrumbs only after the WAL append and queue
-        // submit both succeeded: a rejected campaign must leave no
-        // admission trail (the cache-lookup breadcrumbs above record a
-        // lookup that factually happened either way). Hits settle at
-        // admission time, so their journey closes at `arrival`.
-        let arrival_t = if arrival.is_finite() { arrival } else { 0.0 };
-        for (s, &hit) in specs.iter().zip(&hit_flags) {
-            let ns = format!("{tenant}:{campaign}:{}", s.id);
-            lineage::admitted(&self.recorder, &ns, arrival_t);
-            lineage::wal(&self.recorder, &ns, self.recorder.now());
-            if hit {
-                lineage::settled(&self.recorder, &ns, arrival_t);
-            }
-        }
-        let t = &mut state.tenants[class];
-        t.admitted_node_seconds += requested_node_seconds;
-        t.campaigns += 1;
-        t.cached_tasks += cached_hits;
-        self.recorder.add("service/admitted_campaigns", 1.0);
-        self.recorder.add("service/admitted_tasks", count as f64);
-        if cached_hits > 0 {
-            self.recorder
-                .add("service/cache_settled_tasks", cached_hits as f64);
-        }
-        Ok(count + cached_hits)
+        // Append: `task` lines for the whole campaign (hits included —
+        // resume re-derives the hit set organically), made real by the
+        // trailing `admit` line, all in one gated append. A tear inside
+        // the block leaves it uncommitted.
+        let tasks = specs.iter().map(Cow::Borrowed).map(Record::Task);
+        let admit = Record::Admit {
+            tenant: tenant.to_owned(),
+            campaign: campaign.to_owned(),
+            arrival,
+            tasks: specs.len(),
+        };
+        self.wal_append(&tasks.chain([admit]).collect::<Vec<_>>())?;
+        // Apply.
+        let queued =
+            self.apply_admission(&mut state, class, arrival, &block, &hits, &nothing_settled)?;
+        Ok(queued + hits.iter().filter(|&&hit| hit).count())
     }
 
     /// Close the queue: pending work still drains, further submissions
@@ -818,18 +957,58 @@ impl FoldingService {
         })
     }
 
-    /// Attribute the run's completion records to tenants: charge each
-    /// tenant's ledger the *modeled* cost (node-seconds =
-    /// `cost_hint`, one node per worker — identical on both backends)
-    /// and feed each tenant's monitor its own completion events. For
-    /// [`cached`](TenantSpec::cached) tenants, each settled task is
-    /// also filed in the result store so a resubmission of the same
-    /// work hits at admission time.
-    ///
-    /// Crash-consistent ordering per record: kill point → WAL `settle`
-    /// line → store put → memory apply. The store can therefore never
-    /// hold an artifact whose settlement the WAL does not record, and a
-    /// settled task is never re-charged (the `settled` map dedupes).
+    /// The settlement transition — the only code that charges a ledger,
+    /// feeds a monitor, refiles an artifact and marks a task settled.
+    /// Charges the *modeled* cost (node-seconds = `cost_hint`, one node
+    /// per worker — identical on both backends), feeds the monitor the
+    /// completion's bit-exact timings, and for
+    /// [`cached`](TenantSpec::cached) tenants files the task in the
+    /// store (idempotently: on replay the crash may have landed between
+    /// the settle line and the original put). `at` is the instant of the
+    /// `lineage/settled` breadcrumb. Fails [`ServiceError::Killed`] if an
+    /// injected fault killed the process mid-put.
+    fn apply_settlement(
+        &self,
+        state: &mut State,
+        class: usize,
+        r: &TaskRecord,
+        cost: f64,
+        at: f64,
+    ) -> Result<(), ServiceError> {
+        // Settlement is durable once the WAL line landed.
+        lineage::settled(&self.recorder, &r.task_id, at);
+        let t = &mut state.tenants[class];
+        let store = self.cfg.store.as_deref().filter(|_| t.spec.cached);
+        if let Some((store, artifact)) = store.zip(Self::service_artifact(&r.task_id, cost)) {
+            // Filing is best-effort: a full or unwritable store degrades
+            // the next submission to a miss, never this settlement…
+            let _ = store.put(&artifact, &self.recorder);
+            // …unless an injected fault killed the process mid-put.
+            if self.cfg.faults.is_killed() {
+                return Err(ServiceError::Killed {
+                    point: "store-put".to_owned(),
+                });
+            }
+        }
+        t.ledger.charge(Machine::Summit, STAGE, cost);
+        t.completed_tasks += 1;
+        t.monitor.event(&Event::Task {
+            span: None,
+            task: r.task_id.clone(),
+            worker: r.worker_id,
+            start: r.start,
+            end: r.end,
+            attempts: r.attempts,
+        });
+        state.settled.insert(r.task_id.clone(), (class, cost));
+        Ok(())
+    }
+
+    /// Attribute the run's completion records to tenants, in `(end,
+    /// task id)` order, each as kill point → WAL `settle` line →
+    /// [apply](Self::apply_settlement) (store put, then memory): the
+    /// store never holds an artifact whose settlement the WAL does not
+    /// record, and a settled task is never re-charged.
     ///
     /// # Errors
     /// [`ServiceError::Killed`] if an injected fault killed the
@@ -861,51 +1040,8 @@ impl FoldingService {
                     point: "service/settle".to_owned(),
                 });
             }
-            let mut w = ObjectWriter::new();
-            w.str_field("event", "settle");
-            w.str_field("task", &r.task_id);
-            w.num_field("cost", cost);
-            w.int_field("worker", r.worker_id as u64);
-            w.num_field("start", r.start);
-            w.num_field("end", r.end);
-            w.int_field("attempts", u64::from(r.attempts));
-            self.wal_append(&[w.finish_sealed()])?;
-            // Settlement is durable once the WAL line landed; the
-            // breadcrumb's instant is the record's absolute end.
-            lineage::settled(&self.recorder, &r.task_id, t0 + r.end);
-            let cached = state.tenants[class].spec.cached;
-            if let Some(store) = self.cfg.store.as_deref().filter(|_| cached) {
-                // Strip the campaign from `{tenant}:{campaign}:{task}`
-                // so the stored identity is campaign-independent.
-                let mut parts = r.task_id.splitn(3, ':');
-                if let (Some(tenant), Some(_campaign), Some(task)) =
-                    (parts.next(), parts.next(), parts.next())
-                {
-                    // Filing is best-effort: a full or unwritable store
-                    // degrades the next submission to a miss, never the
-                    // current settlement…
-                    let _ = store.put(&Self::service_artifact(tenant, task, cost), &self.recorder);
-                    // …unless an injected fault killed the process mid-
-                    // put: a dead process settles nothing further.
-                    if self.cfg.faults.is_killed() {
-                        return Err(ServiceError::Killed {
-                            point: "store-put".to_owned(),
-                        });
-                    }
-                }
-            }
-            let t = &mut state.tenants[class];
-            t.ledger.charge(Machine::Summit, STAGE, cost);
-            t.completed_tasks += 1;
-            t.monitor.event(&Event::Task {
-                span: None,
-                task: r.task_id.clone(),
-                worker: r.worker_id,
-                start: r.start,
-                end: r.end,
-                attempts: r.attempts,
-            });
-            state.settled.insert(r.task_id.clone(), (class, cost));
+            self.wal_append(&[Record::Settle(Cow::Borrowed(r), cost)])?;
+            self.apply_settlement(&mut state, class, r, cost, t0 + r.end)?;
             settled += 1;
         }
         self.recorder.add("service/settled_tasks", settled as f64);
@@ -993,333 +1129,144 @@ impl FoldingService {
     /// [`ServiceConfig::dir`].
     ///
     /// The log is replayed in order after dropping a torn final line
-    /// (which is also truncated on disk) and skipping any fully-written
-    /// line whose seal fails. Committed admissions re-reserve quota and
+    /// (also truncated on disk) and skipping any fully-written line
+    /// whose seal fails. Every record goes through the two transitions
+    /// the live path uses: committed admissions re-reserve quota and
     /// requeue their un-settled tasks at the original arrivals;
     /// settlements re-charge ledgers and re-feed monitors with their
-    /// original bit-exact timings, exactly once (replaying a settlement
-    /// for an already-settled task is a no-op); rejections re-emit
-    /// their counters. For [`cached`](TenantSpec::cached) tenants the
-    /// hit set is re-derived organically against the store, so an
-    /// artifact quarantined as corrupt since the crash simply degrades
-    /// that task to a requeue.
+    /// bit-exact timings, exactly once; rejections re-emit their
+    /// counters. For [`cached`](TenantSpec::cached) tenants the hit set
+    /// is re-derived against the store, so an artifact quarantined since
+    /// the crash simply degrades that task to a requeue.
     ///
     /// # Errors
     /// [`ServiceError::RecoveryUnavailable`] if no WAL exists (or
     /// [`ServiceConfig::dir`] is unset), [`ServiceError::RecoveryMismatch`]
     /// if the log's header does not match `cfg`/`tenants`, plus any
-    /// tenant-validation error [`new`](Self::new) would report.
+    /// tenant-validation error [`new`](Self::new) would report and any
+    /// error a live admission or settlement could.
     pub fn resume(
         cfg: ServiceConfig,
         tenants: Vec<TenantSpec>,
         recorder: Arc<Recorder>,
     ) -> Result<(Self, RecoveryReport), ServiceError> {
-        let Some(path) = cfg.dir.as_ref().map(|d| d.join(WAL_FILE)) else {
-            return Err(ServiceError::RecoveryUnavailable {
-                reason: "ServiceConfig::dir is not set".to_owned(),
-            });
+        let unavailable = |reason: String| ServiceError::RecoveryUnavailable { reason };
+        let path = wal_path(&cfg)
+            .ok_or_else(|| unavailable("ServiceConfig::dir is not set".to_owned()))?;
+        if !path.is_file() {
+            return Err(unavailable(format!("no WAL at {}", path.display())));
+        }
+        let mut svc = Self::build(cfg, tenants, recorder)?;
+        let (wal, recovered) = Log::open(path.clone(), "service/wal", svc.cfg.faults.clone())
+            .map_err(|e| unavailable(format!("read {}: {e}", path.display())))?;
+        svc.wal = Some(wal);
+        let mut report = RecoveryReport {
+            wal_torn_tail: recovered.torn_tail,
+            ..RecoveryReport::default()
         };
-        let text = fs::read_to_string(&path).map_err(|e| ServiceError::RecoveryUnavailable {
-            reason: format!("read {}: {e}", path.display()),
-        })?;
-        let mut report = RecoveryReport::default();
-        let mut body: &str = &text;
-        if !text.is_empty() && !text.ends_with('\n') {
-            let keep = text.rfind('\n').map_or(0, |i| i + 1);
-            body = &text[..keep];
-            report.wal_torn_tail = true;
-            // Durably drop the torn tail so future appends start on a
-            // clean line boundary instead of merging into garbage.
-            if let Ok(f) = fs::OpenOptions::new().write(true).open(&path) {
-                let _ = f.set_len(keep as u64);
-            }
-        }
-        let svc = Self::build(cfg, tenants, recorder)?;
-        // Pass 1: the settled set — needed during admission replay to
-        // keep completed tasks off the queue.
-        let mut settled_ids: BTreeSet<String> = BTreeSet::new();
-        for line in body.lines() {
-            if let Some(obj) = wal_object(line) {
-                if obj.get("event").and_then(Value::as_str) == Some("settle") {
-                    if let Some(task) = obj.get("task").and_then(Value::as_str) {
-                        settled_ids.insert(task.to_owned());
-                    }
-                }
-            }
-        }
-        // Pass 2: replay in log order. `task` lines buffer until their
-        // committing `admit` line; a buffer left at end-of-log is an
-        // uncommitted (crashed) admission and is dropped.
-        let mut pending: Vec<(String, f64)> = Vec::new();
-        for line in body.lines() {
-            let Some(obj) = wal_object(line) else {
+        let records = || {
+            recovered
+                .lines()
+                .map(|(line, seal)| Record::decode(line, seal))
+        };
+        // First pass, the already-settled set — needed by admission
+        // replay to keep completed tasks off the queue. Records are
+        // decoded per pass, never all held at once.
+        let settled: BTreeSet<String> = records()
+            .filter_map(|rec| match rec {
+                Some(Record::Settle(r, _)) => Some(r.into_owned().task_id),
+                _ => None,
+            })
+            .collect();
+        // `task` records buffer until their committing `admit`; a
+        // buffer left at end-of-log is an uncommitted (crashed)
+        // admission and is dropped.
+        let mut pending: Vec<TaskSpec> = Vec::new();
+        let mut state = svc.lock();
+        let header: Vec<String> = svc.header(&state).iter().map(Record::encode).collect();
+        for rec in records() {
+            let Some(rec) = rec else {
                 report.wal_corrupt_lines += 1;
                 continue;
             };
-            match obj.get("event").and_then(Value::as_str) {
-                Some("open") => svc.replay_open(&obj)?,
-                Some("tenant") => svc.replay_tenant(&obj)?,
-                Some("task") => {
-                    let (Some(task), Some(cost)) = (
-                        obj.get("task").and_then(Value::as_str),
-                        obj.get("cost").and_then(Value::as_num),
-                    ) else {
+            match rec {
+                // The header must be, line for line, what this service
+                // would have written.
+                Record::Open(_) | Record::Tenant(_) => {
+                    if !header.contains(&rec.encode()) {
+                        return Err(ServiceError::RecoveryMismatch {
+                            reason: format!("WAL line {rec:?} does not describe this service"),
+                        });
+                    }
+                }
+                Record::Task(task) => pending.push(task.into_owned()),
+                Record::Admit {
+                    tenant,
+                    campaign,
+                    arrival,
+                    tasks,
+                } => {
+                    // A short block lost a task line to corruption: the
+                    // whole admission is untrustworthy.
+                    let raw = std::mem::take(&mut pending);
+                    let class = state.tenants.iter().position(|t| t.spec.name == tenant);
+                    let Some(class) = class.filter(|_| raw.len() == tasks) else {
                         report.wal_corrupt_lines += 1;
                         continue;
                     };
-                    pending.push((task.to_owned(), cost));
+                    let block = namespaced(&tenant, &campaign, &raw);
+                    let hits = svc.cache_hits(state.tenants[class].spec.cached, &block, &settled);
+                    report.requeued_tasks +=
+                        svc.apply_admission(&mut state, class, arrival, &block, &hits, &settled)?;
+                    report.replayed_campaigns += 1;
                 }
-                Some("admit") => {
-                    let block: Vec<(String, f64)> = std::mem::take(&mut pending);
-                    svc.replay_admit(&obj, block, &settled_ids, &mut report)?;
-                }
-                Some("reject") => {
-                    match obj.get("kind").and_then(Value::as_str) {
-                        Some("quota") => svc.recorder.add("service/rejected_quota", 1.0),
-                        Some("saturated") => svc.recorder.add("service/rejected_saturated", 1.0),
-                        _ => {
-                            report.wal_corrupt_lines += 1;
-                            continue;
-                        }
-                    }
+                Record::Reject { kind, .. } if svc.count_rejection(&kind) => {
                     report.replayed_rejections += 1;
                 }
-                Some("settle") => svc.replay_settle(&obj, &mut report),
-                _ => report.wal_corrupt_lines += 1,
+                Record::Reject { .. } => report.wal_corrupt_lines += 1,
+                Record::Settle(r, _) if state.settled.contains_key(&r.task_id) => {}
+                Record::Settle(r, _) => {
+                    // A settlement with no committed admission behind
+                    // it is corrupt; the cost charged is the admitted
+                    // one.
+                    let Some(&(class, cost)) = state.attribution.get(&r.task_id) else {
+                        report.wal_corrupt_lines += 1;
+                        continue;
+                    };
+                    // The original absolute settlement instant died
+                    // with the process; the span-relative `end` is the
+                    // bit-exact stand-in, matching the monitor feed.
+                    svc.apply_settlement(&mut state, class, &r, cost, r.end)?;
+                    report.replayed_settlements += 1;
+                }
             }
         }
+        drop(state);
+        let rec = &svc.recorder;
         if report.replayed_settlements > 0 {
-            svc.recorder
-                .add("service/settled_tasks", report.replayed_settlements as f64);
+            rec.add("service/settled_tasks", report.replayed_settlements as f64);
         }
-        svc.recorder.add(
+        rec.add(
             "recovery/replayed_campaigns",
             report.replayed_campaigns as f64,
         );
-        svc.recorder.add(
+        rec.add(
             "recovery/replayed_settlements",
             report.replayed_settlements as f64,
         );
-        svc.recorder
-            .add("recovery/requeued_tasks", report.requeued_tasks as f64);
-        svc.recorder
-            .add("recovery/wal_corrupt", report.wal_corrupt_lines as f64);
-        svc.recorder.add(
+        rec.add("recovery/requeued_tasks", report.requeued_tasks as f64);
+        rec.add("recovery/wal_corrupt", report.wal_corrupt_lines as f64);
+        rec.add(
             "recovery/wal_torn",
             f64::from(u8::from(report.wal_torn_tail)),
         );
         Ok((svc, report))
     }
-
-    /// Verify the WAL `open` header against this service's config.
-    fn replay_open(&self, obj: &BTreeMap<String, Value>) -> Result<(), ServiceError> {
-        let label = obj.get("label").and_then(Value::as_str).unwrap_or_default();
-        let workers = obj.get("workers").and_then(Value::as_num).unwrap_or(-1.0);
-        let depth = obj.get("depth").and_then(Value::as_num).unwrap_or(-1.0);
-        if label != self.cfg.label
-            || workers != self.cfg.workers as f64
-            || depth != self.cfg.max_queue_depth as f64
-        {
-            return Err(ServiceError::RecoveryMismatch {
-                reason: format!(
-                    "WAL opened as {label:?} ({workers} workers, depth {depth}); resuming as {:?} \
-                     ({} workers, depth {})",
-                    self.cfg.label, self.cfg.workers, self.cfg.max_queue_depth
-                ),
-            });
-        }
-        Ok(())
-    }
-
-    /// Verify one WAL `tenant` roster line against the resumed specs.
-    fn replay_tenant(&self, obj: &BTreeMap<String, Value>) -> Result<(), ServiceError> {
-        let name = obj.get("name").and_then(Value::as_str).unwrap_or_default();
-        let state = self.lock();
-        let Some(t) = state.tenants.iter().find(|t| t.spec.name == name) else {
-            return Err(ServiceError::RecoveryMismatch {
-                reason: format!("WAL tenant {name:?} is not registered on the resumed service"),
-            });
-        };
-        let spec = &t.spec;
-        if obj.get("weight").and_then(Value::as_num) != Some(spec.weight)
-            || obj.get("priority").and_then(Value::as_num) != Some(f64::from(spec.priority))
-            || obj.get("quota").and_then(Value::as_num) != Some(spec.quota_node_hours)
-            || obj.get("cached").and_then(Value::as_num) != Some(f64::from(u8::from(spec.cached)))
-        {
-            return Err(ServiceError::RecoveryMismatch {
-                reason: format!("tenant {name:?} is registered with a different spec than the WAL"),
-            });
-        }
-        Ok(())
-    }
-
-    /// Replay one committed admission block: re-reserve quota for the
-    /// live subset, requeue what never settled, re-derive cache hits
-    /// organically, and re-emit the admission counters.
-    fn replay_admit(
-        &self,
-        obj: &BTreeMap<String, Value>,
-        block: Vec<(String, f64)>,
-        settled_ids: &BTreeSet<String>,
-        report: &mut RecoveryReport,
-    ) -> Result<(), ServiceError> {
-        let (Some(tenant), Some(campaign), Some(arrival), Some(tasks)) = (
-            obj.get("tenant").and_then(Value::as_str),
-            obj.get("campaign").and_then(Value::as_str),
-            obj.get("arrival").and_then(Value::as_num),
-            obj.get("tasks").and_then(Value::as_num),
-        ) else {
-            report.wal_corrupt_lines += 1;
-            return Ok(());
-        };
-        if block.len() as f64 != tasks {
-            // A task line inside the block was lost or corrupted: the
-            // whole block is untrustworthy.
-            report.wal_corrupt_lines += 1;
-            return Ok(());
-        }
-        let mut state = self.lock();
-        let Some(class) = state.tenants.iter().position(|t| t.spec.name == tenant) else {
-            report.wal_corrupt_lines += 1;
-            return Ok(());
-        };
-        let cached_tenant = state.tenants[class].spec.cached;
-        let store = self.cfg.store.as_deref().filter(|_| cached_tenant);
-        let mut requested_node_seconds = 0.0_f64;
-        let mut live = 0usize;
-        let mut hits = 0usize;
-        let mut requeue: Vec<TaskSpec> = Vec::new();
-        let mut breadcrumbs: Vec<(String, bool)> = Vec::new();
-        for (task, cost) in block {
-            let full = format!("{tenant}:{campaign}:{task}");
-            if settled_ids.contains(&full) {
-                // Already ran to completion: reserve and attribute as
-                // the original admission did; ledger/monitor effects
-                // land when its settle line replays.
-                requested_node_seconds += cost.max(0.0);
-                live += 1;
-                breadcrumbs.push((full.clone(), false));
-                state.attribution.insert(full, (class, cost.max(0.0)));
-                continue;
-            }
-            let hit = store.is_some_and(|st| {
-                let key = Self::service_artifact(tenant, &task, cost.max(0.0)).key();
-                st.get_for_task(key, &full, &self.recorder).is_some()
-            });
-            breadcrumbs.push((full.clone(), hit));
-            if hit {
-                hits += 1;
-            } else {
-                requested_node_seconds += cost.max(0.0);
-                live += 1;
-                state
-                    .attribution
-                    .insert(full.clone(), (class, cost.max(0.0)));
-                requeue.push(TaskSpec::new(full, cost));
-            }
-        }
-        let requeued = self
-            .queue
-            .submit(class, arrival, requeue.iter().cloned())
-            .map_err(ServiceError::Submit)?;
-        // Mirror the live admission's breadcrumb trail so a resumed
-        // trace attributes the same journeys: arrival from the WAL,
-        // durability at replay time, re-derived hits settled at
-        // admission.
-        let arrival_t = if arrival.is_finite() { arrival } else { 0.0 };
-        for (full, hit) in &breadcrumbs {
-            lineage::admitted(&self.recorder, full, arrival_t);
-            lineage::wal(&self.recorder, full, self.recorder.now());
-            if *hit {
-                lineage::settled(&self.recorder, full, arrival_t);
-            }
-        }
-        let t = &mut state.tenants[class];
-        t.admitted_node_seconds += requested_node_seconds;
-        t.campaigns += 1;
-        t.cached_tasks += hits;
-        self.recorder.add("service/admitted_campaigns", 1.0);
-        self.recorder.add("service/admitted_tasks", live as f64);
-        if hits > 0 {
-            self.recorder
-                .add("service/cache_settled_tasks", hits as f64);
-        }
-        report.replayed_campaigns += 1;
-        report.requeued_tasks += requeued;
-        Ok(())
-    }
-
-    /// Replay one settlement, exactly once: charge the ledger, feed the
-    /// monitor the original bit-exact timings, refile the artifact for
-    /// cached tenants, and mark the task settled.
-    fn replay_settle(&self, obj: &BTreeMap<String, Value>, report: &mut RecoveryReport) {
-        let (Some(task), Some(worker), Some(start), Some(end), Some(attempts)) = (
-            obj.get("task").and_then(Value::as_str),
-            obj.get("worker").and_then(Value::as_num),
-            obj.get("start").and_then(Value::as_num),
-            obj.get("end").and_then(Value::as_num),
-            obj.get("attempts").and_then(Value::as_num),
-        ) else {
-            report.wal_corrupt_lines += 1;
-            return;
-        };
-        let mut state = self.lock();
-        if state.settled.contains_key(task) {
-            return;
-        }
-        let Some(&(class, cost)) = state.attribution.get(task) else {
-            // A settlement with no committed admission behind it.
-            report.wal_corrupt_lines += 1;
-            return;
-        };
-        let cached = state.tenants[class].spec.cached;
-        if let Some(store) = self.cfg.store.as_deref().filter(|_| cached) {
-            let mut parts = task.splitn(3, ':');
-            if let (Some(tenant), Some(_campaign), Some(raw)) =
-                (parts.next(), parts.next(), parts.next())
-            {
-                // Refile idempotently: the crash may have landed between
-                // the WAL settle line and the original put.
-                let _ = store.put(&Self::service_artifact(tenant, raw, cost), &self.recorder);
-            }
-        }
-        let t = &mut state.tenants[class];
-        t.ledger.charge(Machine::Summit, STAGE, cost);
-        t.completed_tasks += 1;
-        t.monitor.event(&Event::Task {
-            span: None,
-            task: task.to_owned(),
-            worker: worker as usize,
-            start,
-            end,
-            attempts: attempts as u32,
-        });
-        // The original absolute settlement instant is unrecoverable
-        // after a restart (the batch span died with the process); the
-        // WAL's span-relative `end` is the bit-exact stand-in, matching
-        // the monitor feed above.
-        lineage::settled(&self.recorder, task, end);
-        state.settled.insert(task.to_owned(), (class, cost));
-        report.replayed_settlements += 1;
-    }
 }
 
-/// Append raw bytes to `path`, creating it if needed.
-fn append_bytes(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let mut f = fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    f.write_all(bytes)
-}
-
-/// Parse one WAL line, accepting only lines whose seal verifies: every
-/// WAL line is written sealed, so `Absent` means corrupt, not legacy.
-fn wal_object(line: &str) -> Option<BTreeMap<String, Value>> {
-    if json::check_seal(line) != Seal::Valid {
-        return None;
-    }
-    json::parse_object(line).ok()
+/// The WAL path, if the service keeps one.
+fn wal_path(cfg: &ServiceConfig) -> Option<PathBuf> {
+    cfg.dir.as_ref().map(|d| d.join(WAL_FILE))
 }
 
 #[cfg(test)]
@@ -1694,6 +1641,72 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// `service.jsonl` of a small session, byte for byte as the
+    /// implementation before the shared log primitive wrote it.
+    const HEAD_WAL: &str = r#"{"event":"open","label":"service","workers":2,"depth":4096,"sum":"3b0e6ba1279293f7"}
+{"event":"tenant","name":"alice","weight":2,"priority":0,"quota":1,"cached":1,"sum":"a3127c02daa79832"}
+{"event":"tenant","name":"bob","weight":1.5,"priority":1,"quota":0.001,"cached":0,"sum":"730c05030848743b"}
+{"event":"task","task":"t0","cost":7,"sum":"c93589fd6cf43917"}
+{"event":"task","task":"t1","cost":2.5,"sum":"d8b5a1437e240ba8"}
+{"event":"admit","tenant":"alice","campaign":"c0","arrival":0,"tasks":2,"sum":"8999be98a328c4cc"}
+{"event":"reject","tenant":"bob","kind":"quota","sum":"d0b27c01ddb07b0f"}
+{"event":"task","task":"u","cost":3,"sum":"75d13b6e1e14ba56"}
+{"event":"admit","tenant":"bob","campaign":"c1","arrival":1,"tasks":1,"sum":"f088406a1ace3876"}
+{"event":"settle","task":"alice:c0:t1","cost":2.5,"worker":1,"start":0,"end":2.5,"attempts":1,"sum":"0c1f884aeaa550b3"}
+{"event":"settle","task":"bob:c1:u","cost":3,"worker":1,"start":2.5,"end":5.5,"attempts":1,"sum":"66f5705aa05355fb"}
+{"event":"settle","task":"alice:c0:t0","cost":7,"worker":0,"start":0,"end":7,"attempts":1,"sum":"4c766cc5e4985e15"}
+"#;
+
+    /// The settlement trace that session ended with.
+    const HEAD_TRACE: &str = r#"{"task":"alice:c0:t0","tenant":"alice","cost":7}
+{"task":"alice:c0:t1","tenant":"alice","cost":2.5}
+{"task":"bob:c1:u","tenant":"bob","cost":3}
+{"tenant":"alice","campaigns":1,"completed":2,"cached":0,"admitted_node_seconds":9.5,"charged_node_hours":0.002638888888888889}
+{"tenant":"bob","campaigns":1,"completed":1,"cached":0,"admitted_node_seconds":3,"charged_node_hours":0.0008333333333333334}
+"#;
+
+    #[test]
+    fn wal_format_is_unchanged_in_both_directions() {
+        let dir = wal_dir("head-format");
+        let cfg = || ServiceConfig {
+            workers: 2,
+            dir: Some(dir.clone()),
+            ..ServiceConfig::default()
+        };
+        let tenants = || {
+            vec![
+                TenantSpec::new("alice", 2.0, 1.0).cached(),
+                TenantSpec::new("bob", 1.5, 0.001).priority(1),
+            ]
+        };
+        // Forward: the same session writes the same bytes.
+        let rec = Arc::new(Recorder::virtual_time());
+        let svc = FoldingService::new(cfg(), tenants(), Arc::clone(&rec)).unwrap();
+        let specs = |ids: &[(&str, f64)]| ids.iter().map(|&(id, c)| TaskSpec::new(id, c)).collect();
+        svc.submit("alice", "c0", 0.0, specs(&[("t0", 7.0), ("t1", 2.5)]))
+            .unwrap();
+        svc.submit("bob", "big", 0.5, specs(&[("x", 10.0)]))
+            .unwrap_err();
+        svc.submit("bob", "c1", 1.0, specs(&[("u", 3.0)])).unwrap();
+        svc.run(&VirtualExecutor::new(0.0)).unwrap();
+        assert_eq!(svc.settlement_trace(), HEAD_TRACE);
+        drop(svc);
+        let path = dir.join("service.jsonl");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), HEAD_WAL);
+        // Backward: the old bytes resume to the same report and trace.
+        std::fs::write(&path, HEAD_WAL).unwrap();
+        let (resumed, report) = FoldingService::resume(cfg(), tenants(), rec).unwrap();
+        let expected = RecoveryReport {
+            replayed_campaigns: 2,
+            replayed_settlements: 3,
+            replayed_rejections: 1,
+            ..RecoveryReport::default()
+        };
+        assert_eq!(report, expected);
+        assert_eq!(resumed.settlement_trace(), HEAD_TRACE);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn torn_wal_tail_is_dropped_flagged_and_truncated() {
         let dir = wal_dir("torn");
@@ -1702,23 +1715,47 @@ mod tests {
             ..ServiceConfig::default()
         };
         let rec = Arc::new(Recorder::virtual_time());
+        let resume = || FoldingService::resume(cfg(), two_tenants(), Arc::clone(&rec)).unwrap();
         let svc = FoldingService::new(cfg(), two_tenants(), Arc::clone(&rec)).unwrap();
         svc.submit("alice", "c0", 0.0, campaign(2, 10.0)).unwrap();
+        svc.submit("bob", "big", 0.0, campaign(1, 4000.0))
+            .unwrap_err();
         drop(svc);
+        // Kill mid-append: cut the WAL anywhere inside its final line
+        // (bob's `reject`) — the last cut leaves the line complete but
+        // for its newline, which is still not a record. Every cut
+        // resumes, twice in a row, exactly like a log that simply ends
+        // at the previous line, and that is what is left on disk.
         let path = dir.join("service.jsonl");
-        let mut text = std::fs::read_to_string(&path).unwrap();
-        text.push_str("{\"event\":\"task\",\"task\":\"t9\",\"co");
-        std::fs::write(&path, &text).unwrap();
-        let (resumed, report) =
-            FoldingService::resume(cfg(), two_tenants(), Arc::clone(&rec)).unwrap();
-        assert!(report.wal_torn_tail);
-        assert_eq!(report.wal_corrupt_lines, 0);
-        assert_eq!(report.requeued_tasks, 2);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let last_line = text[..text.len() - 1].rfind('\n').unwrap() + 1;
+        std::fs::write(&path, &text[..last_line]).unwrap();
+        let (reference, expected) = resume();
+        let intact = RecoveryReport {
+            replayed_campaigns: 1,
+            requeued_tasks: 2,
+            ..RecoveryReport::default()
+        };
+        assert_eq!(expected, intact, "the torn rejection never happened");
+        for cut in last_line + 1..text.len() {
+            std::fs::write(&path, &text[..cut]).unwrap();
+            let (first, report) = resume();
+            let torn = RecoveryReport {
+                wal_torn_tail: true,
+                ..expected
+            };
+            assert_eq!(report, torn, "cut {cut}");
+            assert_eq!(first.settlement_trace(), reference.settlement_trace());
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), text[..last_line]);
+            drop(first);
+            assert_eq!(resume().1, expected, "cut {cut}: second resume");
+        }
         // The tail was truncated on disk: post-resume appends start on
-        // a clean boundary and a second recovery parses everything.
+        // a clean boundary and a further recovery parses everything.
+        let (resumed, _) = resume();
         resumed.submit("bob", "c1", 0.0, campaign(1, 5.0)).unwrap();
         drop(resumed);
-        let (_again, second) = FoldingService::resume(cfg(), two_tenants(), rec).unwrap();
+        let (_again, second) = resume();
         assert!(!second.wal_torn_tail);
         assert_eq!(second.wal_corrupt_lines, 0);
         assert_eq!(second.replayed_campaigns, 2);

@@ -16,10 +16,14 @@
 //!   collide onto the same artifact no matter which campaign, tenant, or
 //!   executor produced them.
 //! * **Layout**: one blob file per artifact under `objects/`, plus an
-//!   append-only `store.jsonl` journal that doubles as the index. Both
-//!   are torn-write tolerant the way the dataflow checkpoint journal is:
-//!   a kill mid-append costs at most the final line, which simply reads
-//!   as a miss and is recomputed.
+//!   append-only `store.jsonl` journal that *is* the index: a
+//!   [`summitfold_dataflow::log::Log`] of `put` / `evict` / `quarantine`
+//!   events, the in-memory index being the fold of one `apply` over
+//!   them — at open over the recovered lines, afterwards over each batch
+//!   once its append lands. The log's torn-tail rule (a final line
+//!   without its `\n` is dropped from replay and truncated on disk)
+//!   makes a kill mid-append cost at most that one event, which reads as
+//!   a miss, and makes two opens of the same bytes agree.
 //! * **Corruption resilience**: every journal line and blob header is
 //!   *sealed* with an FNV-1a-64 checksum ([`ObjectWriter::finish_sealed`]
 //!   in `summitfold-obs`), and blob headers carry a `psum` checksum over
@@ -36,7 +40,8 @@
 //!   [`summitfold_dataflow::chaos::IoFaults`] handle through the write
 //!   paths (`store/blob`, `store/journal` operations), so crash tests
 //!   can tear, corrupt, fail, or kill any chosen write deterministically
-//!   on either executor.
+//!   on either executor. Every journal append (put, quarantine, scrub)
+//!   is the one gated `Log::append`: a killed handle writes nothing.
 //! * **Near-duplicate reuse** ([`Store::near_lookup`]): a miss for a
 //!   sequence that is ≥ `near_identity` identical to a stored neighbor
 //!   (checked with the same k-mer prefilter + banded Smith–Waterman the
@@ -53,20 +58,20 @@
 //! # Concurrency and lock discipline
 //!
 //! The store is `Sync`: a single mutex serializes lookups and puts, and
-//! journal/blob IO happens under that lock. Like the `obs` JSONL sink
-//! (the other sanctioned case), IO-under-own-lock is this module's
-//! documented contract: appends are line-atomic so a killed writer
-//! leaves an at-worst-torn-tail journal, and the store never calls back
-//! into user code while holding its guard, so the guard cannot
-//! participate in a lock cycle.
+//! journal/blob IO happens under that lock — every `Log::append` is
+//! called with the index guard held, so events reach the file in the
+//! order they reach the index. Appends are line-atomic so a killed
+//! writer leaves an at-worst-torn-tail journal, and the store never
+//! calls back into user code while holding its guard, so the guard
+//! cannot participate in a lock cycle.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use summitfold_dataflow::chaos::{IoFaults, WriteOutcome};
+use summitfold_dataflow::log::Log;
 use summitfold_msa::cluster::neighborhood_identity;
 use summitfold_msa::kmer::KmerIndex;
 use summitfold_obs::json::{self, check_seal, fnv64, ObjectWriter, Seal};
@@ -262,7 +267,83 @@ struct Meta {
     seq: u64,
 }
 
+/// One `store.jsonl` event: `encode`/`decode` alone know the wire
+/// format, [`State::apply`] alone changes the index.
 #[derive(Debug)]
+enum Event {
+    /// `key` now names a blob written under `(stage, preset, content)`.
+    Put {
+        key: String,
+        stage: String,
+        preset: String,
+        content: String,
+    },
+    /// `key` left the index (capacity eviction, or scrub found its blob
+    /// torn or missing).
+    Evict { key: String },
+    /// `key` left the index because its blob failed verification; only
+    /// the blob's destination (`corrupt/`) tells it from an eviction.
+    Quarantine { key: String },
+}
+
+impl Event {
+    fn encode(&self) -> String {
+        let mut w = ObjectWriter::new();
+        match self {
+            Self::Put {
+                key,
+                stage,
+                preset,
+                content,
+            } => {
+                w.str_field("event", "put");
+                w.str_field("key", key);
+                w.str_field("stage", stage);
+                w.str_field("preset", preset);
+                w.str_field("content", content);
+            }
+            Self::Evict { key } => {
+                w.str_field("event", "evict");
+                w.str_field("key", key);
+            }
+            Self::Quarantine { key } => {
+                w.str_field("event", "quarantine");
+                w.str_field("key", key);
+            }
+        }
+        w.finish_sealed()
+    }
+
+    /// `None` for a line that fails to parse, fails its seal, or is not
+    /// a well-formed event: corruption costs that one event.
+    fn decode(line: &str, seal: Seal) -> Option<Self> {
+        let obj = json::parse_object(line).ok()?;
+        // Seal policy: valid is trusted; broken means corrupted after
+        // writing; none at all is a version-1 line, accepted unverified
+        // unless it carries a `sum` field nothing can verify.
+        match seal {
+            Seal::Valid => {}
+            Seal::Mismatch => return None,
+            Seal::Absent if obj.contains_key("sum") => return None,
+            Seal::Absent => {}
+        }
+        let field = |name: &str| obj.get(name)?.as_str().map(str::to_owned);
+        let key = field("key")?;
+        match obj.get("event")?.as_str()? {
+            "put" => Some(Self::Put {
+                key: StoreKey::from_hex(&key).map(|_| key)?,
+                stage: field("stage")?,
+                preset: field("preset")?,
+                content: field("content")?,
+            }),
+            "evict" => Some(Self::Evict { key }),
+            "quarantine" => Some(Self::Quarantine { key }),
+            _ => None,
+        }
+    }
+}
+
+#[derive(Debug, Default)]
 struct State {
     /// Key (hex) → metadata. BTreeMap so every derived iteration —
     /// near-duplicate candidate order included — is deterministic.
@@ -274,13 +355,45 @@ struct State {
     skipped_lines: usize,
 }
 
+impl State {
+    /// The one index transition — open replays recovered events through
+    /// it; `put`, quarantine and `scrub` apply what they just appended.
+    fn apply(&mut self, event: Event) {
+        match event {
+            Event::Put {
+                key,
+                stage,
+                preset,
+                content,
+            } => {
+                let seq = self.next_seq;
+                self.next_seq += 1;
+                self.entries.insert(
+                    key,
+                    Meta {
+                        stage,
+                        preset,
+                        content,
+                        seq,
+                    },
+                );
+            }
+            Event::Evict { key } | Event::Quarantine { key } => {
+                self.entries.remove(&key);
+            }
+        }
+    }
+}
+
 /// A content-addressed, on-disk artifact store. See the [module
 /// docs](self) for the layout and addressing scheme.
 #[derive(Debug)]
 pub struct Store {
     root: PathBuf,
     cfg: StoreConfig,
+    /// Gates the blob writes; the journal's appends are gated by `log`.
     faults: IoFaults,
+    log: Log,
     state: Mutex<State>,
 }
 
@@ -324,124 +437,56 @@ impl Store {
             source,
         })?;
         let journal_path = root.join("store.jsonl");
-        let text = match fs::read_to_string(&journal_path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-            Err(source) => {
-                return Err(StoreError::Io {
-                    path: journal_path,
-                    source,
-                })
-            }
-        };
-        // Repair a torn tail durably *before* anything appends again:
-        // otherwise the next append would merge with the torn bytes
-        // into one garbage line and lose its event.
-        if !text.is_empty() && !text.ends_with('\n') {
-            let keep = text.rfind('\n').map_or(0, |i| i + 1);
-            let f = fs::OpenOptions::new()
-                .write(true)
-                .open(&journal_path)
-                .map_err(|source| StoreError::Io {
-                    path: journal_path.clone(),
-                    source,
-                })?;
-            f.set_len(keep as u64).map_err(|source| StoreError::Io {
-                path: journal_path.clone(),
+        let (log, recovered) = Log::open(journal_path.clone(), "store/journal", faults.clone())
+            .map_err(|source| StoreError::Io {
+                path: journal_path,
                 source,
             })?;
+        let mut state = State::default();
+        for (line, seal) in recovered.lines() {
+            match Event::decode(line, seal) {
+                Some(event) => state.apply(event),
+                None => state.skipped_lines += 1,
+            }
         }
-        let state = Self::replay(&text);
         Ok(Self {
             root,
             cfg,
             faults,
+            log,
             state: Mutex::new(state),
         })
     }
 
-    /// Rebuild the in-memory index from journal text. A torn final line
-    /// (no trailing newline) is dropped: the put it recorded reads as a
-    /// miss and is recomputed — the same recovery contract as the
-    /// dataflow checkpoint journal. A fully-written line that fails to
-    /// parse or fails its seal is *skipped* (and tallied): corruption
-    /// costs one event, not the store.
-    fn replay(text: &str) -> State {
-        let mut entries = BTreeMap::new();
-        let mut next_seq = 0u64;
-        let mut skipped_lines = 0usize;
-        let ends_nl = text.ends_with('\n');
-        let lines: Vec<&str> = text.lines().collect();
-        for (i, raw) in lines.iter().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let last = i + 1 == lines.len();
-            match Self::replay_line(line, &mut entries, &mut next_seq) {
-                Ok(()) => {}
-                Err(_) if last && !ends_nl => {} // torn tail: drop it
-                Err(_) => skipped_lines += 1,
-            }
-        }
-        State {
-            entries,
-            next_seq,
-            skipped_lines,
+    /// Append `events` to `store.jsonl` as one gated write.
+    fn journal(&self, events: &[Event], rec: &Recorder) -> Result<(), StoreError> {
+        let lines: Vec<String> = events.iter().map(Event::encode).collect();
+        match self.log.append(&lines, rec) {
+            Ok(WriteOutcome::Full) => Ok(()),
+            // Torn or refused by the fault plane: for a put, the torn
+            // tail is dropped at reopen and the already-renamed blob
+            // becomes an orphan that scrub adopts.
+            Ok(_) => Err(StoreError::Injected {
+                op: "store/journal".to_string(),
+            }),
+            Err(source) => Err(StoreError::Io {
+                path: self.log.path().to_path_buf(),
+                source,
+            }),
         }
     }
 
-    fn replay_line(
-        line: &str,
-        entries: &mut BTreeMap<String, Meta>,
-        next_seq: &mut u64,
-    ) -> Result<(), String> {
-        let obj = json::parse_object(line).map_err(|e| e.to_string())?;
-        // Seal policy: a valid seal is trusted; a broken or malformed
-        // seal means the line was corrupted after writing; no seal at
-        // all is a version-1 line, accepted unverified.
-        match check_seal(line) {
-            Seal::Valid => {}
-            Seal::Mismatch => return Err("journal line failed its seal".to_string()),
-            Seal::Absent => {
-                if obj.contains_key("sum") {
-                    return Err("journal line has an unverifiable seal".to_string());
-                }
-            }
-        }
-        let str_of = |key: &str| {
-            obj.get(key)
-                .and_then(json::Value::as_str)
-                .map(ToOwned::to_owned)
-                .ok_or(format!("missing string field '{key}'"))
-        };
-        match str_of("event")?.as_str() {
-            "put" => {
-                let hex = str_of("key")?;
-                if StoreKey::from_hex(&hex).is_none() {
-                    return Err(format!("bad key {hex:?}"));
-                }
-                let seq = *next_seq;
-                *next_seq += 1;
-                entries.insert(
-                    hex,
-                    Meta {
-                        stage: str_of("stage")?,
-                        preset: str_of("preset")?,
-                        content: str_of("content")?,
-                        seq,
-                    },
-                );
-                Ok(())
-            }
-            // A quarantined entry leaves the index exactly like an
-            // evicted one; only the blob's destination differs.
-            "evict" | "quarantine" => {
-                entries.remove(&str_of("key")?);
-                Ok(())
-            }
-            other => Err(format!("unknown event kind '{other}'")),
-        }
+    /// Journal repair `events` best-effort, then apply them regardless
+    /// (the de-index wins): a reopen re-discovers a lost one as a miss.
+    fn repair(&self, state: &mut State, events: Vec<Event>, rec: &Recorder) {
+        let _ = self.journal(&events, rec);
+        events.into_iter().for_each(|e| state.apply(e));
+    }
+
+    /// Move `hex`'s blob aside to `corrupt/` for post-mortem.
+    fn move_aside(&self, hex: &str) {
+        let _ = fs::create_dir_all(self.root.join("corrupt"));
+        let _ = fs::rename(self.blob_path(hex), self.corrupt_path(hex));
     }
 
     fn lock(&self) -> MutexGuard<'_, State> {
@@ -574,34 +619,28 @@ impl Store {
     /// (a sealed `quarantine` journal event). Counts `cache/corrupt`
     /// exactly once per entry: a second caller finds it already gone.
     fn quarantine(&self, hex: &str, rec: &Recorder) {
-        let removed = {
+        {
             let mut state = self.lock();
-            if state.entries.remove(hex).is_none() {
-                false
-            } else {
-                let _ = fs::create_dir_all(self.root.join("corrupt"));
-                let _ = fs::rename(self.blob_path(hex), self.corrupt_path(hex));
-                let mut w = ObjectWriter::new();
-                w.str_field("event", "quarantine");
-                w.str_field("key", hex);
-                let mut line = w.finish_sealed();
-                line.push('\n');
-                // Best-effort durability: if the append fails the entry
-                // is still gone from memory; a reopen re-discovers the
-                // missing blob as a miss.
-                let journal_path = self.root.join("store.jsonl");
-                if let Ok(mut file) = fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&journal_path)
-                {
-                    let _ = file.write_all(line.as_bytes());
-                }
-                true
+            if !state.entries.contains_key(hex) {
+                return;
             }
-        };
-        if removed {
-            rec.add("cache/corrupt", 1.0);
+            self.move_aside(hex);
+            let key = hex.to_owned();
+            self.repair(&mut state, vec![Event::Quarantine { key }], rec);
+        }
+        rec.add("cache/corrupt", 1.0);
+    }
+
+    /// Read `hex`'s blob for serving: the verified artifact, or `None` —
+    /// after quarantining the entry if it failed verification.
+    fn read_verified(&self, hex: &str, rec: &Recorder) -> Option<Artifact> {
+        match self.read_blob(hex) {
+            BlobRead::Ok(artifact) => Some(artifact),
+            BlobRead::Corrupt => {
+                self.quarantine(hex, rec);
+                None
+            }
+            BlobRead::Missing | BlobRead::Torn | BlobRead::Newer => None,
         }
     }
 
@@ -614,18 +653,7 @@ impl Store {
     pub fn get(&self, key: StoreKey, rec: &Recorder) -> Option<Artifact> {
         let hex = key.to_hex();
         let indexed = self.lock().entries.contains_key(&hex);
-        let artifact = if indexed {
-            match self.read_blob(&hex) {
-                BlobRead::Ok(a) => Some(a),
-                BlobRead::Corrupt => {
-                    self.quarantine(&hex, rec);
-                    None
-                }
-                BlobRead::Missing | BlobRead::Torn | BlobRead::Newer => None,
-            }
-        } else {
-            None
-        };
+        let artifact = indexed.then(|| self.read_verified(&hex, rec)).flatten();
         if artifact.is_some() {
             rec.add("cache/hit", 1.0);
         } else {
@@ -712,14 +740,7 @@ impl Store {
             }
         }
         let (identity, hex) = best?;
-        let artifact = match self.read_blob(hex) {
-            BlobRead::Ok(a) => a,
-            BlobRead::Corrupt => {
-                self.quarantine(hex, rec);
-                return None;
-            }
-            BlobRead::Missing | BlobRead::Torn | BlobRead::Newer => return None,
-        };
+        let artifact = self.read_verified(hex, rec)?;
         let near = NearHit {
             key: StoreKey::from_hex(hex)?,
             identity,
@@ -822,25 +843,6 @@ impl Store {
             }
         }
 
-        let mut journal_lines = {
-            let mut w = ObjectWriter::new();
-            w.str_field("event", "put");
-            w.str_field("key", &hex);
-            w.str_field("stage", &artifact.stage);
-            w.str_field("preset", &artifact.preset);
-            w.str_field("content", &artifact.content);
-            let mut line = w.finish_sealed();
-            line.push('\n');
-            line
-        };
-        for victim in &victims {
-            let mut w = ObjectWriter::new();
-            w.str_field("event", "evict");
-            w.str_field("key", victim);
-            journal_lines.push_str(&w.finish_sealed());
-            journal_lines.push('\n');
-        }
-
         // Blob first: tmp write + rename, gated by the fault plane.
         let tmp = self.blob_path(&format!("{hex}.tmp"));
         let dest = self.blob_path(&hex);
@@ -859,47 +861,19 @@ impl Store {
             WriteOutcome::Fail => return Err(injected("store/blob")),
         }
 
-        // Journal second: the append is what keys the blob.
-        let mut journal_bytes = journal_lines.into_bytes();
-        let journal_path = self.root.join("store.jsonl");
-        let append = |bytes: &[u8]| -> Result<(), StoreError> {
-            let mut file = fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&journal_path)
-                .map_err(|e| io(&journal_path, e))?;
-            file.write_all(bytes).map_err(|e| io(&journal_path, e))
-        };
-        match self
-            .faults
-            .on_write("store/journal", &mut journal_bytes, rec)
-        {
-            WriteOutcome::Full => append(&journal_bytes)?,
-            WriteOutcome::Torn(k) => {
-                // Killed mid-append: the torn tail is dropped at reopen
-                // and the already-renamed blob becomes an orphan that
-                // scrub adopts.
-                let _ = append(&journal_bytes[..k]);
-                return Err(injected("store/journal"));
-            }
-            WriteOutcome::Fail => return Err(injected("store/journal")),
-        }
-
-        // Both writes landed: apply to memory.
-        let seq = state.next_seq;
-        state.next_seq += 1;
-        state.entries.insert(
-            hex.clone(),
-            Meta {
-                stage: artifact.stage.clone(),
-                preset: artifact.preset.clone(),
-                content: artifact.content.clone(),
-                seq,
-            },
-        );
+        // Journal second — the append is what keys the blob — and the
+        // index only after both writes landed.
+        let mut events = vec![Event::Put {
+            key: hex,
+            stage: artifact.stage.clone(),
+            preset: artifact.preset.clone(),
+            content: artifact.content.clone(),
+        }];
+        events.extend(victims.iter().map(|v| Event::Evict { key: v.clone() }));
+        self.journal(&events, rec)?;
+        events.into_iter().for_each(|e| state.apply(e));
         let evicted = victims.len();
         for victim in &victims {
-            state.entries.remove(victim);
             let _ = fs::remove_file(self.blob_path(victim));
         }
         drop(state);
@@ -926,44 +900,31 @@ impl Store {
     /// zeros (except `checked`).
     pub fn scrub(&self, rec: &Recorder) -> ScrubReport {
         let mut report = ScrubReport::default();
-        let mut corrupt_keys: Vec<String> = Vec::new();
         {
             let mut state = self.lock();
+            let mut events: Vec<Event> = Vec::new();
 
             // Pass 1: verify every indexed entry.
-            let keys: Vec<String> = state.entries.keys().cloned().collect();
-            let mut journal_lines = String::new();
-            for hex in keys {
+            for hex in state.entries.keys() {
                 report.checked += 1;
-                match self.read_blob(&hex) {
+                match self.read_blob(hex) {
                     BlobRead::Ok(_) | BlobRead::Newer => {}
                     BlobRead::Corrupt => {
-                        state.entries.remove(&hex);
-                        let _ = fs::create_dir_all(self.root.join("corrupt"));
-                        let _ = fs::rename(self.blob_path(&hex), self.corrupt_path(&hex));
-                        let mut w = ObjectWriter::new();
-                        w.str_field("event", "quarantine");
-                        w.str_field("key", &hex);
-                        journal_lines.push_str(&w.finish_sealed());
-                        journal_lines.push('\n');
+                        self.move_aside(hex);
+                        events.push(Event::Quarantine { key: hex.clone() });
                         report.quarantined += 1;
-                        corrupt_keys.push(hex);
                     }
                     BlobRead::Missing | BlobRead::Torn => {
-                        state.entries.remove(&hex);
-                        let _ = fs::remove_file(self.blob_path(&hex));
-                        let mut w = ObjectWriter::new();
-                        w.str_field("event", "evict");
-                        w.str_field("key", &hex);
-                        journal_lines.push_str(&w.finish_sealed());
-                        journal_lines.push('\n');
+                        let _ = fs::remove_file(self.blob_path(hex));
+                        events.push(Event::Evict { key: hex.clone() });
                         report.torn_dropped += 1;
                     }
                 }
             }
 
             // Pass 2: sweep the objects directory for tmp leftovers and
-            // unkeyed blobs (deterministic order).
+            // unkeyed blobs (deterministic order). Pass 1 removed or
+            // moved every blob it de-indexes, so none of them resurface.
             let mut names: Vec<String> = fs::read_dir(self.root.join("objects"))
                 .ok()
                 .into_iter()
@@ -985,51 +946,25 @@ impl Store {
                 }
                 match self.read_blob(hex) {
                     BlobRead::Ok(artifact) if artifact.key().to_hex() == hex => {
-                        let seq = state.next_seq;
-                        state.next_seq += 1;
-                        state.entries.insert(
-                            hex.to_string(),
-                            Meta {
-                                stage: artifact.stage.clone(),
-                                preset: artifact.preset.clone(),
-                                content: artifact.content.clone(),
-                                seq,
-                            },
-                        );
-                        let mut w = ObjectWriter::new();
-                        w.str_field("event", "put");
-                        w.str_field("key", hex);
-                        w.str_field("stage", &artifact.stage);
-                        w.str_field("preset", &artifact.preset);
-                        w.str_field("content", &artifact.content);
-                        journal_lines.push_str(&w.finish_sealed());
-                        journal_lines.push('\n');
+                        events.push(Event::Put {
+                            key: hex.to_owned(),
+                            stage: artifact.stage,
+                            preset: artifact.preset,
+                            content: artifact.content,
+                        });
                         report.adopted += 1;
                     }
                     BlobRead::Newer => {}
                     // An orphan that fails verification was never keyed
                     // and never served: move it aside uncounted.
-                    _ => {
-                        let _ = fs::create_dir_all(self.root.join("corrupt"));
-                        let _ = fs::rename(self.blob_path(hex), self.corrupt_path(hex));
-                    }
+                    _ => self.move_aside(hex),
                 }
             }
-
-            if !journal_lines.is_empty() {
-                let journal_path = self.root.join("store.jsonl");
-                if let Ok(mut file) = fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&journal_path)
-                {
-                    let _ = file.write_all(journal_lines.as_bytes());
-                }
-            }
+            self.repair(&mut state, events, rec);
         }
         // Counters after the guard drops, one per quarantined entry —
         // the same cadence as the read path.
-        for _ in &corrupt_keys {
+        for _ in 0..report.quarantined {
             rec.add("cache/corrupt", 1.0);
         }
         report
@@ -1130,16 +1065,27 @@ mod tests {
             store.put(&a, &rec).unwrap();
             store.put(&b, &rec).unwrap();
         }
-        // Kill mid-append: chop bytes off the journal's final line.
+        // Kill mid-append: chop the journal anywhere inside its final
+        // line — the last cut leaves the line complete but for its
+        // newline, which is still not a record. Whatever the cut, two
+        // opens in a row build the index of a journal that simply ends
+        // after the first put, and that is what is left on disk.
         let journal = root.join("store.jsonl");
         let text = fs::read_to_string(&journal).unwrap();
-        let cut = text.len() - 9;
-        fs::write(&journal, &text[..cut]).unwrap();
-        let store = Store::open(&root).unwrap();
-        assert_eq!(store.len(), 1, "torn put dropped");
-        assert!(store.get(a.key(), &rec).is_some());
-        assert!(store.get(b.key(), &rec).is_none());
+        let first_line = &text[..=text.find('\n').unwrap()];
+        for cut in first_line.len() + 1..text.len() {
+            fs::write(&journal, &text[..cut]).unwrap();
+            for open in ["first", "second"] {
+                let store = Store::open(&root).unwrap();
+                assert_eq!(store.len(), 1, "{open} open, cut {cut}: torn put dropped");
+                assert_eq!(store.skipped_journal_lines(), 0, "torn is not corrupt");
+                assert!(store.get(a.key(), &rec).is_some());
+                assert!(store.get(b.key(), &rec).is_none(), "{open} open, cut {cut}");
+                assert_eq!(fs::read_to_string(&journal).unwrap(), first_line);
+            }
+        }
         // Re-putting the lost artifact heals the store.
+        let store = Store::open(&root).unwrap();
         store.put(&b, &rec).unwrap();
         assert!(store.get(b.key(), &rec).is_some());
         let _ = fs::remove_dir_all(&root);
@@ -1188,25 +1134,54 @@ mod tests {
     }
 
     #[test]
-    fn unsealed_v1_journal_lines_are_accepted() {
-        let root = scratch_root("v1-journal");
+    fn journals_written_before_the_log_primitive_open_with_the_same_index() {
+        // Literal lines as the previous implementation wrote them: a
+        // version-1 (unsealed) put, then sealed put / evict / quarantine
+        // lines — and what this build writes must be those same bytes.
+        let key = |content: &str| StoreKey::derive("feature_gen", "p", content).to_hex();
+        let (k1, k2, k3) = (key("ACDEF"), key("MKVLY"), key("WWWWW"));
+        let sealed = |body: String| {
+            let sum = fnv64(&format!("{{{body}}}"));
+            format!("{{{body},\"sum\":\"{sum:016x}\"}}\n")
+        };
+        let put = |k: &str, content: &str| {
+            format!(
+                "\"event\":\"put\",\"key\":\"{k}\",\"stage\":\"feature_gen\",\
+                 \"preset\":\"p\",\"content\":\"{content}\""
+            )
+        };
+        let fixture = [
+            format!("{{{}}}\n", put(&k1, "ACDEF")),
+            sealed(put(&k2, "MKVLY")),
+            sealed(put(&k3, "WWWWW")),
+            sealed(format!("\"event\":\"evict\",\"key\":\"{k2}\"")),
+            sealed(format!("\"event\":\"quarantine\",\"key\":\"{k3}\"")),
+        ];
+        let root = scratch_root("head-format");
         fs::create_dir_all(root.join("objects")).unwrap();
-        // A version-1 journal: no `sum` field on the line.
-        let mut w = ObjectWriter::new();
-        w.str_field("event", "put");
-        w.str_field(
-            "key",
-            &StoreKey::derive("feature_gen", "p", "ACDEF").to_hex(),
-        );
-        w.str_field("stage", "feature_gen");
-        w.str_field("preset", "p");
-        w.str_field("content", "ACDEF");
-        let mut line = w.finish();
-        line.push('\n');
-        fs::write(root.join("store.jsonl"), line).unwrap();
+        fs::write(root.join("store.jsonl"), fixture.concat()).unwrap();
         let store = Store::open(&root).unwrap();
-        assert_eq!(store.len(), 1);
         assert_eq!(store.skipped_journal_lines(), 0);
+        assert_eq!(
+            store.len(),
+            1,
+            "k2 evicted, k3 quarantined, the v1 put live"
+        );
+        assert!(store.contains(StoreKey::from_hex(&k1).unwrap()));
+        // And back: the encoder reproduces the sealed fixture lines.
+        let events = [
+            Event::Put {
+                key: k2.clone(),
+                stage: "feature_gen".into(),
+                preset: "p".into(),
+                content: "MKVLY".into(),
+            },
+            Event::Evict { key: k2 },
+            Event::Quarantine { key: k3 },
+        ];
+        for (event, want) in events.iter().zip([&fixture[1], &fixture[3], &fixture[4]]) {
+            assert_eq!(format!("{}\n", event.encode()), *want);
+        }
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -1312,6 +1287,39 @@ mod tests {
                 ..ScrubReport::default()
             }
         );
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_killed_handle_journals_nothing_not_even_a_quarantine() {
+        use summitfold_dataflow::chaos::{FaultPlan, IoFault};
+        let root = scratch_root("fault-dead");
+        let rec = Recorder::virtual_time();
+        let faults = FaultPlan::new().io(IoFault::kill("store/blob", 1)).arm();
+        let store = Store::open_with_faults(&root, StoreConfig::default(), faults.clone()).unwrap();
+        let a = art("feature_gen", "ACDEF");
+        store.put(&a, &rec).unwrap();
+        match store.put(&art("feature_gen", "MKVLY"), &rec) {
+            Err(StoreError::Injected { op }) => assert_eq!(op, "store/blob"),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(faults.is_killed());
+        let journal = root.join("store.jsonl");
+        let at_the_kill = fs::read(&journal).unwrap();
+        // Corrupt a's blob: the dead process still degrades the lookup
+        // to a counted miss in memory, but writes nothing — neither
+        // from the read path nor from scrub.
+        let blob = root.join("objects").join(format!("{}.jsonl", a.key()));
+        let mut bytes = fs::read(&blob).unwrap();
+        let at = bytes.len() - 5;
+        bytes[at] ^= 0x10;
+        fs::write(&blob, &bytes).unwrap();
+        assert!(store.get(a.key(), &rec).is_none());
+        assert_eq!(counter(&rec, "cache/miss"), 1.0);
+        assert_eq!(counter(&rec, "cache/corrupt"), 1.0);
+        assert!(!store.contains(a.key()), "the in-memory de-index wins");
+        let _ = store.scrub(&rec);
+        assert_eq!(fs::read(&journal).unwrap(), at_the_kill);
         let _ = fs::remove_dir_all(&root);
     }
 

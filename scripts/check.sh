@@ -15,39 +15,13 @@ else
 fi
 
 echo "==> cargo test (workspace, warnings are errors)"
+# One unfiltered run gates every suite — chaos (deadline-kill and
+# kill-resume equality, identical speculation set, service kill-resume
+# from the WAL), telemetry (golden schema, bounded sinks, monitor
+# stream-vs-replay), service (byte-identical virtual replay, fair share,
+# typed quotas, live drain) and store (stable keys, 100 % warm hits,
+# identical cache counters on both executors) — so none is re-run by name.
 RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo test --workspace -q
-
-echo "==> chaos suite (deadlines, speculation, composed faults, kill-resume)"
-# The chaos harness is the cross-executor robustness gate: deadline-kill
-# plus follow-on resume must reproduce the uninterrupted record set, both
-# executors must pick the identical speculation set, and a FoldingService
-# killed by injected I/O faults (mid-admission, mid-settlement,
-# mid-store-put) must resume from its WAL byte-identical to an
-# uninterrupted run. Run it by name so a filtered or partial test
-# invocation can never skip it silently.
-RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo test -q --test chaos
-
-echo "==> telemetry suite (trace schema, streaming sinks, health monitor)"
-# The telemetry contract is the interface every analysis tool builds on:
-# golden JSONL schema, bounded streaming sinks, monitor stream-vs-replay
-# equality, and cross-executor progress gauges. Run it by name so a
-# filtered test invocation can never skip it silently.
-RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo test -q --test telemetry
-
-echo "==> service suite (multi-tenant queue, fair share, quotas, live drain)"
-# The folding service is the multi-tenant contract: byte-identical
-# virtual replay of overlapping campaign submissions, 2:1 fair-share
-# within tolerance on both executors, typed quota rejections, and live
-# submission racing the thread-backend drain. Run it by name so a
-# filtered test invocation can never skip it silently.
-RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo test -q --test service
-
-echo "==> store suite (key determinism, warm reruns, torn-write recovery)"
-# The result store is the warm-rerun contract: content-addressed keys
-# must be stable across runs, a resubmitted campaign must hit 100 %, and
-# both executors must record identical cache counters. Run it by name so
-# a filtered test invocation can never skip it silently.
-RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo test -q --test store
 
 echo "==> sfcheck"
 # The one gate for the source invariants: wall-clock reads confined to

@@ -7,7 +7,8 @@ use std::sync::Arc;
 use summitfold::dataflow::real::ThreadExecutor;
 use summitfold::dataflow::sim::VirtualExecutor;
 use summitfold::dataflow::{Executor, TaskSpec};
-use summitfold::hpc::service::{FoldingService, ServiceConfig, TenantSpec};
+use summitfold::hpc::service::{FoldingService, ServiceConfig, ServiceError, TenantSpec};
+use summitfold::obs::json::parse_object;
 use summitfold::obs::{Recorder, Trace};
 use summitfold::pipeline::{run_proteome_campaign_with_store, CampaignConfig};
 use summitfold::protein::proteome::Species;
@@ -208,10 +209,103 @@ fn torn_journal_tail_is_recovered_on_reopen() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The sweep's one file outside the store directory: the service WAL of
+/// a small settled two-tenant session. With one byte flipped at every
+/// offset in turn, `resume` never panics and returns either a typed
+/// recovery error or a service that charged every task at most once,
+/// with every undamaged `settle` line either replayed or counted.
+fn sweep_service_wal(dir: &std::path::Path) {
+    let cfg = || ServiceConfig {
+        workers: 2,
+        dir: Some(dir.to_path_buf()),
+        ..ServiceConfig::default()
+    };
+    let tenants = || {
+        vec![
+            TenantSpec::new("alice", 2.0, 1.0),
+            TenantSpec::new("bob", 1.0, 1.0),
+        ]
+    };
+    let campaign = |n: usize, cost: f64| -> Vec<TaskSpec> {
+        (0..n)
+            .map(|i| TaskSpec::new(format!("t{i}"), cost))
+            .collect()
+    };
+    let rec = Arc::new(Recorder::virtual_time());
+    let svc = FoldingService::new(cfg(), tenants(), rec).expect("valid tenants");
+    svc.submit("alice", "c0", 0.0, campaign(3, 7.0))
+        .expect("admitted");
+    svc.submit("bob", "c1", 1.0, campaign(2, 3.0))
+        .expect("admitted");
+    svc.run(&VirtualExecutor::new(0.0)).expect("drains clean");
+    drop(svc);
+    let wal = dir.join("service.jsonl");
+    let bytes = std::fs::read(&wal).expect("the session kept a WAL");
+    // Byte range of every settle line, widened by the newline on either
+    // side: a flip there damages the line (merges or tears it).
+    let mut settles: Vec<std::ops::RangeInclusive<usize>> = Vec::new();
+    let mut start = 0usize;
+    for line in bytes.split_inclusive(|&b| b == b'\n') {
+        if line.windows(8).any(|w| w == b"\"settle\"") {
+            settles.push(start.saturating_sub(1)..=start + line.len() - 1);
+        }
+        start += line.len();
+    }
+    assert_eq!(settles.len(), 5);
+
+    let mut typed_errors = 0usize;
+    for off in 0..bytes.len() {
+        let mut flipped = bytes.clone();
+        flipped[off] ^= 0x01;
+        std::fs::write(&wal, &flipped).expect("WAL writable");
+        let rec = Arc::new(Recorder::virtual_time());
+        let (svc, report) = match FoldingService::resume(cfg(), tenants(), rec) {
+            Ok(resumed) => resumed,
+            Err(
+                ServiceError::RecoveryUnavailable { .. } | ServiceError::RecoveryMismatch { .. },
+            ) => {
+                typed_errors += 1;
+                continue;
+            }
+            Err(other) => panic!("service.jsonl+{off}: untyped resume error {other}"),
+        };
+        let undamaged = settles.iter().filter(|r| !r.contains(&off)).count();
+        assert!(
+            report.replayed_settlements <= undamaged
+                && report.replayed_settlements + report.wal_corrupt_lines >= undamaged,
+            "service.jsonl+{off}: {undamaged} intact settle lines, {report:?}"
+        );
+        // The canonical trace: per tenant, the summary line's tallies
+        // are exactly the sum of its task lines — nothing charged twice.
+        let mut charged: std::collections::BTreeMap<String, (usize, f64)> = Default::default();
+        for line in svc.settlement_trace().lines() {
+            let obj = parse_object(line).expect("settlement trace is flat JSON");
+            let tenant = obj["tenant"].as_str().expect("tenant name").to_owned();
+            let tally = charged.entry(tenant).or_default();
+            if obj.contains_key("task") {
+                tally.0 += 1;
+                tally.1 += obj["cost"].as_num().expect("task cost");
+            } else {
+                let completed = obj["completed"].as_num().expect("completed count");
+                let hours = obj["charged_node_hours"].as_num().expect("charge");
+                assert_eq!(completed, tally.0 as f64, "service.jsonl+{off}");
+                assert!(
+                    (hours * 3600.0 - tally.1).abs() < 1e-9,
+                    "service.jsonl+{off}"
+                );
+            }
+        }
+        let settled: usize = charged.values().map(|t| t.0).sum();
+        assert_eq!(settled, report.replayed_settlements, "service.jsonl+{off}");
+    }
+    assert!(typed_errors < bytes.len(), "most flips must still resume");
+}
+
 /// Corruption sweep property: flip one byte at every offset of every
 /// store file (journal and blobs) in turn. On each reopen, every entry
 /// is either served with its exact original bytes or deterministically
-/// dropped/quarantined — never a panic, never wrong bytes.
+/// dropped/quarantined — never a panic, never wrong bytes. The service
+/// WAL rides the same sweep ([`sweep_service_wal`]).
 #[test]
 fn single_byte_flip_at_every_offset_never_serves_wrong_bytes() {
     let dir = scratch("flip-sweep");
@@ -284,6 +378,7 @@ fn single_byte_flip_at_every_offset_never_serves_wrong_bytes() {
         }
     }
     assert!(dropped > 0, "the sweep must hit detectable corruption");
+    sweep_service_wal(&dir.join("svc"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
