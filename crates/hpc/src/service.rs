@@ -65,10 +65,12 @@
 //!
 //! Durable state never runs ahead of the log: a campaign's `task` lines
 //! are committed by the trailing `admit` line in one gated append (a
-//! crash mid-append leaves an uncommitted block replay ignores); a
-//! `settle` line is written *before* the artifact is filed, so
-//! store-has-artifact implies WAL-has-settlement and settled work is
-//! never re-charged; memory is applied only after the append landed.
+//! crash mid-append leaves whole `task` lines with no `admit`; replay
+//! gives an `admit` only the lines written with it, so the orphans are
+//! ignored even once later admissions sit right behind them); a `settle`
+//! line is written *before* the artifact is filed, so store-has-artifact
+//! implies WAL-has-settlement and settled work is never re-charged;
+//! memory is applied only after the append landed.
 //! Replay is idempotent, drops a torn tail (the log's rule), skips and
 //! counts lines whose seal fails, and requeues un-settled tasks at their
 //! original arrivals, so on the virtual executor a killed-and-resumed
@@ -1178,14 +1180,20 @@ impl FoldingService {
                 _ => None,
             })
             .collect();
-        // `task` records buffer until their committing `admit`; a
-        // buffer left at end-of-log is an uncommitted (crashed)
-        // admission and is dropped.
+        // `task` records buffer until their committing `admit`, which
+        // owns the `tasks` lines written with it — the buffer's tail.
+        // Anything in front of them is the head of an admission whose
+        // append tore (it stays on disk, uncommitted, ahead of whatever
+        // the resumed service admitted next), as is a buffer left at
+        // end-of-log; both are dropped.
         let mut pending: Vec<TaskSpec> = Vec::new();
         let mut state = svc.lock();
         let header: Vec<String> = svc.header(&state).iter().map(Record::encode).collect();
         for rec in records() {
             let Some(rec) = rec else {
+                // Possibly a task line: the block it belonged to must
+                // come up short, not be topped up from older orphans.
+                pending.clear();
                 report.wal_corrupt_lines += 1;
                 continue;
             };
@@ -1208,9 +1216,11 @@ impl FoldingService {
                 } => {
                     // A short block lost a task line to corruption: the
                     // whole admission is untrustworthy.
-                    let raw = std::mem::take(&mut pending);
+                    let orphans = pending.len().checked_sub(tasks);
+                    let raw = orphans.map(|n| pending.split_off(n));
+                    pending.clear();
                     let class = state.tenants.iter().position(|t| t.spec.name == tenant);
-                    let Some(class) = class.filter(|_| raw.len() == tasks) else {
+                    let Some((class, raw)) = class.zip(raw) else {
                         report.wal_corrupt_lines += 1;
                         continue;
                     };

@@ -31,10 +31,18 @@ const FNV_PRIME: u64 = 0x0100_0000_01b3;
 /// payload sums; not cryptographic, chosen for byte-stability.
 #[must_use]
 pub fn fnv64(text: &str) -> u64 {
+    fnv64_chunks([text])
+}
+
+/// [`fnv64`] of the concatenation of `chunks`, without building it.
+#[must_use]
+pub fn fnv64_chunks<'a>(chunks: impl IntoIterator<Item = &'a str>) -> u64 {
     let mut h = FNV_OFFSET;
-    for &b in text.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
+    for chunk in chunks {
+        for &b in chunk.as_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(FNV_PRIME);
+        }
     }
     h
 }
@@ -635,5 +643,9 @@ mod tests {
         // the checksum would quarantine every existing store.
         assert_eq!(fnv64(""), 0xcbf2_9ce4_8422_2325);
         assert_ne!(fnv64("a"), fnv64("b"));
+        assert_eq!(fnv64("foobar"), 0x8594_4171_f739_67e8);
+        // Chunk boundaries do not show in the digest.
+        assert_eq!(fnv64_chunks(["fo", "", "obar"]), fnv64("foobar"));
+        assert_eq!(fnv64_chunks([]), fnv64(""));
     }
 }

@@ -44,26 +44,53 @@
 //!   is the one gated `Log::append`: a killed handle writes nothing.
 //! * **Near-duplicate reuse** ([`Store::near_lookup`]): a miss for a
 //!   sequence that is ≥ `near_identity` identical to a stored neighbor
-//!   (checked with the same k-mer prefilter + banded Smith–Waterman the
-//!   BFD clustering uses, via [`summitfold_msa::cluster`]) returns the
-//!   neighbor's artifact at a recorded quality discount — the AF_Cache
-//!   observation that a 99 %-identical sequence can reuse the clustered
-//!   MSA neighborhood.
+//!   returns the neighbor's artifact at a recorded quality discount — the
+//!   AF_Cache observation that a 99 %-identical sequence can reuse the
+//!   clustered MSA neighborhood. The search is the BFD clustering's
+//!   ([`summitfold_msa::cluster`]), **index → bound → align**:
+//!   - *index*: one resident [`KmerIndex`] per `(stage, preset)` — a
+//!     slot and a parsed [`Sequence`] per entry — folded from the live
+//!     entries the first time the pair is near-looked-up and from then
+//!     on maintained by the same single `apply` that maintains the key
+//!     index (insert on `put`, remove on `evict` / `quarantine`). A
+//!     store that is never near-looked-up never builds one. Its
+//!     `candidates(query, 4)` prefilter still passes most unrelated
+//!     proteins;
+//!   - *bound*: [`min_shared_kmers`](summitfold_msa::cluster::min_shared_kmers)
+//!     is an exact lower bound on the k-mers a pair must share to be
+//!     reported at ≥ `near_identity`. Smith–Waterman's traceback is a
+//!     diagonal walk, so an accepted pair's `c ≥ 0.8·shorter` columns
+//!     are one contiguous diagonal run with ≤ `(1 − τ)·c` mismatches,
+//!     each spoiling ≤ 3 of its `c − 2` windows: the pair shares at
+//!     least `(3τ − 2)·0.8·shorter − 2 − repeated` distinct query
+//!     k-mers (`repeated` = query windows minus distinct query words).
+//!     A candidate below that is dropped unaligned; the bound would not
+//!     survive a traceback that walks through gaps;
+//!   - *align*: banded Smith–Waterman judges the few survivors and
+//!     stays the only judge of identity. The result is bit-identical to
+//!     aligning every stored sequence.
 //! * **Counters**: every lookup outcome is recorded through the caller's
 //!   [`Recorder`] under `cache/{hit,miss,near_hit,put,evicted}` — and
 //!   *only here*, so the counter semantics cannot drift between call
-//!   sites or executors (`scripts/check.sh` pins the literals to this
-//!   file).
+//!   sites or executors (sfcheck's metric-ownership rule maps the
+//!   `cache/` prefix to this file).
 //!
 //! # Concurrency and lock discipline
 //!
-//! The store is `Sync`: a single mutex serializes lookups and puts, and
-//! journal/blob IO happens under that lock — every `Log::append` is
-//! called with the index guard held, so events reach the file in the
-//! order they reach the index. Appends are line-atomic so a killed
-//! writer leaves an at-worst-torn-tail journal, and the store never
-//! calls back into user code while holding its guard, so the guard
-//! cannot participate in a lock cycle.
+//! The store is `Sync`: a single mutex guards the key index and the
+//! resident near indexes. Exact lookups take it for the index probe
+//! only; puts hold it across their journal/blob IO — every `Log::append`
+//! is called with the guard held, so events reach the file in the order
+//! they reach the index. A near-duplicate lookup holds it for *index*
+//! and *bound* — microseconds — clones the survivors, and releases it:
+//! no Smith–Waterman alignment ever runs under the store's mutex, so a
+//! slow lookup cannot stall a put and concurrent lookups align in
+//! parallel. (A survivor evicted in that window reads as a miss at the
+//! final blob read, exactly as an entry evicted between an exact probe
+//! and its read does.) Appends are line-atomic so a killed writer leaves
+//! an at-worst-torn-tail journal, and the store never calls back into
+//! user code while holding its guard, so the guard cannot participate in
+//! a lock cycle.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -72,9 +99,9 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use summitfold_dataflow::chaos::{IoFaults, WriteOutcome};
 use summitfold_dataflow::log::Log;
-use summitfold_msa::cluster::neighborhood_identity;
+use summitfold_msa::cluster::{neighbor_candidates, neighborhood_identity};
 use summitfold_msa::kmer::KmerIndex;
-use summitfold_obs::json::{self, check_seal, fnv64, ObjectWriter, Seal};
+use summitfold_obs::json::{self, check_seal, fnv64_chunks, ObjectWriter, Seal};
 use summitfold_obs::{lineage, Recorder};
 use summitfold_protein::seq::Sequence;
 
@@ -189,8 +216,14 @@ impl Artifact {
     /// fingerprints after it).
     #[must_use]
     pub fn sequence_letters(&self) -> &str {
-        self.content.split('|').next().unwrap_or("")
+        sequence_letters(&self.content)
     }
+}
+
+/// The sequence part of an artifact's `content`: everything before the
+/// first `|`.
+fn sequence_letters(content: &str) -> &str {
+    content.split('|').next().unwrap_or("")
 }
 
 /// A successful near-duplicate lookup.
@@ -343,45 +376,134 @@ impl Event {
     }
 }
 
+/// The resident near-duplicate index of one `(stage, preset)`: a k-mer
+/// index over the entries' sequences plus, per slot, the parsed sequence
+/// the slot was filled from.
+#[derive(Debug)]
+struct NearIndex {
+    stage: String,
+    preset: String,
+    kmers: KmerIndex,
+    /// `subjects[slot]`, its `id` the entry's hex key.
+    subjects: Vec<Option<Sequence>>,
+    /// Hex key → slot. Entries whose content is not a residue string
+    /// have neither.
+    slot_of: BTreeMap<String, usize>,
+}
+
+impl NearIndex {
+    fn insert(&mut self, hex: &str, content: &str) {
+        let Ok(seq) = Sequence::parse(hex, "", sequence_letters(content)) else {
+            return;
+        };
+        let slot = self.kmers.insert(&seq);
+        if slot == self.subjects.len() {
+            self.subjects.push(None);
+        }
+        self.subjects[slot] = Some(seq);
+        self.slot_of.insert(hex.to_owned(), slot);
+    }
+
+    fn remove(&mut self, hex: &str) {
+        let Some(slot) = self.slot_of.remove(hex) else {
+            return;
+        };
+        if let Some(seq) = self.subjects[slot].take() {
+            self.kmers.remove(slot, &seq);
+        }
+    }
+
+    /// The stored sequences that can still be `query`'s neighbour at
+    /// ≥ `identity` — index, then bound; aligning them is the caller's.
+    fn survivors(&self, query: &Sequence, identity: f64) -> Vec<Sequence> {
+        let subject = |slot: usize| self.subjects[slot].as_ref();
+        let len = |slot| subject(slot).map_or(0, Sequence::len);
+        neighbor_candidates(&self.kmers, query, identity, len)
+            .into_iter()
+            .filter_map(|slot| subject(slot).cloned())
+            .collect()
+    }
+}
+
 #[derive(Debug, Default)]
 struct State {
-    /// Key (hex) → metadata. BTreeMap so every derived iteration —
-    /// near-duplicate candidate order included — is deterministic.
+    /// Key (hex) → metadata. BTreeMap so every derived iteration is
+    /// deterministic.
     entries: BTreeMap<String, Meta>,
     next_seq: u64,
     /// Fully-written journal lines that failed to parse or verify at
     /// open and were skipped (a bit flipped in the journal costs that
     /// line's event, never the whole store).
     skipped_lines: usize,
+    /// One resident index per `(stage, preset)` that has been
+    /// near-looked-up; a pair never asked about has none and costs
+    /// [`apply`](Self::apply) nothing.
+    near: Vec<NearIndex>,
 }
 
 impl State {
     /// The one index transition — open replays recovered events through
     /// it; `put`, quarantine and `scrub` apply what they just appended.
+    /// Whatever the event, the key's previous entry is gone first, from
+    /// `entries` and from its resident near index alike.
     fn apply(&mut self, event: Event) {
-        match event {
-            Event::Put {
-                key,
-                stage,
-                preset,
-                content,
-            } => {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                self.entries.insert(
-                    key,
-                    Meta {
-                        stage,
-                        preset,
-                        content,
-                        seq,
-                    },
-                );
-            }
-            Event::Evict { key } | Event::Quarantine { key } => {
-                self.entries.remove(&key);
+        let (Event::Put { key, .. } | Event::Evict { key } | Event::Quarantine { key }) = &event;
+        if let Some(old) = self.entries.remove(key) {
+            if let Some(at) = self.near_position(&old.stage, &old.preset) {
+                self.near[at].remove(key);
             }
         }
+        if let Event::Put {
+            key,
+            stage,
+            preset,
+            content,
+        } = event
+        {
+            if let Some(at) = self.near_position(&stage, &preset) {
+                self.near[at].insert(&key, &content);
+            }
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.entries.insert(
+                key,
+                Meta {
+                    stage,
+                    preset,
+                    content,
+                    seq,
+                },
+            );
+        }
+    }
+
+    fn near_position(&self, stage: &str, preset: &str) -> Option<usize> {
+        self.near
+            .iter()
+            .position(|n| n.stage == stage && n.preset == preset)
+    }
+
+    /// The resident index of `(stage, preset)`, folded from the live
+    /// entries the first time the pair is asked about and kept current
+    /// by [`apply`](Self::apply) from then on.
+    fn near_index(&mut self, stage: &str, preset: &str) -> &NearIndex {
+        let at = self.near_position(stage, preset).unwrap_or_else(|| {
+            let mut near = NearIndex {
+                stage: stage.to_owned(),
+                preset: preset.to_owned(),
+                kmers: KmerIndex::default(),
+                subjects: Vec::new(),
+                slot_of: BTreeMap::new(),
+            };
+            for (hex, m) in &self.entries {
+                if m.stage == stage && m.preset == preset {
+                    near.insert(hex, &m.content);
+                }
+            }
+            self.near.push(near);
+            self.near.len() - 1
+        });
+        &self.near[at]
     }
 }
 
@@ -538,12 +660,7 @@ impl Store {
     /// FNV checksum over payload lines exactly as they sit in the blob
     /// (each line newline-terminated).
     fn payload_sum(payload: &[String]) -> u64 {
-        let mut text = String::new();
-        for line in payload {
-            text.push_str(line);
-            text.push('\n');
-        }
-        fnv64(&text)
+        fnv64_chunks(payload.iter().flat_map(|line| [line.as_str(), "\n"]))
     }
 
     /// Read and classify a blob without touching counters or the index.
@@ -683,10 +800,22 @@ impl Store {
         artifact
     }
 
+    /// The locked half of [`near_lookup`](Self::near_lookup): index →
+    /// bound over the resident index of `(stage, preset)`, then clones of
+    /// the few sequences left standing. The guard drops on return, so no
+    /// alignment ever runs under it.
+    fn near_survivors(&self, stage: &str, preset: &str, query: &Sequence) -> Vec<Sequence> {
+        self.lock()
+            .near_index(stage, preset)
+            .survivors(query, self.cfg.near_identity)
+    }
+
     /// Near-duplicate lookup after a miss: find the stored artifact of
     /// the same `(stage, preset)` whose sequence is most similar to
-    /// `query` at ≥ the configured identity, using the k-mer prefilter +
-    /// banded Smith–Waterman neighborhood check from the BFD clustering.
+    /// `query` at ≥ the configured identity — index → bound → align, the
+    /// neighbour search of the BFD clustering
+    /// ([`summitfold_msa::cluster`]), with only the first two steps under
+    /// the store's lock.
     ///
     /// The best candidate is chosen by `(identity desc, key asc)`, so the
     /// result is independent of insertion order. Records `cache/near_hit`
@@ -701,45 +830,15 @@ impl Store {
         query: &Sequence,
         rec: &Recorder,
     ) -> Option<(NearHit, Artifact)> {
-        let candidates: Vec<(String, Sequence)> = {
-            let state = self.lock();
-            state
-                .entries
-                .iter()
-                .filter(|(_, m)| m.stage == stage && m.preset == preset)
-                .filter_map(|(hex, m)| {
-                    let letters = m.content.split('|').next().unwrap_or("");
-                    Sequence::parse(hex, "", letters)
-                        .ok()
-                        .map(|s| (hex.clone(), s))
-                })
-                .collect()
-        };
-        if candidates.is_empty() {
-            return None;
-        }
-        let seqs: Vec<Sequence> = candidates.iter().map(|(_, s)| s.clone()).collect();
-        let index = KmerIndex::build(&seqs);
-        let mut best: Option<(f64, &str)> = None;
-        for (cand, _) in index.candidates(query, 4) {
-            let (hex, seq) = &candidates[cand];
-            let Some(identity) = neighborhood_identity(query, seq) else {
-                continue;
-            };
-            if identity < self.cfg.near_identity {
-                continue;
-            }
-            // Deterministic best regardless of candidate order:
-            // highest identity, ties broken by smallest key.
-            let better = match best {
-                None => true,
-                Some((bi, bh)) => identity > bi || (identity == bi && hex.as_str() < bh),
-            };
-            if better {
-                best = Some((identity, hex));
-            }
-        }
-        let (identity, hex) = best?;
+        let survivors = self.near_survivors(stage, preset, query);
+        // Highest identity, ties broken by smallest key: the same answer
+        // whatever order the survivors come in.
+        let threshold = self.cfg.near_identity;
+        let (identity, hex) = survivors
+            .iter()
+            .filter_map(|seq| Some((neighborhood_identity(query, seq)?, seq.id.as_str())))
+            .filter(|&(identity, _)| identity >= threshold)
+            .min_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(b.1)))?;
         let artifact = self.read_verified(hex, rec)?;
         let near = NearHit {
             key: StoreKey::from_hex(hex)?,
@@ -821,25 +920,20 @@ impl Store {
 
         // Plan eviction victims (oldest insertions beyond the cap)
         // without touching the index yet: memory mutates only after the
-        // disk writes succeed.
-        let will_insert = !state.entries.contains_key(&hex);
+        // disk writes succeed. A put that fits plans nothing.
         let mut victims: Vec<String> = Vec::new();
         if let Some(cap) = self.cfg.max_entries {
-            let mut size = state.entries.len() + usize::from(will_insert);
-            let mut pool: Vec<(u64, String)> = state
-                .entries
-                .iter()
-                .filter(|(h, _)| h.as_str() != hex)
-                .map(|(h, m)| (m.seq, h.clone()))
-                .collect();
-            pool.sort();
-            let mut oldest = pool.into_iter();
-            while size > cap.max(1) {
-                let Some((_, victim)) = oldest.next() else {
-                    break;
-                };
-                victims.push(victim);
-                size -= 1;
+            let size = state.entries.len() + usize::from(!state.entries.contains_key(&hex));
+            let excess = size.saturating_sub(cap.max(1));
+            if excess > 0 {
+                let mut pool: Vec<(u64, &String)> = state
+                    .entries
+                    .iter()
+                    .filter(|(h, _)| h.as_str() != hex)
+                    .map(|(h, m)| (m.seq, h))
+                    .collect();
+                pool.sort();
+                victims.extend(pool.into_iter().take(excess).map(|(_, h)| h.clone()));
             }
         }
 
@@ -990,6 +1084,7 @@ pub struct ScrubReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use json::fnv64;
     use std::sync::atomic::{AtomicU64, Ordering};
     use summitfold_obs::Trace;
     use summitfold_protein::rng::Xoshiro256;
@@ -1456,6 +1551,261 @@ mod tests {
         );
         assert_eq!(counter(&rec, "cache/near_hit"), 0.0);
         let _ = fs::remove_dir_all(&root);
+    }
+
+    /// The lookup as it was before the resident index, verbatim: parse
+    /// every stored sequence of the pair, build a fresh k-mer index, align
+    /// every prefilter candidate, keep the best by `(identity desc, key
+    /// asc)`. The reference every differential test below compares to.
+    fn brute_force_near(
+        store: &Store,
+        stage: &str,
+        preset: &str,
+        query: &Sequence,
+    ) -> Option<(String, f64)> {
+        let candidates: Vec<(String, Sequence)> = store
+            .lock()
+            .entries
+            .iter()
+            .filter(|(_, m)| m.stage == stage && m.preset == preset)
+            .filter_map(|(hex, m)| {
+                Sequence::parse(hex, "", sequence_letters(&m.content))
+                    .ok()
+                    .map(|s| (hex.clone(), s))
+            })
+            .collect();
+        let seqs: Vec<Sequence> = candidates.iter().map(|(_, s)| s.clone()).collect();
+        let mut best: Option<(String, f64)> = None;
+        for (cand, _) in KmerIndex::build(&seqs).candidates(query, 4) {
+            let (hex, seq) = &candidates[cand];
+            let Some(identity) = neighborhood_identity(query, seq) else {
+                continue;
+            };
+            if identity < store.cfg.near_identity {
+                continue;
+            }
+            let better = match &best {
+                None => true,
+                Some((bh, bi)) => identity > *bi || (identity == *bi && hex < bh),
+            };
+            if better {
+                best = Some((hex.clone(), identity));
+            }
+        }
+        best
+    }
+
+    /// `near_lookup` against the scan: same key, same identity bits, same
+    /// artifact — or both nothing (also when the best neighbour's blob no
+    /// longer verifies, which the scan's caller found out the same way).
+    fn assert_near_equals_scan(store: &Store, stage: &str, preset: &str, query: &Sequence) -> bool {
+        let rec = Recorder::disabled();
+        let want = brute_force_near(store, stage, preset, query).and_then(|(hex, identity)| {
+            match store.read_blob(&hex) {
+                BlobRead::Ok(artifact) => Some((hex, identity.to_bits(), artifact)),
+                _ => None,
+            }
+        });
+        let got = store
+            .near_lookup(stage, preset, query, rec)
+            .map(|(hit, artifact)| (hit.key.to_hex(), hit.identity.to_bits(), artifact));
+        assert_eq!(got, want, "query {}", query.to_letters());
+        got.is_some()
+    }
+
+    #[test]
+    fn near_lookup_equals_the_brute_force_scan_under_random_store_histories() {
+        const STAGE: &str = "feature_gen";
+        for seed in 0..4u64 {
+            let mut rng = Xoshiro256::seed_from_u64(20 + seed);
+            // Families of near-duplicates, so lookups find several
+            // neighbours at different (and sometimes equal) identities.
+            let bases: Vec<Sequence> = (0..10)
+                .map(|f| Sequence::random(&format!("f{f}"), 12 + rng.below(180), &mut rng))
+                .collect();
+            let member = |rng: &mut Xoshiro256| {
+                let rates = [0.0, 0.01, 0.03, 0.06, 0.12];
+                bases[rng.below(bases.len())].mutated("m", rates[rng.below(rates.len())], rng)
+            };
+            let cfg = StoreConfig {
+                max_entries: Some(24),
+                ..StoreConfig::default()
+            };
+            let root = scratch_root("near-history");
+            let rec = Recorder::disabled();
+            let mut store = Store::open_with(&root, cfg).unwrap();
+            let mut found = 0usize;
+            let blob_of = |store: &Store, rng: &mut Xoshiro256| {
+                let state = store.lock();
+                let nth = rng.below(state.entries.len().max(1));
+                state
+                    .entries
+                    .keys()
+                    .nth(nth)
+                    .map(|hex| store.blob_path(hex))
+            };
+            for step in 0..120 {
+                match rng.below(12) {
+                    // Put — a fresh member, an overwrite, or (the service's
+                    // kind of content) something that is not a sequence —
+                    // evicting at the cap.
+                    0..=6 => {
+                        let content = match rng.below(8) {
+                            0 => format!("tenant-{step}|task|{step}"),
+                            1 => format!("{}|fingerprint-{step}", member(&mut rng).to_letters()),
+                            _ => member(&mut rng).to_letters(),
+                        };
+                        let preset = ["p", "q"][rng.below(2)];
+                        let payload = vec![format!("{{\"step\":{step}}}")];
+                        let artifact = Artifact::new(STAGE, preset, &content, payload);
+                        store.put(&artifact, rec).unwrap();
+                    }
+                    // Flip a payload bit: quarantined by whoever reads it
+                    // first — a `get`, a scrub, or the near look-up itself.
+                    7 => {
+                        if let Some(blob) = blob_of(&store, &mut rng) {
+                            let mut bytes = fs::read(&blob).unwrap();
+                            let at = bytes.len() - 3;
+                            bytes[at] ^= 0x04;
+                            fs::write(&blob, bytes).unwrap();
+                        }
+                    }
+                    // Tear a blob: a miss until scrub drops the entry.
+                    8 => {
+                        if let Some(blob) = blob_of(&store, &mut rng) {
+                            let text = fs::read_to_string(&blob).unwrap();
+                            fs::write(&blob, &text[..text.len() - 2]).unwrap();
+                        }
+                    }
+                    9 => {
+                        let keys: Vec<String> = store.lock().entries.keys().cloned().collect();
+                        for hex in keys.iter().filter(|_| rng.below(4) == 0) {
+                            let _ = store.get(StoreKey::from_hex(hex).unwrap(), rec);
+                        }
+                    }
+                    10 => {
+                        store.scrub(rec);
+                    }
+                    _ => {
+                        drop(store);
+                        store = Store::open_with(&root, cfg).unwrap();
+                    }
+                }
+                assert!(store.len() <= 24);
+                for _ in 0..3 {
+                    let query = member(&mut rng);
+                    let preset = ["p", "q"][rng.below(2)];
+                    found += usize::from(assert_near_equals_scan(&store, STAGE, preset, &query));
+                }
+            }
+            assert!(
+                found >= 100,
+                "seed {seed}: only {found} of 360 look-ups hit"
+            );
+            // The resident indexes hold exactly the live, parseable entries.
+            let state = store.lock();
+            for near in &state.near {
+                let live = state.entries.iter().filter(|(hex, m)| {
+                    (m.stage == near.stage && m.preset == near.preset)
+                        && near.slot_of.contains_key(*hex)
+                });
+                assert_eq!(live.count(), near.slot_of.len());
+                assert_eq!(near.kmers.len(), near.slot_of.len());
+                assert!(near.kmers.slots() <= 25, "{} slots", near.kmers.slots());
+            }
+            drop(state);
+            let _ = fs::remove_dir_all(&root);
+        }
+    }
+
+    /// A store of `n` unrelated sequences (lengths 100–400) under
+    /// `feature_gen`/`p`, then `planted` on top, newest.
+    fn random_store(tag: &str, cfg: StoreConfig, n: usize, planted: &Sequence) -> (PathBuf, Store) {
+        let root = scratch_root(tag);
+        let store = Store::open_with(&root, cfg).unwrap();
+        let mut rng = Xoshiro256::seed_from_u64(31);
+        let rec = Recorder::disabled();
+        for i in 0..n {
+            let seq = Sequence::random(&format!("r{i}"), 100 + rng.below(300), &mut rng);
+            let artifact = Artifact::new("feature_gen", "p", &seq.to_letters(), vec![]);
+            store.put(&artifact, rec).unwrap();
+        }
+        let artifact = Artifact::new("feature_gen", "p", &planted.to_letters(), vec![]);
+        store.put(&artifact, rec).unwrap();
+        (root, store)
+    }
+
+    #[test]
+    fn only_true_neighbours_reach_the_alignment() {
+        // The complexity guard, on the survivor list rather than on wall
+        // time: of 257 stored sequences, the prefilter alone would send
+        // most to Smith–Waterman; the bound sends a handful.
+        let mut rng = Xoshiro256::seed_from_u64(30);
+        let query = Sequence::random("q", 250, &mut rng);
+        let neighbour = query.mutated("n", 0.03, &mut rng);
+        let (root, store) = random_store("guard", StoreConfig::default(), 256, &neighbour);
+        let prefiltered = {
+            let mut state = store.lock();
+            state
+                .near_index("feature_gen", "p")
+                .kmers
+                .candidates(&query, 4)
+                .len()
+        };
+        assert!(prefiltered > 128, "prefilter alone passes {prefiltered}");
+        let survivors = store.near_survivors("feature_gen", "p", &query);
+        assert!(survivors.len() <= 3, "{} survivors", survivors.len());
+        assert!(survivors.iter().any(|s| s.residues == neighbour.residues));
+        // A protein with no neighbour in the store aligns against nothing.
+        let novel = Sequence::random("x", 250, &mut rng);
+        assert!(store.near_survivors("feature_gen", "p", &novel).len() <= 1);
+        assert!(assert_near_equals_scan(&store, "feature_gen", "p", &query));
+        assert!(!assert_near_equals_scan(&store, "feature_gen", "p", &novel));
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn near_lookup_runs_beside_put_and_eviction() {
+        let mut rng = Xoshiro256::seed_from_u64(32);
+        let query = Sequence::random("q", 200, &mut rng);
+        let neighbour = query.mutated("n", 0.04, &mut rng);
+        // Cap 48 over 32 + 1 + 40 puts: the writer's evictions take the
+        // oldest random entries, never the planted (33rd) one.
+        let cfg = StoreConfig {
+            max_entries: Some(48),
+            ..StoreConfig::default()
+        };
+        let (root, store) = random_store("two-threads", cfg, 32, &neighbour);
+        let rec = Recorder::disabled();
+        let planted = store.near_lookup("feature_gen", "p", &query, rec).unwrap();
+        assert_eq!(planted.1.sequence_letters(), neighbour.to_letters());
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut rng = Xoshiro256::seed_from_u64(33);
+                start.wait();
+                for i in 0..40 {
+                    let seq = Sequence::random(&format!("w{i}"), 100 + rng.below(300), &mut rng);
+                    let artifact = Artifact::new("feature_gen", "p", &seq.to_letters(), vec![]);
+                    store.put(&artifact, rec).unwrap();
+                }
+            });
+            start.wait();
+            for _ in 0..40 {
+                let found = store.near_lookup("feature_gen", "p", &query, rec);
+                assert_eq!(found.as_ref(), Some(&planted));
+            }
+        });
+        assert_eq!(store.len(), 48);
+        assert!(assert_near_equals_scan(&store, "feature_gen", "p", &query));
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn streamed_payload_sum_is_the_digest_of_the_blob_bytes() {
+        let payload = vec!["{\"a\":1}".to_owned(), String::new(), "x".to_owned()];
+        assert_eq!(Store::payload_sum(&payload), fnv64("{\"a\":1}\n\nx\n"));
+        assert_eq!(Store::payload_sum(&[]), fnv64(""));
     }
 
     #[test]

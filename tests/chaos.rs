@@ -841,3 +841,69 @@ fn service_killed_mid_store_put_refiles_and_converges() {
     let _ = std::fs::remove_dir_all(&base_dir);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Kill point 1c — mid-admission-*append*: the WAL write of carol's
+/// campaign tears after two of its `task` lines. Those lines stay on
+/// disk, uncommitted, in front of whatever is admitted next; a resume
+/// that has since admitted and settled more work must still find every
+/// campaign when it is resumed a second time.
+#[test]
+fn torn_admission_block_does_not_poison_the_next_campaign() {
+    let base_dir = svc_scratch("torn-admit-base");
+    let base = svc_uninterrupted(&base_dir);
+    let dir = svc_scratch("torn-admit");
+
+    // service/wal occurrences: 0 the header, 1 and 2 the first two
+    // admissions, 3 bob's rejection, 4 carol's block of 5 tasks + admit.
+    let faults = IoFaultPlan::new()
+        .io(IoFault::torn("service/wal", 4, 150))
+        .arm();
+    let rec1 = Arc::new(Recorder::virtual_time());
+    let store = Arc::new(
+        Store::open_with_faults(dir.join("store"), StoreConfig::default(), faults.clone())
+            .expect("store opens"),
+    );
+    let svc1 = FoldingService::new(svc_cfg(&dir, &store, faults), svc_tenants(), rec1)
+        .expect("valid tenants");
+    let (at, err) = svc_play(&svc1, 0).expect_err("the tear bites");
+    assert_eq!(at, 3);
+    assert!(matches!(err, ServiceError::Killed { .. }), "{err}");
+    drop(svc1);
+    drop(store);
+    let wal = std::fs::read_to_string(dir.join("svc").join("service.jsonl")).unwrap();
+    let whole = &wal[..=wal.rfind('\n').unwrap()];
+    let orphans = whole
+        .lines()
+        .rev()
+        .take_while(|l| l.contains("\"event\":\"task\""));
+    assert_eq!(
+        orphans.count(),
+        2,
+        "two whole task lines landed before the tear"
+    );
+
+    // First resume: the torn tail goes, the orphans are ignored, the
+    // script finishes on top of them and settles.
+    let (svc2, report, _) = svc_resume(&dir);
+    assert!(report.wal_torn_tail);
+    assert_eq!(report.replayed_campaigns, 2);
+    assert_eq!(report.wal_corrupt_lines, 0);
+    svc_play(&svc2, 3).expect("the rest of the script admits");
+    svc2.run(&VirtualExecutor::new(0.25)).expect("drains clean");
+    assert_eq!(svc2.settlement_trace(), base.settlement);
+    drop(svc2);
+
+    // Second resume: carol's campaign sits right behind the orphans and
+    // must be replayed whole, with all of its settlements.
+    let (svc3, report, rec3) = svc_resume(&dir);
+    assert_eq!(report.replayed_campaigns, 4, "{report:?}");
+    assert_eq!(report.replayed_settlements, SCRIPT_TASKS, "{report:?}");
+    assert_eq!(report.requeued_tasks, 0);
+    assert_eq!(report.wal_corrupt_lines, 0, "{report:?}");
+    assert!(!report.wal_torn_tail);
+    assert_eq!(svc3.settlement_trace(), base.settlement);
+    assert_eq!(svc_fingerprint(&svc3), base.fingerprint);
+    assert_eq!(svc_totals(&rec3), base.totals);
+    let _ = std::fs::remove_dir_all(&base_dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
