@@ -129,6 +129,18 @@ impl Pdb70 {
     /// to `cfg.top_k` hits sorted by descending TM-score.
     #[must_use]
     pub fn search(&self, query: &Structure, query_seq: &Sequence, cfg: &SearchConfig) -> Vec<Hit> {
+        self.search_with(query, query_seq, cfg, structural_align)
+    }
+
+    /// [`Pdb70::search`] with the aligner as a parameter, so tests can
+    /// run the same prefilter and ranking over a reference aligner.
+    fn search_with(
+        &self,
+        query: &Structure,
+        query_seq: &Sequence,
+        cfg: &SearchConfig,
+        align: fn(&Structure, &Sequence, &Structure, &Sequence) -> Alignment,
+    ) -> Vec<Hit> {
         let n = query.len();
         if n == 0 || self.entries.is_empty() {
             return Vec::new();
@@ -158,7 +170,7 @@ impl Pdb70 {
             .into_iter()
             .map(|(idx, _)| {
                 let e = &self.entries[idx];
-                let alignment = structural_align(query, query_seq, &e.structure, &e.sequence);
+                let alignment = align(query, query_seq, &e.structure, &e.sequence);
                 Hit {
                     entry: idx,
                     alignment,
@@ -178,6 +190,51 @@ mod tests {
 
     fn library_with(fams: &[Family]) -> Pdb70 {
         Pdb70::build(fams.iter().copied(), 30, 7)
+    }
+
+    #[test]
+    fn search_matches_the_reference_aligner_hit_for_hit() {
+        let fams = [
+            Family::new(31, 140),
+            Family::new(32, 210),
+            Family::new(33, 320),
+        ];
+        let lib = library_with(&fams);
+        let mut queries: Vec<(Structure, Sequence)> = fams
+            .iter()
+            .enumerate()
+            .map(|(k, f)| {
+                (
+                    f.member_fold(k as u64, 1.0 + k as f64),
+                    f.member_sequence(k as u64, 0.8, "q"),
+                )
+            })
+            .collect();
+        let mut rng = Xoshiro256::seed_from_u64(21);
+        let orphan = Sequence::random("orphan", 260, &mut rng);
+        queries.push((summitfold_protein::fold::ground_truth(&orphan), orphan));
+        let cfg = SearchConfig::default();
+        let mut compared = 0;
+        for (k, (fold, seq)) in queries.iter().enumerate() {
+            let got = lib.search(fold, seq, &cfg);
+            let want = lib.search_with(fold, seq, &cfg, crate::align::reference::structural_align);
+            assert_eq!(got.len(), want.len(), "query {k}");
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.entry, w.entry, "query {k}");
+                assert_eq!(g.annotation, w.annotation, "query {k}");
+                let (ga, wa) = (&g.alignment, &w.alignment);
+                assert_eq!(ga.tm_query.to_bits(), wa.tm_query.to_bits(), "query {k}");
+                assert_eq!(ga.rmsd.to_bits(), wa.rmsd.to_bits(), "query {k}");
+                assert_eq!(
+                    ga.seq_identity.to_bits(),
+                    wa.seq_identity.to_bits(),
+                    "query {k}"
+                );
+                assert_eq!(ga.pairs, wa.pairs, "query {k}");
+                compared += 1;
+            }
+        }
+        assert!(compared >= 3 * queries.len(), "{compared} hits compared");
     }
 
     #[test]

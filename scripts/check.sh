@@ -168,4 +168,20 @@ if ! cmp -s target/bench-gate/BENCH_profile.json BENCH_profile.json; then
     exit 1
 fi
 
+echo "==> geometry byte-identity gate (fig3 + fig4 vs committed results)"
+# fig3 (TM/SPECS of relaxed vs unrelaxed models) and fig4 (relaxation
+# time vs size over geometric predictions) run the spatial grid under
+# inference and the minimizer, whose visit order is bit-exact by
+# contract: regenerated at full size (a few seconds each), their CSVs
+# must match the committed copies byte-for-byte.
+for fig in fig3 fig4; do
+    cargo run -q --release -p summitfold-bench --bin repro -- \
+        "$fig" --out target/bench-gate >/dev/null
+    if ! cmp -s "target/bench-gate/$fig.csv" "results/$fig.csv"; then
+        echo "results/$fig.csv drifted from a fresh run; if intended, regenerate with:" >&2
+        echo "  cargo run --release -p summitfold-bench --bin repro -- $fig" >&2
+        exit 1
+    fi
+done
+
 echo "All checks passed."

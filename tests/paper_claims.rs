@@ -33,7 +33,8 @@ fn headline_under_4000_summit_node_hours_for_all_four_proteomes() {
     );
     assert!(
         total_summit_h < 6_000.0,
-        "Summit budget {total_summit_h:.0} node-h (paper: < 4,000)"
+        "Summit budget {total_summit_h:.0} node-h, checked bound < 6,000 \
+         (the paper's < 4,000 is not met yet; see EXPERIMENTS.md Headline)"
     );
     // And it really is "the majority of the supercomputer for one hour".
     let summit_nodes = summitfold::hpc::Machine::Summit.nodes() as f64;
