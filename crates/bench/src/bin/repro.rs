@@ -1,75 +1,49 @@
 //! `repro` — regenerate every table and figure from the paper.
 //!
 //! ```text
-//! repro all [--quick]        # everything, into results/
+//! repro all [--quick]        # everything, into results/ (results/quick/)
 //! repro table1 [--quick]     # one experiment
+//! repro check                # both sizes, compared with the committed copies
 //! repro list                 # available experiments
 //! ```
 //!
 //! Flags:
 //!
-//! * `--quick` — subsample the heavy experiments (CI scale).
-//! * `--out <dir>` — write artifacts there instead of `results/`.
-//! * `--emit-bench` — after the `fig2` experiment, distill its outcome
-//!   into a machine-readable `BENCH_dataflow.json` (makespan,
-//!   utilization, throughput), after the `store` experiment distill
-//!   warm-vs-cold makespans into `BENCH_store.json`, and after the
-//!   `recovery` experiment distill kill-resume convergence into
-//!   `BENCH_recovery.json`, and after the `profile` experiment distill
-//!   critical-path and load-imbalance attribution into
-//!   `BENCH_profile.json`. Written next to the other artifacts when
-//!   `--out` is given, else at the workspace root; `scripts/check.sh`
-//!   compares fresh quick-mode copies against the committed ones.
+//! * `--quick` — subsample the heavy experiments (CI scale). Quick
+//!   artifacts live in `results/quick/`, full-size ones in `results/`.
+//! * `--out <dir>` — write artifacts there instead.
 //!
-//! Exit codes: 0 success, 2 bad usage (unknown flag or experiment,
-//! `--out` without a directory).
+//! `repro check` runs every experiment at both sizes and compares each
+//! file it writes with the committed copy byte for byte; each drift is
+//! printed with the command that regenerates it, and the fresh copies
+//! stay under `target/repro-check/` for diffing.
+//!
+//! Exit codes: 0 success, 1 `check` found drift, 2 bad usage (unknown
+//! flag or experiment, `--out` without a directory, `check` with
+//! flags). A harness whose invariant fails (store hit rate, recovery
+//! trace match, profile accounting identity) panics with its outcome.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Instant;
-use summitfold_bench::harness::{self, Ctx};
-use summitfold_bench::report::{results_dir, Report};
-use summitfold_obs::json::ObjectWriter;
-
-const EXPERIMENTS: [&str; 20] = [
-    "headline",
-    "table1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "featgen",
-    "recycles",
-    "sdivinum",
-    "store",
-    "recovery",
-    "profile",
-    "violations",
-    "relaxscale",
-    "annotate",
-    "complexes",
-    "ablation-ordering",
-    "ablation-replicas",
-    "ablation-protocol",
-    "ablation-gpu-msa",
-    "ablation-staging",
-];
+use summitfold_bench::harness::{Ctx, EXPERIMENTS};
+use summitfold_bench::report::{check, results_dir, workspace_root};
 
 /// Parsed command line: flags plus positional targets.
 struct Opts {
     quick: bool,
-    emit_bench: bool,
     out: Option<PathBuf>,
     targets: Vec<String>,
 }
 
 fn usage() {
-    eprintln!("usage: repro <experiment|all|list> [--quick] [--emit-bench] [--out <dir>]");
-    eprintln!("experiments: {}", EXPERIMENTS.join(", "));
+    eprintln!("usage: repro <experiment|all|list> [--quick] [--out <dir>] | repro check");
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+    eprintln!("experiments: {}", names.join(", "));
 }
 
 fn parse_args() -> Opts {
     let mut opts = Opts {
         quick: false,
-        emit_bench: false,
         out: None,
         targets: Vec::new(),
     };
@@ -77,7 +51,6 @@ fn parse_args() -> Opts {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => opts.quick = true,
-            "--emit-bench" => opts.emit_bench = true,
             "--out" => match it.next() {
                 Some(dir) => opts.out = Some(PathBuf::from(dir)),
                 None => {
@@ -98,214 +71,57 @@ fn parse_args() -> Opts {
     opts
 }
 
-fn run_one(name: &str, ctx: &Ctx, opts: &Opts) -> Option<Report> {
-    Some(match name {
-        "headline" => harness::headline::run(ctx).1,
-        "table1" => harness::table1::run(ctx).1,
-        "fig2" => {
-            let (outcome, report) = harness::fig2::run(ctx);
-            if opts.emit_bench {
-                write_bench(&outcome, ctx.quick, opts);
-            }
-            report
-        }
-        "fig3" => harness::fig3::run(ctx).1,
-        "fig4" => harness::fig4::run(ctx).1,
-        "featgen" => harness::featgen::run(ctx).1,
-        "recycles" => harness::recycles::run(ctx).1,
-        "sdivinum" => harness::sdivinum::run(ctx).1,
-        "store" => {
-            let (outcome, report) = harness::store::run(ctx);
-            if opts.emit_bench {
-                write_store_bench(&outcome, ctx.quick, opts);
-            }
-            report
-        }
-        "recovery" => {
-            let (outcome, report) = harness::recovery::run(ctx);
-            if opts.emit_bench {
-                write_recovery_bench(&outcome, ctx.quick, opts);
-            }
-            report
-        }
-        "profile" => {
-            let (outcome, report) = harness::profile::run(ctx);
-            if opts.emit_bench {
-                write_profile_bench(&outcome, ctx.quick, opts);
-            }
-            report
-        }
-        "violations" => harness::violations::run(ctx).1,
-        "relaxscale" => harness::relaxscale::run(ctx).1,
-        "annotate" => harness::annotate::run(ctx).1,
-        "complexes" => harness::complexes::run(ctx).1,
-        "ablation-ordering" => harness::ablation::run_ordering(ctx).1,
-        "ablation-replicas" => harness::ablation::run_replicas(ctx).1,
-        "ablation-protocol" => harness::ablation::run_protocol(ctx).1,
-        "ablation-gpu-msa" => harness::ablation::run_gpu_msa_whatif(ctx).1,
-        "ablation-staging" => harness::ablation::run_staging(ctx).1,
-        _ => return None,
-    })
-}
-
-/// Distill the fig2 outcome into `BENCH_dataflow.json`.
-///
-/// All numbers come from the virtual clock, so a quick-mode run is
-/// byte-stable across machines — the committed copy doubles as a
-/// regression baseline for `scripts/check.sh`.
-fn write_bench(outcome: &harness::fig2::Outcome, quick: bool, opts: &Opts) {
-    let mut w = ObjectWriter::new();
-    w.str_field("bench", "dataflow");
-    w.str_field("experiment", "fig2");
-    w.int_field("quick", u64::from(quick));
-    w.int_field("tasks", outcome.tasks as u64);
-    w.int_field("workers", outcome.workers as u64);
-    w.num_field("makespan_s", outcome.makespan_s);
-    w.num_field("utilization", outcome.utilization);
-    w.num_field("throughput_per_s", outcome.throughput_per_s);
-    let mut line = w.finish();
-    line.push('\n');
-    let dir = match &opts.out {
-        Some(dir) => dir.clone(),
-        None => workspace_root(),
-    };
-    let path = dir.join("BENCH_dataflow.json");
-    std::fs::create_dir_all(&dir).expect("writable bench dir");
-    std::fs::write(&path, line).expect("writable bench file");
-    eprintln!("wrote {}", path.display());
-}
-
-/// Distill the store outcome into `BENCH_store.json`.
-///
-/// Same contract as [`write_bench`]: virtual-clock numbers only, so the
-/// quick-mode copy is byte-stable and doubles as the warm-rerun
-/// regression baseline (`hit_rate` must stay 1.0).
-fn write_store_bench(outcome: &harness::store::Outcome, quick: bool, opts: &Opts) {
-    let mut w = ObjectWriter::new();
-    w.str_field("bench", "store");
-    w.str_field("experiment", "warm_vs_cold");
-    w.int_field("quick", u64::from(quick));
-    w.int_field("tasks", outcome.tasks as u64);
-    w.int_field("cache_hits", outcome.cache_hits as u64);
-    w.num_field("hit_rate", outcome.hit_rate);
-    w.num_field("cold_makespan_s", outcome.cold_makespan_s);
-    w.num_field("warm_makespan_s", outcome.warm_makespan_s);
-    let mut line = w.finish();
-    line.push('\n');
-    let dir = match &opts.out {
-        Some(dir) => dir.clone(),
-        None => workspace_root(),
-    };
-    let path = dir.join("BENCH_store.json");
-    std::fs::create_dir_all(&dir).expect("writable bench dir");
-    std::fs::write(&path, line).expect("writable bench file");
-    eprintln!("wrote {}", path.display());
-}
-
-/// Distill the recovery outcome into `BENCH_recovery.json`.
-///
-/// Same contract as [`write_bench`]: virtual-clock numbers only, so the
-/// quick-mode copy is byte-stable and doubles as the kill-resume
-/// regression baseline (`traces_match` must stay 1).
-fn write_recovery_bench(outcome: &harness::recovery::Outcome, quick: bool, opts: &Opts) {
-    let mut w = ObjectWriter::new();
-    w.str_field("bench", "recovery");
-    w.str_field("experiment", "kill_resume");
-    w.int_field("quick", u64::from(quick));
-    w.int_field("tasks", outcome.tasks as u64);
-    w.int_field("killed_after", outcome.killed_after as u64);
-    w.int_field("replayed", outcome.replayed as u64);
-    w.int_field("requeued", outcome.requeued as u64);
-    w.int_field("traces_match", u64::from(outcome.traces_match));
-    w.num_field("uninterrupted_makespan_s", outcome.uninterrupted_makespan_s);
-    w.num_field("resumed_makespan_s", outcome.resumed_makespan_s);
-    let mut line = w.finish();
-    line.push('\n');
-    let dir = match &opts.out {
-        Some(dir) => dir.clone(),
-        None => workspace_root(),
-    };
-    let path = dir.join("BENCH_recovery.json");
-    std::fs::create_dir_all(&dir).expect("writable bench dir");
-    std::fs::write(&path, line).expect("writable bench file");
-    eprintln!("wrote {}", path.display());
-}
-
-/// Distill the profile outcome into `BENCH_profile.json`.
-///
-/// Same contract as [`write_bench`]: the attribution is a pure function
-/// of a virtual-clock trace, so the quick-mode copy is byte-stable and
-/// doubles as the critical-path/imbalance regression baseline
-/// (`identity_holds` must stay 1).
-fn write_profile_bench(outcome: &harness::profile::Outcome, quick: bool, opts: &Opts) {
-    let mut w = ObjectWriter::new();
-    w.str_field("bench", "profile");
-    w.str_field("experiment", "fig2_attribution");
-    w.int_field("quick", u64::from(quick));
-    w.int_field("tasks", outcome.tasks as u64);
-    w.int_field("workers", outcome.workers as u64);
-    w.num_field("makespan_s", outcome.makespan_s);
-    w.num_field("critical_path_s", outcome.critical_path_s);
-    w.int_field("chain_len", outcome.chain_len as u64);
-    w.num_field("queue_wait_share", outcome.queue_wait_share);
-    w.num_field("gini", outcome.gini);
-    w.num_field("cov", outcome.cov);
-    w.num_field("utilization", outcome.utilization);
-    w.int_field("identity_holds", u64::from(outcome.identity_holds));
-    let mut line = w.finish();
-    line.push('\n');
-    let dir = match &opts.out {
-        Some(dir) => dir.clone(),
-        None => workspace_root(),
-    };
-    let path = dir.join("BENCH_profile.json");
-    std::fs::create_dir_all(&dir).expect("writable bench dir");
-    std::fs::write(&path, line).expect("writable bench file");
-    eprintln!("wrote {}", path.display());
-}
-
-/// The workspace root — `results/`'s parent.
-fn workspace_root() -> PathBuf {
-    results_dir()
-        .parent()
-        .map(Path::to_path_buf)
-        .unwrap_or_else(|| PathBuf::from("."))
-}
-
 fn main() {
     let opts = parse_args();
     let ctx = Ctx { quick: opts.quick };
-    let dir = opts.out.clone().unwrap_or_else(results_dir);
+    let dir = opts.out.clone().unwrap_or_else(|| results_dir(ctx.quick));
 
     match opts.targets.first().map(String::as_str) {
         None | Some("--help" | "help") => usage(),
         Some("list") => {
-            for e in EXPERIMENTS {
-                println!("{e}");
+            for (name, _) in EXPERIMENTS {
+                println!("{name}");
             }
+        }
+        Some("check") => {
+            if opts.quick || opts.out.is_some() {
+                eprintln!("repro: check takes no flags");
+                std::process::exit(2);
+            }
+            let root = workspace_root();
+            let mut drifts = Vec::new();
+            for quick in [false, true] {
+                drifts.extend(check(&root, Ctx { quick }, &EXPERIMENTS).expect("readable results"));
+            }
+            if !drifts.is_empty() {
+                for d in &drifts {
+                    eprintln!("{d}");
+                }
+                eprintln!(
+                    "{} drifted; fresh copies in target/repro-check/results/",
+                    drifts.len()
+                );
+                std::process::exit(1);
+            }
+            eprintln!("every committed artifact regenerates byte-identically");
         }
         Some("all") => {
-            let mut summary = String::from("# summitfold reproduction summary\n\n");
-            if opts.quick {
-                summary.push_str("_Quick mode: heavy experiments subsampled._\n\n");
-            }
-            for name in EXPERIMENTS {
+            for (name, run) in EXPERIMENTS {
                 let t0 = Instant::now();
                 eprint!("{name:<20} ... ");
-                let report = run_one(name, &ctx, &opts).expect("known experiment");
-                report.write_to(&dir).expect("writable results dir");
-                summary.push_str(&report.markdown);
-                summary.push('\n');
+                run(&ctx).write_to(&dir).expect("writable results dir");
                 eprintln!("done in {:.1}s", t0.elapsed().as_secs_f64());
             }
-            std::fs::write(dir.join("SUMMARY.md"), summary).expect("write summary");
-            eprintln!("wrote {}", dir.join("SUMMARY.md").display());
         }
-        Some(name) => match run_one(name, &ctx, &opts) {
-            Some(report) => {
+        Some(name) => match EXPERIMENTS.iter().find(|(n, _)| *n == name) {
+            Some((_, run)) => {
+                let report = run(&ctx);
                 report.write_to(&dir).expect("writable results dir");
                 print!("{}", report.markdown);
-                eprintln!("(written to {})", dir.join(format!("{name}.md")).display());
+                eprintln!(
+                    "(written to {})",
+                    dir.join(format!("{}.md", report.id)).display()
+                );
             }
             None => {
                 eprintln!("unknown experiment {name:?}; try: repro list");

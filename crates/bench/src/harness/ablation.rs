@@ -119,7 +119,7 @@ pub fn run_ordering(ctx: &Ctx) -> (Vec<OrderingRow>, Report) {
             row.workers, row.policy, row.makespan_h, row.idle_tail_min
         ));
     }
-    rpt.attach_csv("ablation_ordering.csv", csv);
+    rpt.attach("ablation_ordering.csv", csv);
     (rows, rpt)
 }
 
@@ -178,7 +178,7 @@ pub fn run_replicas(_ctx: &Ctx) -> (Vec<ReplicaRow>, Report) {
     }
     rpt.line("");
     rpt.line("The paper's 24-replica layout sits near the optimum: fewer copies hit metadata contention, many more pay replication time and 10+ TB of scratch.");
-    rpt.attach_csv("ablation_replicas.csv", csv);
+    rpt.attach("ablation_replicas.csv", csv);
     (rows, rpt)
 }
 

@@ -71,7 +71,7 @@ pub fn run(ctx: &Ctx) -> (AnnotationReport, Report) {
             q.transferred_annotation.as_deref().unwrap_or("-")
         ));
     }
-    rpt.attach_csv("annotate.csv", csv);
+    rpt.attach("annotate.csv", csv);
     (report, rpt)
 }
 

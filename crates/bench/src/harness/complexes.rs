@@ -75,7 +75,7 @@ pub fn run(ctx: &Ctx) -> (ScreenReport, Report) {
             c.pair_id, c.iscore, c.truly_interacts
         ));
     }
-    rpt.attach_csv("complexes.csv", csv);
+    rpt.attach("complexes.csv", csv);
     (report, rpt)
 }
 

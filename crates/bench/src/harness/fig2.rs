@@ -11,6 +11,7 @@ use summitfold_dataflow::stats::{ascii_gantt, to_csv};
 use summitfold_dataflow::OrderingPolicy;
 use summitfold_hpc::Ledger;
 use summitfold_inference::{Fidelity, Preset};
+use summitfold_obs::json::ObjectWriter;
 use summitfold_obs::{Monitor, MonitorConfig, Recorder, Sink as _};
 use summitfold_pipeline::stages::{inference, Stage as _, StageCtx};
 use summitfold_protein::proteome::{Proteome, Species};
@@ -172,9 +173,19 @@ pub fn run(ctx: &Ctx) -> (Outcome, Report) {
         .filter(|r| sample.contains(&r.worker_id))
         .cloned()
         .collect();
-    rpt.attach_csv("fig2_worker_spans.csv", to_csv(&sampled));
+    rpt.attach("fig2_worker_spans.csv", to_csv(&sampled));
     // Full telemetry trace; inspect with `lens --trace fig2_trace.jsonl`.
-    rpt.attach_csv("fig2_trace.jsonl", rec.to_jsonl());
+    rpt.attach("fig2_trace.jsonl", rec.to_jsonl());
+    let mut w = ObjectWriter::new();
+    w.str_field("bench", "dataflow");
+    w.str_field("experiment", "fig2");
+    w.int_field("quick", u64::from(ctx.quick));
+    w.int_field("tasks", outcome.tasks as u64);
+    w.int_field("workers", outcome.workers as u64);
+    w.num_field("makespan_s", outcome.makespan_s);
+    w.num_field("utilization", outcome.utilization);
+    w.num_field("throughput_per_s", outcome.throughput_per_s);
+    rpt.attach("BENCH_dataflow.json", w.finish() + "\n");
     (outcome, rpt)
 }
 

@@ -114,7 +114,7 @@ pub fn run(_ctx: &Ctx) -> (Vec<Point>, Report) {
             p.id, p.tm_unrelaxed, p.tm_af2, p.tm_opt, p.specs_unrelaxed, p.specs_af2, p.specs_opt
         ));
     }
-    rpt.attach_csv("fig3.csv", csv);
+    rpt.attach("fig3.csv", csv);
     (points, rpt)
 }
 

@@ -126,7 +126,7 @@ pub fn run(ctx: &Ctx) -> (Vec<Point>, Report) {
             p.speedup_gpu()
         ));
     }
-    rpt.attach_csv("fig4.csv", csv);
+    rpt.attach("fig4.csv", csv);
     (points, rpt)
 }
 

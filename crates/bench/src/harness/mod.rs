@@ -18,9 +18,39 @@ pub mod store;
 pub mod table1;
 pub mod violations;
 
+use crate::report::Report;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use summitfold_protein::proteome::{Origin, ProteinEntry, Proteome, Species};
 use summitfold_protein::rng::Xoshiro256;
 use summitfold_protein::seq::Sequence;
+
+/// An experiment: its `repro` name and the run that writes its report.
+pub type Experiment = (&'static str, fn(&Ctx) -> Report);
+
+/// Every experiment, in `repro all` order.
+pub const EXPERIMENTS: [Experiment; 20] = [
+    ("headline", |c| headline::run(c).1),
+    ("table1", |c| table1::run(c).1),
+    ("fig2", |c| fig2::run(c).1),
+    ("fig3", |c| fig3::run(c).1),
+    ("fig4", |c| fig4::run(c).1),
+    ("featgen", |c| featgen::run(c).1),
+    ("recycles", |c| recycles::run(c).1),
+    ("sdivinum", |c| sdivinum::run(c).1),
+    ("store", |c| store::run(c).1),
+    ("recovery", |c| recovery::run(c).1),
+    ("profile", |c| profile::run(c).1),
+    ("violations", |c| violations::run(c).1),
+    ("relaxscale", |c| relaxscale::run(c).1),
+    ("annotate", |c| annotate::run(c).1),
+    ("complexes", |c| complexes::run(c).1),
+    ("ablation-ordering", |c| ablation::run_ordering(c).1),
+    ("ablation-replicas", |c| ablation::run_replicas(c).1),
+    ("ablation-protocol", |c| ablation::run_protocol(c).1),
+    ("ablation-gpu-msa", |c| ablation::run_gpu_msa_whatif(c).1),
+    ("ablation-staging", |c| ablation::run_staging(c).1),
+];
 
 /// Harness context.
 #[derive(Debug, Clone, Copy)]
@@ -40,6 +70,17 @@ impl Ctx {
             full
         }
     }
+}
+
+/// A fresh scratch directory under the system temp dir, unique per call
+/// so runs of one harness in one process (both sizes under test) never
+/// share it.
+fn scratch_dir(tag: &str) -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("sf-bench-{tag}-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
 /// The Table 1 benchmark set: the "hypothetical" subset of the full

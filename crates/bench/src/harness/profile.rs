@@ -6,12 +6,13 @@
 //! plus waits telescopes exactly to the makespan, the
 //! queue-wait/compute/retry split along that chain, and the per-worker
 //! load-imbalance coefficients (Gini, CoV). Everything is a pure
-//! function of the trace, so a `--quick` run is byte-stable and the
-//! distilled `BENCH_profile.json` doubles as a regression baseline for
-//! `scripts/check.sh`.
+//! function of the trace, so every run is byte-stable; the report
+//! attaches both folds and their distillate, `BENCH_profile.json`. A
+//! trace on which the accounting identity fails aborts the run.
 
 use crate::harness::{fig2, Ctx};
 use crate::report::Report;
+use summitfold_obs::json::ObjectWriter;
 use summitfold_obs::{lineage, Trace};
 
 /// Attribution metrics extracted from the campaign trace.
@@ -43,14 +44,14 @@ pub struct Outcome {
 /// Run the Fig 2 campaign and attribute its makespan.
 ///
 /// # Panics
-/// If the fig2 harness stops attaching its telemetry trace, or the
-/// trace carries no completed executions — both structural regressions
-/// a profile cannot paper over.
+/// If the fig2 harness stops attaching its telemetry trace, the trace
+/// carries no completed executions, or the accounting identity fails —
+/// structural regressions a profile cannot paper over.
 #[must_use]
 pub fn run(ctx: &Ctx) -> (Outcome, Report) {
     let (fig2_outcome, fig2_report) = fig2::run(ctx);
     let jsonl = fig2_report
-        .csv
+        .files
         .iter()
         .find(|(name, _)| name == "fig2_trace.jsonl")
         .map(|(_, contents)| contents.as_str())
@@ -80,6 +81,11 @@ pub fn run(ctx: &Ctx) -> (Outcome, Report) {
         utilization: imbalance.utilization,
         identity_holds: cp.identity_holds(),
     };
+    // sfcheck::allow(panic-hygiene, documented panic; the accounting identity is the attribution contract)
+    assert!(
+        outcome.identity_holds,
+        "critical_path ≤ makespan ≤ critical_path + Σ idle violated: {outcome:?}"
+    );
 
     let mut rpt = Report::new("profile", "Attribution profile — Fig 2 campaign");
     rpt.line(format!(
@@ -100,25 +106,33 @@ pub fn run(ctx: &Ctx) -> (Outcome, Report) {
         outcome.cov,
         100.0 * outcome.utilization
     ));
-    rpt.line(format!(
-        "Accounting identity (critical_path ≤ makespan ≤ critical_path + Σ idle): {}.",
-        if outcome.identity_holds {
-            "holds"
-        } else {
-            "VIOLATED"
-        }
-    ));
+    rpt.line("Accounting identity (critical_path ≤ makespan ≤ critical_path + Σ idle): holds.");
     rpt.line("");
     rpt.line("```text");
     rpt.line(cp.render().trim_end());
     rpt.line(imbalance.render().trim_end());
     rpt.line("```");
-    // The machine-readable reports, for `lens`-free consumption.
-    rpt.attach_csv("profile_critical_path.json", cp.to_json(&truncation) + "\n");
-    rpt.attach_csv(
+    // The machine-readable reports, byte-identical to `lens … --json`.
+    rpt.attach("profile_critical_path.json", cp.to_json(&truncation) + "\n");
+    rpt.attach(
         "profile_imbalance.json",
         imbalance.to_json(&truncation) + "\n",
     );
+    let mut w = ObjectWriter::new();
+    w.str_field("bench", "profile");
+    w.str_field("experiment", "fig2_attribution");
+    w.int_field("quick", u64::from(ctx.quick));
+    w.int_field("tasks", outcome.tasks as u64);
+    w.int_field("workers", outcome.workers as u64);
+    w.num_field("makespan_s", outcome.makespan_s);
+    w.num_field("critical_path_s", outcome.critical_path_s);
+    w.int_field("chain_len", outcome.chain_len as u64);
+    w.num_field("queue_wait_share", outcome.queue_wait_share);
+    w.num_field("gini", outcome.gini);
+    w.num_field("cov", outcome.cov);
+    w.num_field("utilization", outcome.utilization);
+    w.int_field("identity_holds", u64::from(outcome.identity_holds));
+    rpt.attach("BENCH_profile.json", w.finish() + "\n");
     (outcome, rpt)
 }
 
@@ -153,6 +167,9 @@ mod tests {
         assert_eq!(a.makespan_s.to_bits(), b.makespan_s.to_bits());
         assert_eq!(a.critical_path_s.to_bits(), b.critical_path_s.to_bits());
         assert_eq!(a.gini.to_bits(), b.gini.to_bits());
-        assert_eq!(ra.csv, rb.csv, "attribution reports must be byte-stable");
+        assert_eq!(
+            ra.files, rb.files,
+            "attribution reports must be byte-stable"
+        );
     }
 }

@@ -7,17 +7,18 @@
 //! two-tenant campaign twice on the virtual executor: once
 //! uninterrupted, and once killed by an injected fault mid-settlement,
 //! then resumed from the service write-ahead log. The resumed service
-//! must converge to the byte-identical canonical settlement trace.
-//! `repro recovery --emit-bench` distills the comparison into
-//! `BENCH_recovery.json` for the regression gate.
+//! must converge to the byte-identical canonical settlement trace, or
+//! the run aborts; the report attaches the comparison as
+//! `BENCH_recovery.json`.
 
-use crate::harness::Ctx;
+use crate::harness::{scratch_dir, Ctx};
 use crate::report::Report;
 use std::sync::Arc;
 use summitfold_dataflow::chaos::{FaultPlan, IoFault, IoFaults};
 use summitfold_dataflow::sim::VirtualExecutor;
 use summitfold_dataflow::TaskSpec;
 use summitfold_hpc::service::{FoldingService, ServiceConfig, TenantSpec};
+use summitfold_obs::json::ObjectWriter;
 use summitfold_obs::Recorder;
 use summitfold_protein::proteome::{Proteome, Species};
 use summitfold_store::{Store, StoreConfig};
@@ -88,15 +89,8 @@ pub fn run(ctx: &Ctx) -> (Outcome, Report) {
     let tasks = specs.len() + control.len();
     let kill_at = (tasks / 3) as u64;
 
-    let scratch = |leg: &str| {
-        let dir =
-            std::env::temp_dir().join(format!("sf-bench-recovery-{leg}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    };
-
     // Leg A: the uninterrupted reference run.
-    let base_dir = scratch("base");
+    let base_dir = scratch_dir("recovery-base");
     // sfcheck::allow(panic-hygiene, bench harness scratch space under temp_dir; unwritable tmp should abort the run)
     let base_store = Arc::new(Store::open(base_dir.join("store")).expect("writable store dir"));
     let base_rec = Arc::new(Recorder::virtual_time());
@@ -114,7 +108,7 @@ pub fn run(ctx: &Ctx) -> (Outcome, Report) {
 
     // Leg B: the same campaign killed mid-settlement by an injected
     // fault, then resumed from the WAL.
-    let kill_dir = scratch("kill");
+    let kill_dir = scratch_dir("recovery-kill");
     let faults = FaultPlan::new()
         .io(IoFault::kill("service/settle", kill_at))
         .arm();
@@ -166,6 +160,11 @@ pub fn run(ctx: &Ctx) -> (Outcome, Report) {
         resumed_makespan_s: resumed_out.outcome.makespan,
         traces_match: resumed_trace == base_trace,
     };
+    // sfcheck::allow(panic-hygiene, the recovery contract; a violation must stop repro with the outcome)
+    assert!(
+        outcome.traces_match,
+        "kill-resume must converge to the uninterrupted settlement trace: {outcome:?}"
+    );
 
     let mut rpt = Report::new(
         "recovery",
@@ -183,10 +182,19 @@ pub fn run(ctx: &Ctx) -> (Outcome, Report) {
         "Resume replayed {} settlements from the WAL (each charged exactly once).",
         outcome.replayed
     ));
-    rpt.line(format!(
-        "Settlement traces byte-identical: {}.",
-        if outcome.traces_match { "yes" } else { "NO" }
-    ));
+    rpt.line("Settlement traces byte-identical: yes.");
+    let mut w = ObjectWriter::new();
+    w.str_field("bench", "recovery");
+    w.str_field("experiment", "kill_resume");
+    w.int_field("quick", u64::from(ctx.quick));
+    w.int_field("tasks", outcome.tasks as u64);
+    w.int_field("killed_after", outcome.killed_after as u64);
+    w.int_field("replayed", outcome.replayed as u64);
+    w.int_field("requeued", outcome.requeued as u64);
+    w.int_field("traces_match", u64::from(outcome.traces_match));
+    w.num_field("uninterrupted_makespan_s", outcome.uninterrupted_makespan_s);
+    w.num_field("resumed_makespan_s", outcome.resumed_makespan_s);
+    rpt.attach("BENCH_recovery.json", w.finish() + "\n");
     (outcome, rpt)
 }
 

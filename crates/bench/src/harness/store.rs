@@ -8,15 +8,16 @@
 //! [`Store`]: the cold pass executes and files every task, the warm pass
 //! settles 100 % of the identical (renamed) campaign from cache at
 //! admission time, and only an uncached control tenant still executes.
-//! `repro store --emit-bench` distills the two makespans into
-//! `BENCH_store.json` for the regression gate.
+//! The report attaches `BENCH_store.json`, the two makespans and the hit
+//! rate; a warm pass that misses or is not faster aborts the run.
 
-use crate::harness::Ctx;
+use crate::harness::{scratch_dir, Ctx};
 use crate::report::Report;
 use std::sync::Arc;
 use summitfold_dataflow::sim::VirtualExecutor;
 use summitfold_dataflow::TaskSpec;
 use summitfold_hpc::service::{FoldingService, ServiceConfig, TenantSpec};
+use summitfold_obs::json::ObjectWriter;
 use summitfold_obs::{Recorder, Trace};
 use summitfold_protein::proteome::{Proteome, Species};
 use summitfold_store::Store;
@@ -95,8 +96,7 @@ pub fn run(ctx: &Ctx) -> (Outcome, Report) {
     let specs = campaign(Species::DVulgaris, scale);
     let control = campaign(Species::DVulgaris, 0.005);
 
-    let dir = std::env::temp_dir().join(format!("sf-bench-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch_dir("store");
     // sfcheck::allow(panic-hygiene, bench harness scratch space under temp_dir; unwritable tmp should abort the run)
     let store = Arc::new(Store::open(&dir).expect("writable store dir"));
 
@@ -120,6 +120,11 @@ pub fn run(ctx: &Ctx) -> (Outcome, Report) {
             f64::INFINITY
         },
     };
+    // sfcheck::allow(panic-hygiene, the warm-rerun contract; a violation must stop repro with the outcome)
+    assert!(
+        outcome.cache_hits == outcome.tasks && outcome.warm_makespan_s < outcome.cold_makespan_s,
+        "warm rerun must settle every task from cache and beat the cold pass: {outcome:?}"
+    );
 
     let mut rpt = Report::new(
         "store",
@@ -154,6 +159,16 @@ pub fn run(ctx: &Ctx) -> (Outcome, Report) {
             .copied()
             .unwrap_or(0.0),
     ));
+    let mut w = ObjectWriter::new();
+    w.str_field("bench", "store");
+    w.str_field("experiment", "warm_vs_cold");
+    w.int_field("quick", u64::from(ctx.quick));
+    w.int_field("tasks", outcome.tasks as u64);
+    w.int_field("cache_hits", outcome.cache_hits as u64);
+    w.num_field("hit_rate", outcome.hit_rate);
+    w.num_field("cold_makespan_s", outcome.cold_makespan_s);
+    w.num_field("warm_makespan_s", outcome.warm_makespan_s);
+    rpt.attach("BENCH_store.json", w.finish() + "\n");
     (outcome, rpt)
 }
 

@@ -121,7 +121,7 @@ pub fn run(ctx: &Ctx) -> (Vec<Row>, Report) {
             row.overhead_fraction,
         ));
     }
-    rpt.attach_csv("table1.csv", csv);
+    rpt.attach("table1.csv", csv);
     (rows, rpt)
 }
 

@@ -5,18 +5,17 @@
 //!
 //! The reproduction harness: one module per table/figure/number in the
 //! paper's evaluation section, each regenerating its artifact from the
-//! workspace's models and writing CSV + Markdown into `results/`.
+//! workspace's models and writing Markdown plus side files into
+//! `results/` (full size) or `results/quick/` (`--quick`).
 //!
-//! Run everything with:
+//! Run everything, or check every committed artifact, with:
 //!
 //! ```text
-//! cargo run --release -p summitfold-bench --bin repro -- all
+//! cargo run --release -p summitfold-bench --bin repro -- all [--quick]
+//! cargo run --release -p summitfold-bench --bin repro -- check
 //! ```
 //!
-//! Individual experiments: `table1`, `fig2`, `fig3`, `fig4`, `featgen`,
-//! `recycles`, `sdivinum`, `violations`, `relaxscale`, `annotate`,
-//! `ablation-ordering`, `ablation-replicas`, `ablation-protocol`.
-//! Add `--quick` to subsample the heavy experiments.
+//! The experiments are listed in [`harness::EXPERIMENTS`].
 
 pub mod harness;
 pub mod microbench;

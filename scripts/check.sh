@@ -75,113 +75,14 @@ cargo run -q --release --example folding_service -- \
     --emit target/bench-gate/service_health.json >/dev/null
 test -s target/bench-gate/service_health.json
 
-echo "==> bench regression gate (fig2 quick vs committed baseline)"
-# A fresh quick-mode fig2 run is fully deterministic (virtual clock), so
-# its trace must diff clean (no metric >10% off) against the committed
-# golden baseline, and its distilled BENCH_dataflow.json must match the
-# committed copy byte-for-byte. A real scheduling or accounting
-# regression shows up here before any reviewer reads a Gantt chart.
-cargo run -q --release -p summitfold-bench --bin repro -- \
-    fig2 --quick --emit-bench --out target/bench-gate >/dev/null
-cargo run -q --release -p summitfold-bench --bin lens -- \
-    --diff target/bench-gate/fig2_trace.jsonl tests/golden/fig2_quick_trace.jsonl
-if ! cmp -s target/bench-gate/BENCH_dataflow.json BENCH_dataflow.json; then
-    echo "BENCH_dataflow.json is stale; regenerate with:" >&2
-    echo "  cargo run --release -p summitfold-bench --bin repro -- fig2 --quick --emit-bench" >&2
-    exit 1
-fi
-
-echo "==> attribution gate (critical path + imbalance on the golden fig2 trace)"
-# The critical-path fold must satisfy its accounting identity
-# (critical_path ≤ makespan ≤ critical_path + Σ idle, "identity":1 in
-# the report) on the committed golden trace, and both attribution
-# reports are pure functions of the trace — archive them with the other
-# gate artifacts so a scheduling regression has a baseline to diff.
-cargo run -q --release -p summitfold-bench --bin lens -- \
-    critical-path tests/golden/fig2_quick_trace.jsonl --json \
-    > target/bench-gate/fig2_critical_path.json
-if ! grep -q '"identity":1' target/bench-gate/fig2_critical_path.json; then
-    echo "critical-path accounting identity violated on the golden fig2 trace:" >&2
-    cat target/bench-gate/fig2_critical_path.json >&2
-    exit 1
-fi
-cargo run -q --release -p summitfold-bench --bin lens -- \
-    imbalance tests/golden/fig2_quick_trace.jsonl --json \
-    > target/bench-gate/fig2_imbalance.json
-test -s target/bench-gate/fig2_imbalance.json
-
-echo "==> store regression gate (warm rerun vs committed baseline)"
-# The store experiment resubmits an identical campaign through the
-# folding service: the warm-rerun artifact must show a non-zero (in fact
-# 100 %) hit rate and a warm makespan below the cold one, and the
-# distilled BENCH_store.json must match the committed copy byte-for-byte
-# (all numbers are virtual-clock, so quick mode is byte-stable).
-cargo run -q --release -p summitfold-bench --bin repro -- \
-    store --quick --emit-bench --out target/bench-gate >/dev/null
-if ! grep -q '"hit_rate":1' target/bench-gate/BENCH_store.json; then
-    echo "warm rerun no longer hits 100 %:" >&2
-    cat target/bench-gate/BENCH_store.json >&2
-    exit 1
-fi
-if ! cmp -s target/bench-gate/BENCH_store.json BENCH_store.json; then
-    echo "BENCH_store.json is stale; regenerate with:" >&2
-    echo "  cargo run --release -p summitfold-bench --bin repro -- store --quick --emit-bench" >&2
-    exit 1
-fi
-
-echo "==> recovery regression gate (kill-resume vs committed baseline)"
-# The recovery experiment kills a two-tenant service mid-settlement with
-# an injected fault and resumes it from the WAL: the resumed settlement
-# trace must stay byte-identical to the uninterrupted run's
-# (traces_match stays 1), and the distilled BENCH_recovery.json must
-# match the committed copy byte-for-byte (all numbers are virtual-clock,
-# so quick mode is byte-stable).
-cargo run -q --release -p summitfold-bench --bin repro -- \
-    recovery --quick --emit-bench --out target/bench-gate >/dev/null
-if ! grep -q '"traces_match":1' target/bench-gate/BENCH_recovery.json; then
-    echo "kill-resume no longer converges to the uninterrupted settlement trace:" >&2
-    cat target/bench-gate/BENCH_recovery.json >&2
-    exit 1
-fi
-if ! cmp -s target/bench-gate/BENCH_recovery.json BENCH_recovery.json; then
-    echo "BENCH_recovery.json is stale; regenerate with:" >&2
-    echo "  cargo run --release -p summitfold-bench --bin repro -- recovery --quick --emit-bench" >&2
-    exit 1
-fi
-
-echo "==> profile regression gate (attribution vs committed baseline)"
-# The profile experiment re-runs the fig2 campaign and attributes its
-# makespan: the accounting identity must hold (identity_holds stays 1)
-# and the distilled BENCH_profile.json must match the committed copy
-# byte-for-byte (the attribution is a pure function of a virtual-clock
-# trace, so quick mode is byte-stable).
-cargo run -q --release -p summitfold-bench --bin repro -- \
-    profile --quick --emit-bench --out target/bench-gate >/dev/null
-if ! grep -q '"identity_holds":1' target/bench-gate/BENCH_profile.json; then
-    echo "critical-path accounting identity violated in the profile run:" >&2
-    cat target/bench-gate/BENCH_profile.json >&2
-    exit 1
-fi
-if ! cmp -s target/bench-gate/BENCH_profile.json BENCH_profile.json; then
-    echo "BENCH_profile.json is stale; regenerate with:" >&2
-    echo "  cargo run --release -p summitfold-bench --bin repro -- profile --quick --emit-bench" >&2
-    exit 1
-fi
-
-echo "==> geometry byte-identity gate (fig3 + fig4 vs committed results)"
-# fig3 (TM/SPECS of relaxed vs unrelaxed models) and fig4 (relaxation
-# time vs size over geometric predictions) run the spatial grid under
-# inference and the minimizer, whose visit order is bit-exact by
-# contract: regenerated at full size (a few seconds each), their CSVs
-# must match the committed copies byte-for-byte.
-for fig in fig3 fig4; do
-    cargo run -q --release -p summitfold-bench --bin repro -- \
-        "$fig" --out target/bench-gate >/dev/null
-    if ! cmp -s "target/bench-gate/$fig.csv" "results/$fig.csv"; then
-        echo "results/$fig.csv drifted from a fresh run; if intended, regenerate with:" >&2
-        echo "  cargo run --release -p summitfold-bench --bin repro -- $fig" >&2
-        exit 1
-    fi
-done
+echo "==> repro check (every committed results/ file regenerates byte-identically)"
+# Runs every experiment at both sizes — results/ is `repro all`,
+# results/quick/ is `repro all --quick` — and compares each file it
+# writes with the committed copy; drift is printed with the command that
+# regenerates it. The harnesses themselves abort on a broken contract
+# (100 % warm-rerun hits, kill-resume trace match, the critical-path
+# accounting identity). tier-1 runs the cheap slice of the same check
+# (crates/bench/tests/regenerate.rs). ~4 min.
+cargo run -q --release -p summitfold-bench --bin repro -- check
 
 echo "All checks passed."

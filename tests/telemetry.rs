@@ -440,16 +440,16 @@ fn lineage_attribution_agrees_across_executors() {
     );
 }
 
-/// The committed golden fig2 trace pins the attribution reports: the
+/// The committed quick fig2 trace pins the attribution reports: the
 /// accounting identity holds, the chain telescopes to the makespan, and
 /// the folds are pure functions of the trace bytes.
 #[test]
 fn golden_fig2_attribution_is_pinned() {
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/fig2_quick_trace.jsonl"
+        "/results/quick/fig2_trace.jsonl"
     );
-    let jsonl = std::fs::read_to_string(path).expect("golden fig2 trace present");
+    let jsonl = std::fs::read_to_string(path).expect("committed quick fig2 trace present");
     let trace = Trace::parse_jsonl(&jsonl).unwrap();
     let cp = lineage::critical_path_of(&trace).expect("fig2 trace has executions");
     assert!(cp.identity_holds(), "accounting identity violated");
