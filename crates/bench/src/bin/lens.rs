@@ -19,10 +19,11 @@
 //! The `--diff` mode extracts comparable metrics from both traces
 //! (makespan, per-span total durations, counter totals, histogram
 //! quantiles), classifies each against a 10 % relative threshold, and
-//! exits 1 when any metric regressed — `scripts/check.sh` uses this as
-//! the bench regression gate against a committed golden baseline. With
-//! `--json` the per-metric verdicts land on stdout as one JSON object
-//! (the exit code still carries the overall verdict).
+//! exits 1 when any metric regressed. It explains a drift between two
+//! traces; it gates nothing — `repro check` is the gate, by regenerating
+//! committed artifacts byte for byte. With `--json` the per-metric
+//! verdicts land on stdout as one JSON object (the exit code still
+//! carries the overall verdict).
 //!
 //! The lineage subcommands (`journey`, `critical-path`, `imbalance`)
 //! fold the trace's `lineage/*` breadcrumbs and span/task rows into the
@@ -207,19 +208,10 @@ fn load_trace(path: &str) -> Result<Trace, String> {
 fn render_trace(trace: &Trace) -> String {
     let mut out = trace.summary();
     let totals = trace.counter_totals();
-    // Deadline/speculation accounting, when the batch recorded any.
+    // Deadline accounting, when the batch recorded any.
     if let Some(&carried) = totals.get("dataflow/deadline_carryover") {
         out.push_str(&format!(
             "deadline: {carried:.0} task(s) carried over to a follow-on job\n"
-        ));
-    }
-    if let Some(&speculated) = totals.get("dataflow/speculated") {
-        let wins = totals
-            .get("dataflow/speculation_wins")
-            .copied()
-            .unwrap_or(0.0);
-        out.push_str(&format!(
-            "speculation: {speculated:.0} duplicate(s) launched, {wins:.0} won the race\n"
         ));
     }
     let node: Vec<(&String, &f64)> = totals

@@ -23,7 +23,8 @@ pub struct Outcome {
     pub workers: usize,
     /// Batch walltime in hours.
     pub walltime_h: f64,
-    /// Standard-lane makespan in (virtual) seconds.
+    /// Batch makespan in (virtual) seconds, from batch start to the last
+    /// completion (quarantine rerun included).
     pub makespan_s: f64,
     /// Completed tasks in the batch.
     pub tasks: usize,
@@ -59,7 +60,6 @@ pub fn run(ctx: &Ctx) -> (Outcome, Report) {
         // Live health gauges roughly every workers/2 completions — a
         // couple hundred monitor samples over the batch either way.
         progress_every: Some(if ctx.quick { 50 } else { 500 }),
-        ..inference::Config::benchmark(Preset::Genome)
     };
     // Run traced on a virtual clock: the JSONL trace carries the stage
     // span, every task event, and (via the observed ledger) the budget.
@@ -144,12 +144,6 @@ pub fn run(ctx: &Ctx) -> (Outcome, Report) {
             "Quarantine rerun: {} tasks on the high-memory lane, +{:.1} min.",
             sim.quarantined,
             sim.quarantine_makespan / 60.0
-        ));
-    }
-    if sim.speculated > 0 {
-        rpt.line(format!(
-            "Speculation: {} duplicate(s) launched against stragglers, {} won the race.",
-            sim.speculated, sim.speculation_wins
         ));
     }
     if sim.status.is_partial() {

@@ -14,6 +14,7 @@ use crate::harness::{fig2, Ctx};
 use crate::report::Report;
 use summitfold_obs::json::ObjectWriter;
 use summitfold_obs::{lineage, Trace};
+use summitfold_pipeline::stages::TASK_OVERHEAD_S;
 
 /// Attribution metrics extracted from the campaign trace.
 #[derive(Debug, Clone)]
@@ -45,8 +46,9 @@ pub struct Outcome {
 ///
 /// # Panics
 /// If the fig2 harness stops attaching its telemetry trace, the trace
-/// carries no completed executions, or the accounting identity fails —
-/// structural regressions a profile cannot paper over.
+/// carries no completed executions, the accounting identity fails, or
+/// the attributed makespan is not the batch makespan minus one dispatch
+/// gap — structural regressions a profile cannot paper over.
 #[must_use]
 pub fn run(ctx: &Ctx) -> (Outcome, Report) {
     let (fig2_outcome, fig2_report) = fig2::run(ctx);
@@ -85,6 +87,17 @@ pub fn run(ctx: &Ctx) -> (Outcome, Report) {
     assert!(
         outcome.identity_holds,
         "critical_path ≤ makespan ≤ critical_path + Σ idle violated: {outcome:?}"
+    );
+    // The lineage origin is the first execution start, one dispatch gap
+    // after the batch starts, so the attributed makespan falls short of
+    // the batch's (BENCH_dataflow.json) by exactly TASK_OVERHEAD_S.
+    let gap = fig2_outcome.makespan_s - outcome.makespan_s;
+    // sfcheck::allow(panic-hygiene, documented panic; the origin is defined as the first execution start)
+    assert!(
+        (gap - TASK_OVERHEAD_S).abs() <= 1e-9 * fig2_outcome.makespan_s,
+        "batch makespan {} minus attributed makespan {} is {gap} s, not one dispatch gap",
+        fig2_outcome.makespan_s,
+        outcome.makespan_s
     );
 
     let mut rpt = Report::new("profile", "Attribution profile — Fig 2 campaign");

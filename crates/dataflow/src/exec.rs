@@ -84,8 +84,6 @@ pub enum BatchError {
     },
     /// The walltime budget is not a finite non-negative number.
     InvalidDeadline,
-    /// The speculation factor is not a finite number greater than 1.
-    InvalidSpeculation,
     /// `progress(0)` was requested: the cadence must be at least 1 task.
     InvalidProgress,
     /// The retry/quarantine/journal configuration cannot complete.
@@ -118,9 +116,6 @@ impl std::fmt::Display for BatchError {
             ),
             Self::InvalidDeadline => {
                 write!(f, "deadline must be a finite non-negative number of seconds")
-            }
-            Self::InvalidSpeculation => {
-                write!(f, "speculation factor must be finite and greater than 1")
             }
             Self::InvalidProgress => {
                 write!(f, "progress cadence must be at least one task")
@@ -179,10 +174,6 @@ pub struct Plan<'a> {
     /// resumed batch reuses the schedule's original clock — pass a later
     /// horizon to model the follow-on job's fresh allocation.
     pub deadline: Option<f64>,
-    /// Straggler-speculation factor `k` (`None` = speculation off): a
-    /// clean task whose modeled duration exceeds `k × cost_hint` gets a
-    /// speculative duplicate on an idle worker.
-    pub speculation: Option<f64>,
     /// Emit `monitor/...` health gauges every N completed tasks
     /// (`None` = no progress telemetry). Validated ≥ 1.
     pub progress: Option<usize>,
@@ -271,13 +262,6 @@ pub struct BatchOutcome<O> {
     /// Carried-over tasks still appear in `outputs` (the closure runs
     /// inline, as for resumed tasks) but have no completion record.
     pub status: BatchStatus,
-    /// Losing speculative executions (attempts = 0), one per task whose
-    /// duplicate raced; not part of `records`.
-    pub cancelled: Vec<TaskRecord>,
-    /// Tasks that actually ran a speculative duplicate.
-    pub speculated: usize,
-    /// Speculated tasks whose duplicate finished first.
-    pub speculation_wins: usize,
 }
 
 impl<O> BatchOutcome<O> {
@@ -307,8 +291,9 @@ impl<O> BatchOutcome<O> {
         self.makespan - self.quarantine_makespan
     }
 
-    /// Mean utilization of the standard-lane workers over the standard
-    /// lane's makespan, in `[0, 1]`. Unlike [`Self::utilization`], this
+    /// Mean utilization of the standard-lane workers (ids `0..workers`)
+    /// over the standard lane's makespan, from batch start until the
+    /// lane drains, in `[0, 1]`. Unlike [`Self::utilization`], this
     /// excludes the quarantine rerun pass, during which the standard lane
     /// is deliberately idle — it is the load-balance figure of merit.
     #[must_use]
@@ -354,15 +339,6 @@ impl<O> BatchOutcome<O> {
         } else {
             0.0
         }
-    }
-
-    /// Completion records followed by cancelled speculative executions —
-    /// the full set of worker activity, as the stats CSV reports it.
-    #[must_use]
-    pub fn all_records(&self) -> Vec<TaskRecord> {
-        let mut out = self.records.clone();
-        out.extend(self.cancelled.iter().cloned());
-        out
     }
 
     /// Records belonging to one worker, sorted by start time (one row of
@@ -464,7 +440,6 @@ pub struct Batch<'a> {
     quarantine_workers: Option<usize>,
     journal: Option<&'a Journal>,
     deadline: Option<f64>,
-    speculation: Option<f64>,
     progress: Option<usize>,
 }
 
@@ -498,7 +473,6 @@ impl<'a> Batch<'a> {
             quarantine_workers: None,
             journal: None,
             deadline: None,
-            speculation: None,
             progress: None,
         }
     }
@@ -595,20 +569,6 @@ impl<'a> Batch<'a> {
         self
     }
 
-    /// Enable straggler speculation: a clean task whose modeled duration
-    /// exceeds `factor × cost_hint` gets a speculative duplicate on an
-    /// idle worker; the first completion wins and the loser is recorded
-    /// as cancelled (attempts = 0). `None` uses the default threshold,
-    /// [`crate::deadline::DEFAULT_SPECULATION_FACTOR`] (1.5×) — the
-    /// former `speculate()` shorthand. Both backends derive the
-    /// decision from [`crate::deadline::speculation_flags`], so they
-    /// agree on which tasks speculate.
-    #[must_use]
-    pub fn speculation(mut self, factor: Option<f64>) -> Self {
-        self.speculation = Some(factor.unwrap_or(crate::deadline::DEFAULT_SPECULATION_FACTOR));
-        self
-    }
-
     /// Emit live-health gauges (`monitor/done`, `monitor/throughput`,
     /// `monitor/utilization`, `monitor/eta_s`, …) every `every_n_tasks`
     /// completions, plus once at batch end. The gauges flow through the
@@ -661,11 +621,6 @@ impl<'a> Batch<'a> {
                 return Err(BatchError::InvalidDeadline);
             }
         }
-        if let Some(k) = self.speculation {
-            if !k.is_finite() || k <= 1.0 {
-                return Err(BatchError::InvalidSpeculation);
-            }
-        }
         if self.progress == Some(0) {
             return Err(BatchError::InvalidProgress);
         }
@@ -708,7 +663,6 @@ impl<'a> Batch<'a> {
             quarantine_workers: self.quarantine_workers,
             journal: self.journal,
             deadline: self.deadline,
-            speculation: self.speculation,
             progress: self.progress,
             completed: BTreeMap::new(),
         })
@@ -835,7 +789,6 @@ pub(crate) struct Ledger<'a, O> {
     specs: &'a [TaskSpec],
     journal: Option<&'a Journal>,
     records: Vec<TaskRecord>,
-    cancelled: Vec<TaskRecord>,
     outputs: Vec<Option<O>>,
     worker_busy: Vec<f64>,
     worker_finish: Vec<f64>,
@@ -851,7 +804,6 @@ impl<'a, O> Ledger<'a, O> {
             specs: plan.specs,
             journal: plan.journal,
             records: Vec::with_capacity(n),
-            cancelled: Vec::new(),
             outputs: (0..n).map(|_| None).collect(),
             worker_busy: vec![0.0; lanes],
             worker_finish: vec![0.0; lanes],
@@ -868,16 +820,6 @@ impl<'a, O> Ledger<'a, O> {
         }
     }
 
-    fn record(&self, idx: usize, ran: Ran, attempts: u32) -> TaskRecord {
-        TaskRecord {
-            task_id: self.specs[idx].id.clone(),
-            worker_id: ran.worker,
-            start: ran.start,
-            end: ran.end,
-            attempts,
-        }
-    }
-
     /// Task `idx` completed: record it, journal it, keep its output
     /// (`None` = compute it inline when the batch finishes).
     pub(crate) fn complete(&mut self, idx: usize, ran: Ran, attempts: u32, out: Option<O>) {
@@ -891,14 +833,14 @@ impl<'a, O> Ledger<'a, O> {
                 attempts,
             });
         }
-        self.records.push(self.record(idx, ran, attempts));
+        self.records.push(TaskRecord {
+            task_id: self.specs[idx].id.clone(),
+            worker_id: ran.worker,
+            start: ran.start,
+            end: ran.end,
+            attempts,
+        });
         self.outputs[idx] = out;
-    }
-
-    /// The losing half of a speculative race (attempts = 0).
-    pub(crate) fn cancel(&mut self, idx: usize, ran: Ran) {
-        self.charge(ran);
-        self.cancelled.push(self.record(idx, ran, 0));
     }
 
     /// Task `idx` burned its whole attempt budget on `ran.worker` and
@@ -932,10 +874,6 @@ pub(crate) struct PassParams<'a> {
     pub prior_failures: u32,
     /// Absolute completion horizon (`None` = unbounded).
     pub deadline: Option<f64>,
-    /// Straggler threshold `k` (`None` = speculation off).
-    pub speculation: Option<f64>,
-    /// Per-task speculation flags, by submission index.
-    pub spec_flags: &'a [bool],
     /// `worker id → tasks_before_death` (first fault per worker wins).
     pub budgets: &'a BTreeMap<usize, usize>,
     pub fault_plan: &'a FaultPlan<'a>,
@@ -950,8 +888,6 @@ pub(crate) struct PassResult {
     /// When the lane drained, on the backend's clock.
     pub makespan: f64,
     pub requeued: usize,
-    pub speculated: usize,
-    pub speculation_wins: usize,
 }
 
 /// The frozen path, once for every backend: prepare, run the standard
@@ -979,13 +915,6 @@ where
         }
     };
     let fault_plan = FaultPlan::new(plan.task_faults, plan.retry);
-    let spec_flags = crate::deadline::speculation_flags(
-        specs,
-        durations,
-        &fault_plan,
-        plan.speculation,
-        plan.workers,
-    );
     let mut budgets: BTreeMap<usize, usize> = BTreeMap::new();
     for fault in plan.faults {
         budgets
@@ -1007,8 +936,6 @@ where
         lane: Lane::Standard,
         prior_failures: 0,
         deadline: plan.deadline,
-        speculation: plan.speculation,
-        spec_flags: &spec_flags,
         budgets: &budgets,
         fault_plan: &fault_plan,
     };
@@ -1036,7 +963,6 @@ where
                 start_at: pass1.makespan,
                 lane: Lane::HighMemory,
                 prior_failures: plan.retry.max_attempts,
-                speculation: None,
                 budgets: &no_budgets,
                 ..standard
             },
@@ -1083,13 +1009,8 @@ where
             .map(|(i, o)| o.unwrap_or_else(|| f(&specs[i], &items[i])))
             .collect(),
         // Replayed journal records may end later than this run's clock.
-        makespan: ledger
-            .records
-            .iter()
-            .chain(&ledger.cancelled)
-            .fold(makespan, |m, r| m.max(r.end)),
+        makespan: ledger.records.iter().fold(makespan, |m, r| m.max(r.end)),
         records: ledger.records,
-        cancelled: ledger.cancelled,
         workers: plan.workers,
         registered_workers,
         worker_busy: ledger.worker_busy,
@@ -1100,8 +1021,6 @@ where
         quarantine_makespan,
         resumed: plan.completed.len(),
         status: BatchStatus::from_carryover(carried_over),
-        speculated: pass1.speculated,
-        speculation_wins: pass1.speculation_wins,
     };
     close_batch_span(plan, span, t0, &outcome);
     outcome
@@ -1149,9 +1068,6 @@ pub(crate) fn finish_live(
         quarantine_makespan: 0.0,
         resumed: 0,
         status: BatchStatus::from_carryover(queue.pending_ids()),
-        cancelled: Vec::new(),
-        speculated: 0,
-        speculation_wins: 0,
     };
     if rec.is_enabled() {
         for r in &outcome.records {
@@ -1180,12 +1096,10 @@ pub(crate) fn finish_live(
 /// clocks to the batch end so the span duration equals the makespan.
 ///
 /// Resilience telemetry rides along: `dataflow/retries`,
-/// `dataflow/quarantined`, `dataflow/resumed`, `dataflow/speculated`,
-/// `dataflow/speculation_wins` and `dataflow/deadline_carryover`
-/// counters, cancelled speculative executions as task events with
-/// attempts = 0, a nested `{label}:quarantine` span covering the rerun
-/// pass when one happened, and a zero-duration `{label}:carryover`
-/// marker span when the deadline cut the batch. When the plan asked for
+/// `dataflow/quarantined`, `dataflow/resumed` and
+/// `dataflow/deadline_carryover` counters, a nested `{label}:quarantine`
+/// span covering the rerun pass when one happened, and a zero-duration
+/// `{label}:carryover` marker span when the deadline cut the batch. When the plan asked for
 /// progress telemetry, `monitor/...` gauges are interleaved at their
 /// completion timestamps (see [`Batch::progress`]).
 fn close_batch_span<O>(plan: &Plan<'_>, span: SpanId, t0: f64, outcome: &BatchOutcome<O>) {
@@ -1193,7 +1107,7 @@ fn close_batch_span<O>(plan: &Plan<'_>, span: SpanId, t0: f64, outcome: &BatchOu
     if !rec.is_enabled() {
         return;
     }
-    for r in outcome.records.iter().chain(&outcome.cancelled) {
+    for r in &outcome.records {
         rec.task(
             Some(span),
             &r.task_id,
@@ -1232,10 +1146,6 @@ fn close_batch_span<O>(plan: &Plan<'_>, span: SpanId, t0: f64, outcome: &BatchOu
     }
     if outcome.resumed > 0 {
         rec.add("dataflow/resumed", outcome.resumed as f64);
-    }
-    if outcome.speculated > 0 {
-        rec.add("dataflow/speculated", outcome.speculated as f64);
-        rec.add("dataflow/speculation_wins", outcome.speculation_wins as f64);
     }
     if outcome.quarantined > 0 && outcome.quarantine_makespan > 0.0 {
         // On a virtual clock the quarantine span covers exactly the
@@ -1346,6 +1256,17 @@ fn per_worker_stats(records: &[TaskRecord], workers: usize) -> (Vec<f64>, Vec<f6
         .map(|g| g.iter().map(|r| r.end).fold(0.0, f64::max))
         .collect();
     (busy, finish)
+}
+
+/// Whether completing at `completion` seconds would overrun `deadline`.
+///
+/// `None` means no budget (never overruns); the comparison is strict, so
+/// a task finishing exactly at the deadline still dispatches. Stopping
+/// at the *first* overrun, rather than skipping it for a later, shorter
+/// task, keeps a cut run's records a prefix of the uninterrupted run's,
+/// which is what lets a killed campaign resume byte-for-byte.
+pub(crate) fn would_overrun(deadline: Option<f64>, completion: f64) -> bool {
+    deadline.is_some_and(|d| completion > d)
 }
 
 #[cfg(test)]
@@ -1461,7 +1382,14 @@ mod tests {
     }
 
     #[test]
-    fn bad_deadline_and_speculation_are_typed_errors() {
+    fn no_deadline_never_overruns() {
+        assert!(!would_overrun(None, f64::MAX));
+        assert!(!would_overrun(Some(10.0), 10.0), "exact finish dispatches");
+        assert!(would_overrun(Some(10.0), 10.0 + 1e-12));
+    }
+
+    #[test]
+    fn bad_deadline_is_a_typed_error() {
         let s = specs(4);
         for bad in [f64::NAN, f64::INFINITY, -1.0] {
             let err = Batch::new(&s)
@@ -1470,14 +1398,6 @@ mod tests {
                 .run(&VirtualExecutor::new(0.0))
                 .unwrap_err();
             assert_eq!(err, BatchError::InvalidDeadline, "deadline {bad}");
-        }
-        for bad in [f64::NAN, 1.0, 0.5, -2.0] {
-            let err = Batch::new(&s)
-                .workers(2)
-                .speculation(Some(bad))
-                .run(&VirtualExecutor::new(0.0))
-                .unwrap_err();
-            assert_eq!(err, BatchError::InvalidSpeculation, "factor {bad}");
         }
         // A zero deadline is legal: everything carries over.
         let r = Batch::new(&s)
@@ -1509,7 +1429,6 @@ mod tests {
             }
             .to_string(),
             BatchError::InvalidDeadline.to_string(),
-            BatchError::InvalidSpeculation.to_string(),
             BatchError::InvalidProgress.to_string(),
         ];
         for m in &msgs {

@@ -226,15 +226,28 @@ impl Journal {
                 };
                 Ok(ParsedLine::Done(JournalEntry {
                     task,
-                    worker: need_num("worker")? as usize,
+                    worker: need_int(&obj, "worker")?,
                     start: need_num("start")?,
                     end: need_num("end")?,
-                    attempts: need_num("attempts")? as u32,
+                    attempts: need_int(&obj, "attempts")?,
                 }))
             }
             other => Err(format!("unknown event kind '{other}'")),
         }
     }
+}
+
+/// An integer field: finite, integral, in `0..=2^53` and in `T`'s range
+/// — never a saturating cast, so a resume replays the worker id and
+/// attempt count that were written, or refuses the line.
+fn need_int<T: TryFrom<u64>>(obj: &BTreeMap<String, json::Value>, key: &str) -> Result<T, String> {
+    let value = obj
+        .get(key)
+        .ok_or(format!("missing numeric field '{key}'"))?;
+    value
+        .as_uint()
+        .and_then(|n| T::try_from(n).ok())
+        .ok_or(format!("field '{key}' is not an integer in range"))
 }
 
 /// One parsed journal line.
@@ -327,6 +340,56 @@ mod tests {
         assert!(Journal::parse_jsonl(mid).is_err());
         // Blank lines are tolerated.
         assert_eq!(Journal::parse_jsonl("\n\n").unwrap().len(), 0);
+    }
+
+    /// A valid journal line, then a `task_done` line whose `key` holds
+    /// the raw JSON value `raw`: the error names line 2 and the field.
+    fn assert_done_field_rejected(key: &str, raw: &str) {
+        let good = sample().entries()[0].to_json_line();
+        let fields = [
+            ("worker", "0"),
+            ("start", "0"),
+            ("end", "1"),
+            ("attempts", "1"),
+        ];
+        let row: Vec<String> = fields
+            .iter()
+            .map(|&(k, v)| format!("\"{k}\":{}", if k == key { raw } else { v }))
+            .collect();
+        let text = format!(
+            "{good}\n{{\"event\":\"task_done\",\"task\":\"c\",{}}}\n",
+            row.join(",")
+        );
+        match Journal::parse_jsonl(&text).expect_err(raw) {
+            ResilienceError::Journal { line, message } => {
+                assert_eq!(line, 2, "{message}");
+                assert!(message.contains(key), "{message}");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn negative_integer_fields_are_rejected() {
+        // A saturating cast would read -1 attempts as 0.
+        assert_done_field_rejected("attempts", "-1");
+        assert_done_field_rejected("worker", "-1");
+    }
+
+    #[test]
+    fn fractional_integer_fields_are_rejected() {
+        // A saturating cast would read 1.9 as 1.
+        assert_done_field_rejected("attempts", "1.9");
+        assert_done_field_rejected("worker", "1.9");
+    }
+
+    #[test]
+    fn out_of_range_integer_fields_are_rejected() {
+        // A saturating cast would read 1e30 as usize::MAX; a thread-backend
+        // resume replays that into a record whose `worker_timelines`
+        // overflows.
+        assert_done_field_rejected("worker", "1e30");
+        assert_done_field_rejected("attempts", "4294967296");
     }
 
     #[test]

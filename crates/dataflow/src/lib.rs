@@ -52,14 +52,10 @@
 //! Both persist through [`log`]: one append-only JSONL primitive (one
 //! torn-tail rule, seals as data, one fault-gated append).
 //!
-//! The deadline layer (see [`deadline`]) adds walltime budgets — a batch
-//! stops dispatching tasks that would overrun `Batch::deadline`, journals
-//! the leftovers as carried over, and returns
-//! [`exec::BatchStatus::Partial`] so a follow-on job can resume exactly —
-//! and straggler speculation: tasks running past `k×` their expected
-//! duration race a duplicate on an idle worker, first completion wins.
-//! Both decisions derive from pure functions shared by the backends, so
-//! the virtual and thread executors pick the identical speculation set.
+//! Walltime budgets ride on the same description: a batch stops
+//! dispatching at the first task that would overrun `Batch::deadline`,
+//! journals the leftovers as carried over, and returns
+//! [`exec::BatchStatus::Partial`] so a follow-on job can resume exactly.
 //!
 //! The live layer (see [`source`]) is the multi-tenant pivot: a
 //! [`source::SubmissionQueue`] accepts campaigns from concurrent
@@ -69,7 +65,6 @@
 //! time instead of walking a plan frozen at `run()` time.
 
 pub mod chaos;
-pub mod deadline;
 pub mod exec;
 pub mod fault;
 pub mod journal;

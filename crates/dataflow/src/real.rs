@@ -30,20 +30,14 @@
 //!   the worker before the frame hands them to the high-memory lane;
 //! * **wall-clock deadlines** — a worker will not start a task whose
 //!   modeled duration would overrun the budget; in-flight work finishes;
-//! * **raced speculation** — tasks flagged by
-//!   [`crate::deadline::speculation_flags`] enqueue a twin the moment
-//!   their primary starts; the first completion claims the task and the
-//!   loser records as cancelled (the simulator decides the race
-//!   analytically);
 //! * **resume replays the journal verbatim** — wall-clock times cannot
 //!   be re-derived, so journaled records go back into the ledger as
 //!   written (outputs recomputed inline) and only the remainder runs
 //!   (the simulator re-derives the whole schedule instead).
 
-use crate::deadline::would_overrun;
 use crate::exec::{
-    finish_live, run_frozen, BatchOutcome, Executor, Ledger, LiveDrain, LivePlan, PassParams,
-    PassResult, Plan, Ran,
+    finish_live, run_frozen, would_overrun, BatchOutcome, Executor, Ledger, LiveDrain, LivePlan,
+    PassParams, PassResult, Plan, Ran,
 };
 use crate::retry::{Lane, PassOutcome};
 use crate::source::{Pull, SubmissionQueue};
@@ -63,8 +57,8 @@ fn sleep_secs(s: f64) {
 /// One lane on OS threads: `p.workers` workers drain `p.order` through a
 /// shared deque, wall-clocked from `epoch`. Failed attempts really
 /// re-execute `f` (results discarded) and backoff delays really sleep on
-/// the worker; completions, cancellations and burns go to the shared
-/// ledger behind the lane's one mutex.
+/// the worker; completions and burns go to the shared ledger behind the
+/// lane's one mutex.
 fn run_lane<I, O, F>(
     p: &PassParams<'_>,
     ledger: &mut Ledger<'_, O>,
@@ -79,31 +73,26 @@ where
 {
     let now = || epoch.elapsed().as_secs_f64();
     let retry = p.fault_plan.policy();
-    // The scheduler queue: pending (task index, is_twin) pairs in lane
-    // order, minus what a resume already replayed into the ledger. The
-    // whole lane is enqueued before any worker starts; workers drain the
-    // deque until the remaining counter proves every primary resolved
-    // (twins of claimed tasks drop silently), a dying worker re-queues
-    // its pull, or the deadline stops dispatch.
+    // The scheduler queue: pending task indices in lane order, minus what
+    // a resume already replayed into the ledger. The whole lane is
+    // enqueued before any worker starts; workers drain the deque until
+    // the remaining counter proves every task resolved, or the deadline
+    // stops dispatch.
     let queue = &Mutex::new(
         p.order
             .iter()
-            .filter(|&&idx| !ledger.holds(idx))
-            .map(|&idx| (idx, false))
-            .collect::<VecDeque<(usize, bool)>>(),
+            .copied()
+            .filter(|&idx| !ledger.holds(idx))
+            .collect::<VecDeque<usize>>(),
     );
     let remaining = AtomicUsize::new(lock(queue).len());
-    // An empty queue is final unless dying workers can re-queue a pull
-    // or starting primaries can enqueue a twin.
-    let refills = !p.budgets.is_empty() || p.order.iter().any(|&idx| p.spec_flags[idx]);
+    // Only a dying worker puts a pull back, so without deaths an empty
+    // queue is final.
+    let refills = !p.budgets.is_empty();
     // Registration list: workers announce themselves before accepting
     // work.
     let registered = &Mutex::new(Vec::with_capacity(p.workers));
-    // First-completion-wins claims for speculated tasks.
-    let claims: Vec<AtomicBool> = p.specs.iter().map(|_| AtomicBool::new(false)).collect();
     let requeued = AtomicUsize::new(0);
-    let speculated = AtomicUsize::new(0);
-    let speculation_wins = AtomicUsize::new(0);
     let deadline_hit = AtomicBool::new(false);
     {
         let ledger = Mutex::new(&mut *ledger);
@@ -113,12 +102,12 @@ where
             let mut completed = 0usize;
             loop {
                 if remaining.load(Ordering::Acquire) == 0 {
-                    return; // every primary resolved somewhere
+                    return; // every task resolved somewhere
                 }
                 if deadline_hit.load(Ordering::Acquire) {
                     return; // dispatch stopped; leftovers carry over
                 }
-                let Some((idx, twin)) = lock(queue).pop_front() else {
+                let Some(idx) = lock(queue).pop_front() else {
                     if refills {
                         std::thread::yield_now();
                         continue;
@@ -128,63 +117,32 @@ where
                 if budget == Some(completed) {
                     // The worker dies holding this pull: re-queue it and
                     // exit (Dask reschedules tasks of lost workers the
-                    // same way). Only primaries count as re-queued work.
-                    lock(queue).push_back((idx, twin));
-                    if !twin {
-                        requeued.fetch_add(1, Ordering::Relaxed);
-                    }
+                    // same way).
+                    lock(queue).push_back(idx);
+                    requeued.fetch_add(1, Ordering::Relaxed);
                     return;
-                }
-                let run = || f(&p.specs[idx], &items[idx]);
-                if twin {
-                    // Speculative duplicate: skip if the primary already
-                    // claimed the task (never launched).
-                    if claims[idx].load(Ordering::Acquire) {
-                        continue;
-                    }
-                    speculated.fetch_add(1, Ordering::Relaxed);
-                    let start = now();
-                    let out = run();
-                    let ran = Ran::new(worker_id, start, now());
-                    if claims[idx].swap(true, Ordering::AcqRel) {
-                        lock(&ledger).cancel(idx, ran); // the primary finished first
-                    } else {
-                        speculation_wins.fetch_add(1, Ordering::Relaxed);
-                        lock(&ledger).complete(idx, ran, p.prior_failures + 1, Some(out));
-                        remaining.fetch_sub(1, Ordering::Release);
-                        completed += 1;
-                    }
-                    continue;
                 }
                 if would_overrun(p.deadline, now() + p.durations[idx]) {
                     // Starting this task would overrun the walltime
                     // budget: put it back at the head and stop all
                     // dispatch.
-                    lock(queue).push_front((idx, false));
+                    lock(queue).push_front(idx);
                     deadline_hit.store(true, Ordering::Release);
                     return;
                 }
+                let run = || f(&p.specs[idx], &items[idx]);
                 let start = now();
                 match p
                     .fault_plan
                     .pass(&p.specs[idx].id, p.lane, p.prior_failures)
                 {
                     PassOutcome::Succeeds { failures } => {
-                        if p.spec_flags[idx] {
-                            // Enqueue the speculative twin before
-                            // starting, so an idle worker races it.
-                            lock(queue).push_back((idx, true));
-                        }
                         for i in 1..=failures {
                             let _ = run();
                             sleep_secs(retry.backoff_after(i));
                         }
                         let out = run();
                         let ran = Ran::new(worker_id, start, now());
-                        if p.spec_flags[idx] && claims[idx].swap(true, Ordering::AcqRel) {
-                            lock(&ledger).cancel(idx, ran); // the twin finished first
-                            continue;
-                        }
                         let attempts = p.prior_failures + failures + 1;
                         lock(&ledger).complete(idx, ran, attempts, Some(out));
                         completed += 1;
@@ -215,20 +173,14 @@ where
     // Race-free deterministic rerun order regardless of which worker
     // exhausted which task first.
     ledger.exhausted.sort_unstable();
-    let leftover = std::mem::take(&mut *lock(queue));
+    // Tasks the deadline left undispatched.
+    let carryover = std::mem::take(&mut *lock(queue)).into();
     let registered = std::mem::take(&mut *lock(registered));
     PassResult {
         registered,
-        // Undispatched primaries whose twins did not finish for them.
-        carryover: leftover
-            .into_iter()
-            .filter(|&(idx, twin)| !twin && !claims[idx].load(Ordering::Acquire))
-            .map(|(idx, _)| idx)
-            .collect(),
+        carryover,
         makespan: now(),
         requeued: requeued.into_inner(),
-        speculated: speculated.into_inner(),
-        speculation_wins: speculation_wins.into_inner(),
     }
 }
 

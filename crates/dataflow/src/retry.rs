@@ -206,14 +206,6 @@ impl<'a> FaultPlan<'a> {
         self.faults.is_empty()
     }
 
-    /// Whether `task` succeeds on its very first standard-lane attempt —
-    /// the precondition for straggler speculation (duplicating a task
-    /// that retries would double-count its attempt arithmetic).
-    #[must_use]
-    pub fn clean_first_try(&self, task: &str) -> bool {
-        self.pass(task, Lane::Standard, 0) == (PassOutcome::Succeeds { failures: 0 })
-    }
-
     /// Run `task` through `lane` having already burned `prior` failed
     /// executions in earlier lanes.
     #[must_use]
@@ -369,15 +361,6 @@ mod tests {
             fp.pass("a", Lane::HighMemory, 3),
             PassOutcome::Succeeds { failures: 1 }
         );
-    }
-
-    #[test]
-    fn clean_first_try_identifies_faultless_tasks() {
-        let faults = [TaskFault::transient("a", 1), TaskFault::oom("big")];
-        let fp = FaultPlan::new(&faults, RetryPolicy::new(3, 0.0, 0.0));
-        assert!(fp.clean_first_try("unrelated"));
-        assert!(!fp.clean_first_try("a"));
-        assert!(!fp.clean_first_try("big"));
     }
 
     #[test]

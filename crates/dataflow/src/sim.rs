@@ -23,18 +23,14 @@
 //! * **virtual deadlines** — dispatch stops at the first task whose
 //!   completion would overrun an absolute virtual-time horizon, so
 //!   resumed batches pass a later horizon for each follow-on job;
-//! * **analytic speculation** — a straggler flagged by
-//!   [`crate::deadline::speculation_flags`] races a duplicate on the
-//!   next-free worker and the earlier modeled finish wins;
 //! * **resume is re-derivation** — the schedule is a pure function of
 //!   the batch description, so a resumed simulation recomputes every
 //!   record bit-for-bit and `Batch::resume` cross-checks them against
 //!   the journal.
 
-use crate::deadline::would_overrun;
 use crate::exec::{
-    finish_live, run_frozen, BatchOutcome, Executor, Ledger, LiveDrain, LivePlan, PassParams,
-    PassResult, Plan, Ran,
+    finish_live, run_frozen, would_overrun, BatchOutcome, Executor, Ledger, LiveDrain, LivePlan,
+    PassParams, PassResult, Plan, Ran,
 };
 use crate::retry::PassOutcome;
 use crate::source::{OrderCursor, Pull, SubmissionQueue};
@@ -79,12 +75,9 @@ fn schedule_pass<O>(p: &PassParams<'_>, overhead: f64, ledger: &mut Ledger<'_, O
         carryover: Vec::new(),
         makespan: p.start_at,
         requeued: 0,
-        speculated: 0,
-        speculation_wins: 0,
     };
     // A worker at its death budget retires the moment it would pull
-    // another task. Pulling a primary re-queues it (the thread workers'
-    // push-back); pulling a speculative twin does not.
+    // another task, re-queueing it (the thread workers' push-back).
     let dead = |successes: &BTreeMap<usize, usize>, w: usize| -> bool {
         p.budgets
             .get(&w)
@@ -120,69 +113,6 @@ fn schedule_pass<O>(p: &PassParams<'_>, overhead: f64, ledger: &mut Ledger<'_, O
                 let occupancy =
                     f64::from(failures + 1) * d + policy.backoff_before_success(failures);
                 let end = start + occupancy;
-
-                // Straggler speculation: race a duplicate (running at the
-                // expected speed `cost_hint`) on the next-free worker,
-                // launched once the original is `k ×` its expectation in.
-                if p.spec_flags[idx] {
-                    let k = p.speculation.unwrap_or(f64::INFINITY);
-                    let expected = p.specs[idx].cost_hint;
-                    let launch = start + k * expected;
-                    // Next-free live worker for the duplicate; dead ones
-                    // retire silently (a twin pull is not re-queued).
-                    let twin = loop {
-                        match heap.pop() {
-                            None => break None,
-                            Some(Reverse(Slot(f2, w2))) => {
-                                if dead(&successes, w2) {
-                                    continue;
-                                }
-                                break Some((f2, w2));
-                            }
-                        }
-                    };
-                    if let Some((f2, w2)) = twin {
-                        let start2 = f2.max(launch) + overhead;
-                        let end2 = start2 + expected;
-                        if start2 >= end {
-                            // The original finishes before the duplicate
-                            // could start: never launched.
-                            heap.push(Reverse(Slot(f2, w2)));
-                        } else {
-                            let winner_end = end2.min(end);
-                            if would_overrun(p.deadline, winner_end) {
-                                heap.push(Reverse(Slot(free_at, w)));
-                                heap.push(Reverse(Slot(f2, w2)));
-                                out.carryover.push(idx);
-                                out.carryover.extend_from_slice(cursor.rest());
-                                break 'dispatch;
-                            }
-                            out.speculated += 1;
-                            // Ties go to the original.
-                            let (win_w, win_start, lose_w, lose_start) = if end2 < end {
-                                out.speculation_wins += 1;
-                                (w2, start2, w, start)
-                            } else {
-                                (w, start, w2, start2)
-                            };
-                            // The loser runs until the winner's finish
-                            // cancels it: real occupancy on both workers.
-                            ledger.complete(
-                                idx,
-                                Ran::new(win_w, win_start, winner_end),
-                                p.prior_failures + 1,
-                                None,
-                            );
-                            ledger.cancel(idx, Ran::new(lose_w, lose_start, winner_end));
-                            out.makespan = out.makespan.max(winner_end);
-                            *successes.entry(win_w).or_insert(0) += 1;
-                            heap.push(Reverse(Slot(winner_end, w)));
-                            heap.push(Reverse(Slot(winner_end, w2)));
-                            continue;
-                        }
-                    }
-                }
-
                 if would_overrun(p.deadline, end) {
                     heap.push(Reverse(Slot(free_at, w)));
                     out.carryover.push(idx);
@@ -234,9 +164,8 @@ fn schedule_pass<O>(p: &PassParams<'_>, overhead: f64, ledger: &mut Ledger<'_, O
 /// Task durations come from the plan's explicit `durations` (or from
 /// `cost_hint` when none are given); the closure still runs once per
 /// task — sequentially, in submission order — so simulated batches
-/// produce real outputs. Worker deaths, deadlines, and straggler
-/// speculation are all modeled in virtual time with the same accounting
-/// as the thread backend.
+/// produce real outputs. Worker deaths and deadlines are modeled in
+/// virtual time with the same accounting as the thread backend.
 #[derive(Debug, Clone, Copy)]
 pub struct VirtualExecutor {
     per_task_overhead: f64,
@@ -606,62 +535,6 @@ mod tests {
             .run(&VirtualExecutor::new(0.0))
             .unwrap();
         assert_eq!(exact.status, crate::exec::BatchStatus::Complete);
-    }
-
-    #[test]
-    fn straggler_races_a_duplicate_and_the_duplicate_wins() {
-        let specs = vec![TaskSpec::new("slow", 10.0)];
-        let durations = vec![40.0];
-        let r = Batch::new(&specs)
-            .workers(2)
-            .durations(&durations)
-            .speculation(None)
-            .run(&VirtualExecutor::new(0.0))
-            .unwrap();
-        assert_eq!(r.speculated, 1);
-        assert_eq!(r.speculation_wins, 1);
-        // Duplicate launches at k × cost_hint = 15 s on worker 1 and runs
-        // at the expected 10 s, beating the 40 s straggler.
-        let win = &r.records[0];
-        assert_eq!((win.worker_id, win.attempts), (1, 1));
-        assert!((win.start - 15.0).abs() < 1e-9 && (win.end - 25.0).abs() < 1e-9);
-        let lose = &r.cancelled[0];
-        assert_eq!((lose.worker_id, lose.attempts), (0, 0));
-        assert!((lose.end - 25.0).abs() < 1e-9, "cancelled at the win");
-        assert!((r.makespan - 25.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn original_win_cancels_the_duplicate() {
-        let specs = vec![TaskSpec::new("mild", 10.0)];
-        let durations = vec![16.0];
-        let r = Batch::new(&specs)
-            .workers(2)
-            .durations(&durations)
-            .speculation(None)
-            .run(&VirtualExecutor::new(0.0))
-            .unwrap();
-        assert_eq!((r.speculated, r.speculation_wins), (1, 0));
-        let win = &r.records[0];
-        assert_eq!(win.worker_id, 0);
-        assert!((win.end - 16.0).abs() < 1e-9);
-        let lose = &r.cancelled[0];
-        assert!((lose.start - 15.0).abs() < 1e-9 && (lose.end - 16.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn tasks_within_threshold_never_speculate() {
-        let specs = vec![TaskSpec::new("ok", 10.0)];
-        let durations = vec![14.0];
-        let r = Batch::new(&specs)
-            .workers(2)
-            .durations(&durations)
-            .speculation(None)
-            .run(&VirtualExecutor::new(0.0))
-            .unwrap();
-        assert_eq!((r.speculated, r.speculation_wins), (0, 0));
-        assert!(r.cancelled.is_empty());
-        assert_eq!(r.cancelled.len(), r.speculated, "invariant");
     }
 
     #[test]

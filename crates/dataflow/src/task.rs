@@ -41,10 +41,7 @@ pub struct TaskRecord {
     /// End time of the successful attempt (same clock).
     pub end: f64,
     /// Executions including the successful one (1 = first-try success;
-    /// retries and quarantine reruns push it higher). 0 marks a
-    /// cancelled speculative execution: the task completed on the other
-    /// copy, and this record is its losing half (only ever found in
-    /// [`crate::BatchOutcome::cancelled`], never in `records`).
+    /// retries and quarantine reruns push it higher).
     pub attempts: u32,
 }
 

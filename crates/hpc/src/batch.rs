@@ -74,17 +74,6 @@ impl Campaign {
     pub fn total_s(&self) -> f64 {
         self.compute_s + self.queue_wait_s
     }
-
-    /// Combine two campaign stages run back to back (e.g. an initial
-    /// allocation plus the follow-on job that drains its carryover).
-    #[must_use]
-    pub fn chain(self, other: Campaign) -> Campaign {
-        Campaign {
-            jobs: self.jobs + other.jobs,
-            compute_s: self.compute_s + other.compute_s,
-            queue_wait_s: self.queue_wait_s + other.queue_wait_s,
-        }
-    }
 }
 
 /// Plan a campaign of identical jobs.
@@ -112,31 +101,6 @@ pub fn plan_campaign(
         compute_s,
         queue_wait_s: wait * f64::from(jobs),
     }
-}
-
-/// Plan the follow-on job for a deadline-cut batch.
-///
-/// When a walltime budget stops a batch early, the executor reports the
-/// carried-over tasks (see `summitfold_dataflow::BatchStatus::Partial`);
-/// their remaining work, expressed as node-seconds, is submitted as a
-/// fresh campaign on the same machine. A batch that finished inside its
-/// budget has nothing to carry, so the follow-on is the empty campaign —
-/// zero jobs, zero compute, zero queueing.
-#[must_use]
-pub fn plan_follow_on(
-    machine: Machine,
-    nodes: u32,
-    max_walltime_s: f64,
-    carryover_node_seconds: f64,
-) -> Campaign {
-    if carryover_node_seconds <= 0.0 {
-        return Campaign {
-            jobs: 0,
-            compute_s: 0.0,
-            queue_wait_s: 0.0,
-        };
-    }
-    plan_campaign(machine, nodes, max_walltime_s, carryover_node_seconds)
 }
 
 #[cfg(test)]
@@ -209,28 +173,6 @@ mod tests {
         assert!((c.compute_s - 10.0 * 3600.0).abs() < 1.0);
         assert_eq!(c.jobs, 2);
         assert!(c.total_s() > c.compute_s);
-    }
-
-    #[test]
-    fn follow_on_is_empty_without_carryover() {
-        let c = plan_follow_on(Machine::Summit, 32, 2.0 * 3600.0, 0.0);
-        assert_eq!(c.jobs, 0);
-        assert_eq!(c.total_s(), 0.0);
-        let c = plan_follow_on(Machine::Summit, 32, 2.0 * 3600.0, -5.0);
-        assert_eq!(c.jobs, 0);
-    }
-
-    #[test]
-    fn follow_on_drains_carryover_and_chains() {
-        // A deadline-cut batch leaves 60 node-hours on the table; the
-        // follow-on plans a real campaign for exactly that remainder.
-        let first = plan_campaign(Machine::Summit, 32, 2.0 * 3600.0, 180.0 * 3600.0);
-        let follow = plan_follow_on(Machine::Summit, 32, 2.0 * 3600.0, 60.0 * 3600.0);
-        assert!(follow.jobs >= 1);
-        assert!((follow.compute_s - 60.0 * 3600.0 / 32.0).abs() < 1.0);
-        let total = first.chain(follow);
-        assert_eq!(total.jobs, first.jobs + follow.jobs);
-        assert!((total.total_s() - (first.total_s() + follow.total_s())).abs() < 1e-9);
     }
 
     #[test]

@@ -26,8 +26,9 @@
 //! unchanged, 0 → anything else is regressed.
 //!
 //! `lens --diff <new> <baseline>` renders a [`TraceDiff`] and exits
-//! non-zero on regressions; `scripts/check.sh` runs it against the
-//! committed fig2 baseline as a CI gate.
+//! non-zero on regressions. It explains a drift between two traces; it
+//! is not a gate — `repro check` gates the committed traces by
+//! regenerating them byte for byte.
 
 use crate::trace::Trace;
 use std::collections::BTreeMap;

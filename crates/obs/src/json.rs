@@ -259,6 +259,20 @@ impl Value {
             _ => None,
         }
     }
+
+    /// The numeric payload as an unsigned integer, if it is finite,
+    /// integral and in `0..=2^53` (the range where every integer is an
+    /// exact `f64`). Readers of id, worker and attempt fields use this
+    /// instead of an `as` cast, which would read `-1` as 0, `1.9` as 1
+    /// and `1e30` as `u64::MAX`.
+    #[must_use]
+    pub fn as_uint(&self) -> Option<u64> {
+        const MAX_EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
+        match *self {
+            Self::Num(n) if n.fract() == 0.0 && (0.0..=MAX_EXACT).contains(&n) => Some(n as u64),
+            _ => None,
+        }
+    }
 }
 
 /// Why a trace line failed to parse.
@@ -514,6 +528,19 @@ mod tests {
         let obj = parse_object(&line).expect("parse");
         assert_eq!(obj["value"].as_num(), Some(v));
         assert_eq!(obj["t"].as_num(), Some(1.0 / 3.0));
+    }
+
+    #[test]
+    fn as_uint_accepts_only_exact_non_negative_integers() {
+        let two_53 = 9_007_199_254_740_992.0;
+        for (n, want) in [(0.0, Some(0)), (7.0, Some(7)), (two_53, Some(1 << 53))] {
+            assert_eq!(Value::Num(n).as_uint(), want, "{n}");
+        }
+        for n in [-1.0, 1.9, 0.5, two_53 * 2.0, 1e30, f64::INFINITY, f64::NAN] {
+            assert_eq!(Value::Num(n).as_uint(), None, "{n}");
+        }
+        assert_eq!(Value::Str("3".into()).as_uint(), None);
+        assert_eq!(Value::Null.as_uint(), None);
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //!
 //! Every breadcrumb is an [`Event::Lineage`] whose `name` is one of the
 //! phases below, emitted **only** by this module's emit helpers (pinned
-//! by sfcheck's metric-ownership rule and the check.sh single-source
-//! grep), so both executors produce identical lineage streams by
+//! by sfcheck's metric-ownership rule, a hard finding no allow directive
+//! covers), so both executors produce identical lineage streams by
 //! construction:
 //!
 //! | name                     | `t` carries                              |
@@ -46,13 +46,14 @@
 //!
 //! All three reports are pure deterministic functions of the trace. On
 //! the virtual clock a campaign's trace is byte-stable run to run, so
-//! its reports are too (pinned in tests and gated in check.sh against
-//! the golden fig2 trace). The thread backend measures wall time with
-//! racy worker assignment, so its *timings* differ run to run; the
-//! executor-invariant projection — task set, attempts, lineage
-//! breadcrumb structure, retry-backoff values — is identical by
-//! construction, and the canonical attribution basis for a thread-run
-//! campaign is its deterministic virtual replay of the same plan.
+//! its reports are too (pinned in tests, and `repro check` regenerates
+//! the committed fig2 trace and both reports byte for byte). The thread
+//! backend measures wall time with racy worker assignment, so its
+//! *timings* differ run to run; the executor-invariant projection —
+//! task set, attempts, lineage breadcrumb structure, retry-backoff
+//! values — is identical by construction, and the canonical attribution
+//! basis for a thread-run campaign is its deterministic virtual replay
+//! of the same plan.
 //!
 //! # Truncated streams
 //!
@@ -454,9 +455,16 @@ impl ChainLink {
 /// The extracted critical path and its category breakdown.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CriticalPath {
-    /// Earliest completed-execution start (the campaign origin).
+    /// Earliest completed-execution start (the campaign origin). A trace
+    /// has no batch-start row to anchor on, and on a dataflow batch the
+    /// first task starts one dispatch gap after the batch does (the
+    /// executor's per-task overhead: 30 s for the inference stage).
     pub origin: f64,
-    /// Latest completed-execution end minus the origin.
+    /// Latest completed-execution end minus the origin. Because the
+    /// origin is the first execution start, this is the executor's
+    /// batch makespan minus one dispatch gap: the 30 s by which
+    /// `BENCH_profile.json` trails `BENCH_dataflow.json` on the same
+    /// fig2 batch (`repro profile` asserts it at both sizes).
     pub makespan_s: f64,
     /// Chain links in chronological order; durations plus waits
     /// telescope to the makespan.
@@ -741,7 +749,9 @@ pub struct ImbalanceReport {
     pub busy_mean_s: f64,
     /// Total idle seconds across workers.
     pub idle_total_s: f64,
-    /// Aggregate utilization: busy / (workers × makespan).
+    /// Aggregate utilization: busy / (workers × makespan), counting every
+    /// worker that completed an execution (high-memory lane included)
+    /// over the window from the first execution start to the last end.
     pub utilization: f64,
     /// Top-k longest tasks with journey breakdowns.
     pub stragglers: Vec<Straggler>,

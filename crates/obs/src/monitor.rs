@@ -26,9 +26,21 @@ use crate::sink::Sink;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
+/// Sliding window (seconds) for throughput: five minutes, the span an
+/// operator watching a multi-hour batch reads a rate over.
+const WINDOW_S: f64 = 300.0;
+
+/// A completed task counts as a straggler when its duration exceeds this
+/// factor times the mean duration of the tasks completed before it.
+/// Under the paper's longest-first ordering completions should get
+/// shorter as a batch proceeds, so the running mean already bounds a
+/// well-ordered task; 1.5 leaves half again as much for duration noise
+/// before a completion is flagged.
+const STRAGGLER_FACTOR: f64 = 1.5;
+
 /// Static knowledge about the campaign, supplied up front so the monitor
 /// can report totals, budget burn, and an expected-work ETA.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MonitorConfig {
     /// Total tasks the batch will run, when known.
     pub total_tasks: Option<usize>,
@@ -40,25 +52,6 @@ pub struct MonitorConfig {
     pub workers: Option<usize>,
     /// Walltime deadline (seconds) for budget-burn reporting.
     pub deadline_s: Option<f64>,
-    /// Sliding window (seconds) for throughput. Default 300.
-    pub window_s: f64,
-    /// A completed task counts as a straggler when its duration exceeds
-    /// this factor times the mean duration of the tasks completed before
-    /// it. Default 1.5 (mirrors the dataflow speculation threshold).
-    pub straggler_factor: f64,
-}
-
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        Self {
-            total_tasks: None,
-            expected_total_s: None,
-            workers: None,
-            deadline_s: None,
-            window_s: 300.0,
-            straggler_factor: 1.5,
-        }
-    }
 }
 
 /// Rolling health at one instant of the stream.
@@ -71,9 +64,11 @@ pub struct HealthSnapshot {
     pub tasks_done: usize,
     /// Configured total, if known.
     pub tasks_total: Option<usize>,
-    /// Completions per second over the sliding window ending at `t`.
+    /// Completions per second over the 300 s window ending at `t`.
     pub throughput_per_s: f64,
-    /// Busy-seconds over worker-seconds since the stream began, 0..=1.
+    /// Busy seconds over `workers × t`, 0..=1: every completed task on
+    /// any lane, over the configured workers (else the distinct workers
+    /// seen) from stream time 0 to the latest timestamp.
     pub utilization: f64,
     /// `1 - utilization`.
     pub idle_fraction: f64,
@@ -83,8 +78,8 @@ pub struct HealthSnapshot {
     pub retries: u64,
     /// Cancelled speculative executions (attempts = 0).
     pub cancelled: usize,
-    /// Completions classified as stragglers (see
-    /// [`MonitorConfig::straggler_factor`]).
+    /// Completions more than 1.5× the mean duration of the tasks
+    /// completed before them.
     pub stragglers: usize,
     /// `retries / executions` — the fraction of task executions that
     /// were repair work.
@@ -149,7 +144,7 @@ struct State {
     /// Busy seconds per worker id.
     busy: BTreeMap<usize, f64>,
     /// Absolute end times of completions, for window throughput.
-    /// Pruned lazily against `now - window_s`.
+    /// Pruned lazily against `now - WINDOW_S`.
     window_ends: VecDeque<f64>,
 }
 
@@ -195,17 +190,16 @@ impl Monitor {
     pub fn snapshot(&self) -> HealthSnapshot {
         let mut state = self.lock();
         let now = state.now;
-        let window = self.cfg.window_s.max(f64::MIN_POSITIVE);
         while state
             .window_ends
             .front()
-            .is_some_and(|&end| end < now - window)
+            .is_some_and(|&end| end < now - WINDOW_S)
         {
             state.window_ends.pop_front();
         }
         // Early in the run the window extends past t=0; divide by the
         // elapsed part only so the first snapshots aren't diluted.
-        let span = window.min(now);
+        let span = WINDOW_S.min(now);
         let throughput = if span > 0.0 {
             state.window_ends.len() as f64 / span
         } else {
@@ -296,7 +290,7 @@ impl Sink for Monitor {
                 let duration = (*end - *start).max(0.0);
                 if state.done > 0 {
                     let mean = state.duration_sum / state.done as f64;
-                    if duration > self.cfg.straggler_factor * mean {
+                    if duration > STRAGGLER_FACTOR * mean {
                         state.stragglers += 1;
                     }
                 }
@@ -424,7 +418,6 @@ mod tests {
     #[test]
     fn window_prunes_old_completions() {
         let m = Monitor::new(MonitorConfig {
-            window_s: 15.0,
             workers: Some(1),
             ..MonitorConfig::default()
         });
@@ -435,11 +428,12 @@ mod tests {
             t: 0.0,
         });
         m.event(&task(0, 0.0, 5.0, 1));
-        m.event(&task(0, 5.0, 30.0, 1));
-        // Only the end at t=30 is inside (15, 30]; the one at t=5 aged out.
+        m.event(&task(0, 5.0, 400.0, 1));
+        // Only the end at t=400 is inside (100, 400]; the one at t=5 aged
+        // out of the 300 s window.
         let s = m.snapshot();
         assert!(
-            (s.throughput_per_s - 1.0 / 15.0).abs() < 1e-12,
+            (s.throughput_per_s - 1.0 / WINDOW_S).abs() < 1e-12,
             "{}",
             s.throughput_per_s
         );
@@ -453,7 +447,6 @@ mod tests {
             expected_total_s: Some(60.0),
             workers: Some(2),
             deadline_s: Some(100.0),
-            ..MonitorConfig::default()
         };
         let streaming = Monitor::new(cfg);
         let mut per_event = Vec::new();

@@ -147,10 +147,42 @@ fn need_str(obj: &BTreeMap<String, Value>, key: &str, line: usize) -> Result<Str
         })
 }
 
-fn opt_span(obj: &BTreeMap<String, Value>, key: &str) -> Option<SpanId> {
-    obj.get(key)
-        .and_then(Value::as_num)
-        .map(|n| SpanId(n as u64))
+/// An integer field: finite, integral, in `0..=2^53` ([`Value::as_uint`])
+/// and in `T`'s range — never a saturating cast.
+fn int_of<T: TryFrom<u64>>(value: &Value, key: &str, line: usize) -> Result<T, TraceError> {
+    value
+        .as_uint()
+        .and_then(|n| T::try_from(n).ok())
+        .ok_or_else(|| TraceError {
+            line,
+            message: format!("field '{key}' is not an integer in range"),
+        })
+}
+
+fn need_int<T: TryFrom<u64>>(
+    obj: &BTreeMap<String, Value>,
+    key: &str,
+    line: usize,
+) -> Result<T, TraceError> {
+    match obj.get(key) {
+        Some(value) => int_of(value, key, line),
+        None => Err(TraceError {
+            line,
+            message: format!("missing numeric field '{key}'"),
+        }),
+    }
+}
+
+/// A span reference: absent or `null` is no span.
+fn opt_span(
+    obj: &BTreeMap<String, Value>,
+    key: &str,
+    line: usize,
+) -> Result<Option<SpanId>, TraceError> {
+    match obj.get(key) {
+        None | Some(Value::Null) => Ok(None),
+        Some(value) => int_of(value, key, line).map(|n| Some(SpanId(n))),
+    }
 }
 
 impl Trace {
@@ -180,22 +212,22 @@ impl Trace {
             let kind = need_str(&obj, "event", line_no)?;
             let event = match kind.as_str() {
                 "span_start" => Event::SpanStart {
-                    id: SpanId(need_num(&obj, "id", line_no)? as u64),
-                    parent: opt_span(&obj, "parent"),
+                    id: SpanId(need_int(&obj, "id", line_no)?),
+                    parent: opt_span(&obj, "parent", line_no)?,
                     name: need_str(&obj, "name", line_no)?,
                     t: need_num(&obj, "t", line_no)?,
                 },
                 "span_end" => Event::SpanEnd {
-                    id: SpanId(need_num(&obj, "id", line_no)? as u64),
+                    id: SpanId(need_int(&obj, "id", line_no)?),
                     t: need_num(&obj, "t", line_no)?,
                 },
                 "task" => Event::Task {
-                    span: opt_span(&obj, "span"),
+                    span: opt_span(&obj, "span", line_no)?,
                     task: need_str(&obj, "task", line_no)?,
-                    worker: need_num(&obj, "worker", line_no)? as usize,
+                    worker: need_int(&obj, "worker", line_no)?,
                     start: need_num(&obj, "start", line_no)?,
                     end: need_num(&obj, "end", line_no)?,
-                    attempts: need_num(&obj, "attempts", line_no)? as u32,
+                    attempts: need_int(&obj, "attempts", line_no)?,
                 },
                 "counter" => Event::Counter {
                     name: need_str(&obj, "name", line_no)?,
@@ -547,6 +579,61 @@ mod tests {
         assert!(err.message.contains("value"), "{err}");
         let err = Trace::parse_jsonl("not json").expect_err("fails");
         assert_eq!(err.line, 1);
+    }
+
+    /// A span start followed by one task row whose `key` holds the raw
+    /// JSON value `raw`.
+    fn parse_task_with(key: &str, raw: &str) -> Result<Trace, TraceError> {
+        let fields = [
+            ("span", "1"),
+            ("task", "\"t\""),
+            ("worker", "0"),
+            ("start", "0"),
+            ("end", "1"),
+            ("attempts", "1"),
+        ];
+        let row: Vec<String> = fields
+            .iter()
+            .map(|&(k, v)| format!("\"{k}\":{}", if k == key { raw } else { v }))
+            .collect();
+        Trace::parse_jsonl(&format!(
+            "{{\"event\":\"span_start\",\"id\":1,\"parent\":null,\"name\":\"b\",\"t\":0}}\n\
+             {{\"event\":\"task\",{}}}\n",
+            row.join(",")
+        ))
+    }
+
+    fn assert_task_field_rejected(key: &str, raw: &str) {
+        let err = parse_task_with(key, raw).expect_err(raw);
+        assert_eq!(err.line, 2, "{err}");
+        assert!(err.message.contains(key), "{err}");
+    }
+
+    #[test]
+    fn negative_integer_fields_are_rejected() {
+        assert!(parse_task_with("attempts", "1").is_ok());
+        // A saturating cast would read -1 attempts as 0: a non-completion.
+        assert_task_field_rejected("attempts", "-1");
+        assert_task_field_rejected("worker", "-1");
+        assert_task_field_rejected("span", "-1");
+        let err = Trace::parse_jsonl("{\"event\":\"span_end\",\"id\":-1,\"t\":0}").unwrap_err();
+        assert_eq!(err.line, 1, "{err}");
+    }
+
+    #[test]
+    fn fractional_integer_fields_are_rejected() {
+        // A saturating cast would read 1.9 as 1.
+        assert_task_field_rejected("attempts", "1.9");
+        assert_task_field_rejected("worker", "1.9");
+        assert_task_field_rejected("span", "1.9");
+    }
+
+    #[test]
+    fn out_of_range_integer_fields_are_rejected() {
+        // A saturating cast would read 1e30 as usize::MAX.
+        assert_task_field_rejected("worker", "1e30");
+        assert_task_field_rejected("span", "1e30");
+        assert_task_field_rejected("attempts", "4294967296");
     }
 
     #[test]

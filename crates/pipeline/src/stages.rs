@@ -33,7 +33,7 @@
 use crate::artifacts;
 use summitfold_dataflow::exec::BatchOutcome;
 use summitfold_dataflow::sim::VirtualExecutor;
-use summitfold_dataflow::{Batch, OrderingPolicy, RetryPolicy, TaskFault, TaskSpec};
+use summitfold_dataflow::{Batch, OrderingPolicy, TaskFault, TaskSpec};
 use summitfold_hpc::fs::ReplicaLayout;
 use summitfold_hpc::machine::Machine;
 use summitfold_hpc::Ledger;
@@ -137,7 +137,6 @@ pub mod feature {
     //! Stage 1: input feature generation on Andes (§3.2.1).
 
     use super::*;
-    use summitfold_protein::rng::Xoshiro256;
 
     /// Configuration for the feature-generation stage.
     #[derive(Debug, Clone, Copy)]
@@ -148,28 +147,17 @@ pub mod feature {
         pub replicas: u32,
         /// Concurrently running Andes jobs (one node each).
         pub concurrent_jobs: u32,
-        /// Retry policy for transiently failing scans (filesystem
-        /// stalls under contention, §3.3's failure handling).
-        pub retry: RetryPolicy,
-        /// Injected transient-failure rate per thousand targets
-        /// (0 = fault-free; requires `retry.max_attempts >= 2`).
-        pub flaky_per_mille: u32,
-        /// Seed for the deterministic fault injection draw.
-        pub fault_seed: u64,
     }
 
     impl Config {
         /// The paper's production configuration: reduced databases, 24
-        /// replicas, 4 jobs per replica, three attempts per scan.
+        /// replicas, 4 jobs per replica.
         #[must_use]
         pub fn paper_default() -> Self {
             Self {
                 db_set: DbSet::Reduced,
                 replicas: 24,
                 concurrent_jobs: 96,
-                retry: RetryPolicy::new(3, 60.0, 480.0),
-                flaky_per_mille: 0,
-                fault_seed: 0,
             }
         }
     }
@@ -183,8 +171,8 @@ pub mod feature {
         /// Dataflow batch outcome over the *computed* scans (cache hits
         /// never enter the batch).
         pub sim: BatchOutcome<()>,
-        /// Andes node-hours charged (contention slowdown and retries
-        /// included; cache hits charge nothing).
+        /// Andes node-hours charged (contention slowdown included; cache
+        /// hits charge nothing).
         pub node_hours: f64,
         /// Wall-clock including replication (seconds).
         pub walltime_s: f64,
@@ -303,19 +291,6 @@ pub mod feature {
                 })
                 .collect();
 
-            // Deterministic transient-fault injection: each scanned
-            // target draws once from a seeded stream; afflicted scans
-            // fail their first execution and succeed on retry.
-            let mut faults: Vec<TaskFault> = Vec::new();
-            if cfg.flaky_per_mille > 0 && cfg.retry.max_attempts >= 2 {
-                let mut rng = Xoshiro256::seed_from_u64(cfg.fault_seed);
-                for spec in &specs {
-                    if rng.below(1000) < cfg.flaky_per_mille as usize {
-                        faults.push(TaskFault::transient(spec.id.clone(), 1));
-                    }
-                }
-            }
-
             // Databases replicate only when something will actually be
             // scanned; a fully cache-served stage never touches them.
             let replication_s = if ctx.store.is_some() && missed.is_empty() {
@@ -328,8 +303,6 @@ pub mod feature {
                 .workers(cfg.concurrent_jobs.max(1) as usize)
                 .policy(OrderingPolicy::LongestFirst)
                 .durations(&durations)
-                .retry(cfg.retry)
-                .task_faults(&faults)
                 .recorder(rec)
                 .label("feature_gen")
                 .run(&VirtualExecutor::new(0.0))
@@ -351,31 +324,9 @@ pub mod feature {
                 }
             }
 
-            let base_node_s: f64 = durations.iter().sum();
-            // Failed attempts burn real node time; charge them separately so
-            // the rerun lane's cost is visible in the ledger.
-            let dur_of: std::collections::HashMap<&str, f64> = specs
-                .iter()
-                .zip(&durations)
-                .map(|(s, &d)| (s.id.as_str(), d))
-                .collect();
-            let retry_node_s: f64 = sim
-                .records
-                .iter()
-                .filter(|r| r.attempts > 1)
-                .map(|r| {
-                    f64::from(r.attempts - 1)
-                        * dur_of.get(r.task_id.as_str()).copied().unwrap_or(0.0)
-                })
-                .sum();
-
+            let node_s: f64 = durations.iter().sum();
             let walltime_s = replication_s + sim.makespan;
-            ctx.ledger
-                .charge(Machine::Andes, "feature_gen", base_node_s);
-            if retry_node_s > 0.0 {
-                ctx.ledger
-                    .charge(Machine::Andes, "feature_gen_retries", retry_node_s);
-            }
+            ctx.ledger.charge(Machine::Andes, "feature_gen", node_s);
             if rec.is_enabled() {
                 rec.gauge("feature/io_slowdown", slowdown);
                 rec.gauge("feature/replication_s", replication_s);
@@ -384,7 +335,7 @@ pub mod feature {
             rec.span_end(span);
             Report {
                 features,
-                node_hours: (base_node_s + retry_node_s) / 3600.0,
+                node_hours: node_s / 3600.0,
                 walltime_s,
                 replication_s,
                 io_slowdown: slowdown,
@@ -400,6 +351,9 @@ pub mod inference {
 
     use super::*;
 
+    /// High-memory Summit nodes backing the quarantine rerun lane.
+    const HIGHMEM_NODES: u32 = 1;
+
     /// Configuration for the inference stage.
     #[derive(Debug, Clone, Copy)]
     pub struct Config {
@@ -414,17 +368,6 @@ pub mod inference {
         /// Retry OOM targets on high-memory nodes (§3.3): their tasks
         /// carry OOM-shaped faults and complete in the quarantine lane.
         pub rescue_on_high_mem: bool,
-        /// High-memory nodes backing the quarantine rerun lane.
-        pub highmem_nodes: u32,
-        /// Retry policy for the standard lane.
-        pub retry: RetryPolicy,
-        /// Walltime budget (seconds of simulated batch time). Tasks that
-        /// would overrun it carry over to a follow-on job (the batch
-        /// reports `BatchStatus::Partial`).
-        pub walltime_budget_s: Option<f64>,
-        /// Straggler-speculation factor `k` (duplicate a task once it runs
-        /// past `k×` its expected duration); `None` disables speculation.
-        pub speculation: Option<f64>,
         /// Emit `monitor/...` live-health gauges every N completed tasks
         /// (`None` disables progress telemetry).
         pub progress_every: Option<usize>,
@@ -441,10 +384,6 @@ pub mod inference {
                 nodes,
                 policy: OrderingPolicy::LongestFirst,
                 rescue_on_high_mem: false,
-                highmem_nodes: 1,
-                retry: RetryPolicy::none(),
-                walltime_budget_s: None,
-                speculation: None,
                 progress_every: None,
             }
         }
@@ -618,18 +557,11 @@ pub mod inference {
                 .workers(workers)
                 .policy(cfg.policy)
                 .durations(&durations)
-                .retry(cfg.retry)
                 .task_faults(&faults)
                 .recorder(rec)
                 .label("inference");
             if cfg.rescue_on_high_mem {
-                batch = batch.quarantine((cfg.highmem_nodes.max(1) * WORKERS_PER_NODE) as usize);
-            }
-            if let Some(budget) = cfg.walltime_budget_s {
-                batch = batch.deadline(budget);
-            }
-            if let Some(factor) = cfg.speculation {
-                batch = batch.speculation(Some(factor));
+                batch = batch.quarantine((HIGHMEM_NODES * WORKERS_PER_NODE) as usize);
             }
             if let Some(every) = cfg.progress_every {
                 batch = batch.progress(every);
@@ -661,12 +593,12 @@ pub mod inference {
                 ctx.ledger.charge_job(
                     Machine::Summit,
                     "inference_highmem",
-                    cfg.highmem_nodes.max(1),
+                    HIGHMEM_NODES,
                     quarantine_s,
                 );
             }
             let node_hours = (f64::from(cfg.nodes) * (walltime_s - quarantine_s)
-                + f64::from(cfg.highmem_nodes.max(1)) * quarantine_s)
+                + f64::from(HIGHMEM_NODES) * quarantine_s)
                 / 3600.0;
             rec.span_end(span);
             Report {
@@ -905,39 +837,6 @@ mod tests {
     }
 
     #[test]
-    fn flaky_feature_scans_retry_and_charge_the_rerun_lane() {
-        let entries = sample_entries(0.05);
-        let cfg = feature::Config {
-            flaky_per_mille: 200,
-            fault_seed: 11,
-            ..feature::Config::paper_default()
-        };
-        let mut ledger = Ledger::new();
-        let flaky = cfg.run(&entries, StageCtx::for_ledger(&mut ledger));
-        assert!(flaky.sim.retries() > 0, "some scans should have retried");
-        let retried = flaky.sim.records.iter().filter(|r| r.attempts == 2).count();
-        assert_eq!(flaky.sim.retries(), retried, "each flaky scan fails once");
-        let breakdown = ledger.by_stage();
-        assert!(
-            breakdown
-                .get(&("Andes".to_owned(), "feature_gen_retries".to_owned()))
-                .copied()
-                .unwrap_or(0.0)
-                > 0.0,
-            "retry node-hours are charged separately: {breakdown:?}"
-        );
-        // Fault-free run of the same config costs strictly less.
-        let mut l2 = Ledger::new();
-        let clean = feature::Config {
-            flaky_per_mille: 0,
-            ..cfg
-        }
-        .run(&entries, StageCtx::for_ledger(&mut l2));
-        assert!(flaky.node_hours > clean.node_hours);
-        assert!(flaky.walltime_s >= clean.walltime_s);
-    }
-
-    #[test]
     fn inference_stage_produces_results_and_charges_summit() {
         let entries = sample_entries(0.01);
         let mut ledger = Ledger::new();
@@ -1093,57 +992,6 @@ mod tests {
         let quiet =
             feature::Config::paper_default().run(&entries, StageCtx::for_ledger(&mut ledger2));
         assert_eq!(quiet.walltime_s, feats.walltime_s);
-    }
-
-    #[test]
-    fn walltime_budget_cuts_inference_and_plans_a_follow_on() {
-        use summitfold_dataflow::BatchStatus;
-        let entries = sample_entries(0.02);
-        let mut ledger = Ledger::new();
-        let features =
-            feature::Config::paper_default().run(&entries, StageCtx::for_ledger(&mut ledger));
-        let input = inference::Input {
-            entries: &entries,
-            features: &features.features,
-        };
-        let base = inference::Config::benchmark(Preset::Genome);
-        let full = base.run(input, StageCtx::for_ledger(&mut ledger));
-        assert_eq!(full.sim.status, BatchStatus::Complete);
-
-        // Half the uninterrupted walltime: the batch must cut early and
-        // report what carried over.
-        let cfg = inference::Config {
-            walltime_budget_s: Some(full.walltime_s * 0.5),
-            ..base
-        };
-        let mut l2 = Ledger::new();
-        let cut = cfg.run(input, StageCtx::for_ledger(&mut l2));
-        assert!(cut.sim.status.is_partial(), "half the walltime must cut");
-        let carried = cut.sim.status.carried_over();
-        assert!(!carried.is_empty());
-        assert_eq!(
-            carried.len() + cut.sim.records.len(),
-            full.sim.records.len(),
-            "carryover and completions partition the task set"
-        );
-
-        // The leftover work plans a real follow-on job on the same
-        // allocation shape.
-        let leftover_node_s = carried.len() as f64 * 120.0;
-        let follow = summitfold_hpc::batch::plan_follow_on(
-            Machine::Summit,
-            cfg.nodes,
-            full.walltime_s.max(1.0),
-            leftover_node_s,
-        );
-        assert!(follow.jobs >= 1);
-        let none = summitfold_hpc::batch::plan_follow_on(
-            Machine::Summit,
-            cfg.nodes,
-            full.walltime_s.max(1.0),
-            0.0,
-        );
-        assert_eq!(none.jobs, 0);
     }
 
     #[test]

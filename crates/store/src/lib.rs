@@ -43,7 +43,7 @@
 //!   on either executor. Every journal append (put, quarantine, scrub)
 //!   is the one gated `Log::append`: a killed handle writes nothing.
 //! * **Near-duplicate reuse** ([`Store::near_lookup`]): a miss for a
-//!   sequence that is ≥ `near_identity` identical to a stored neighbor
+//!   sequence that is ≥ 90 % identical to a stored neighbor
 //!   returns the neighbor's artifact at a recorded quality discount — the
 //!   AF_Cache observation that a 99 %-identical sequence can reuse the
 //!   clustered MSA neighborhood. The search is the BFD clustering's
@@ -58,7 +58,7 @@
 //!     proteins;
 //!   - *bound*: [`min_shared_kmers`](summitfold_msa::cluster::min_shared_kmers)
 //!     is an exact lower bound on the k-mers a pair must share to be
-//!     reported at ≥ `near_identity`. Smith–Waterman's traceback is a
+//!     reported at ≥ 90 % identity. Smith–Waterman's traceback is a
 //!     diagonal walk, so an accepted pair's `c ≥ 0.8·shorter` columns
 //!     are one contiguous diagonal run with ≤ `(1 − τ)·c` mismatches,
 //!     each spoiling ≤ 3 of its `c − 2` windows: the pair shares at
@@ -114,25 +114,17 @@ pub use key::StoreKey;
 /// checksums; version-1 records are still read, unverified.
 pub const FORMAT_VERSION: u64 = 2;
 
+/// Identity threshold for [`Store::near_lookup`]: the BFD clustering's
+/// 0.9 for "near-identical".
+const NEAR_IDENTITY: f64 = 0.9;
+
 /// Configuration for a [`Store`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct StoreConfig {
     /// Capacity cap: inserting beyond it evicts the oldest artifacts
     /// (insertion order, `cache/evicted` counted per victim). `None`
     /// disables eviction.
     pub max_entries: Option<usize>,
-    /// Identity threshold for [`Store::near_lookup`] (the BFD clustering
-    /// uses 0.9 for "near-identical").
-    pub near_identity: f64,
-}
-
-impl Default for StoreConfig {
-    fn default() -> Self {
-        Self {
-            max_entries: None,
-            near_identity: 0.9,
-        }
-    }
 }
 
 /// Errors opening or writing a store.
@@ -807,12 +799,12 @@ impl Store {
     fn near_survivors(&self, stage: &str, preset: &str, query: &Sequence) -> Vec<Sequence> {
         self.lock()
             .near_index(stage, preset)
-            .survivors(query, self.cfg.near_identity)
+            .survivors(query, NEAR_IDENTITY)
     }
 
     /// Near-duplicate lookup after a miss: find the stored artifact of
     /// the same `(stage, preset)` whose sequence is most similar to
-    /// `query` at ≥ the configured identity — index → bound → align, the
+    /// `query` at ≥ 90 % identity — index → bound → align, the
     /// neighbour search of the BFD clustering
     /// ([`summitfold_msa::cluster`]), with only the first two steps under
     /// the store's lock.
@@ -833,11 +825,10 @@ impl Store {
         let survivors = self.near_survivors(stage, preset, query);
         // Highest identity, ties broken by smallest key: the same answer
         // whatever order the survivors come in.
-        let threshold = self.cfg.near_identity;
         let (identity, hex) = survivors
             .iter()
             .filter_map(|seq| Some((neighborhood_identity(query, seq)?, seq.id.as_str())))
-            .filter(|&(identity, _)| identity >= threshold)
+            .filter(|&(identity, _)| identity >= NEAR_IDENTITY)
             .min_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(b.1)))?;
         let artifact = self.read_verified(hex, rec)?;
         let near = NearHit {
@@ -1461,7 +1452,6 @@ mod tests {
             &root,
             StoreConfig {
                 max_entries: Some(2),
-                ..StoreConfig::default()
             },
         )
         .unwrap();
@@ -1581,7 +1571,7 @@ mod tests {
             let Some(identity) = neighborhood_identity(query, seq) else {
                 continue;
             };
-            if identity < store.cfg.near_identity {
+            if identity < NEAR_IDENTITY {
                 continue;
             }
             let better = match &best {
@@ -1629,7 +1619,6 @@ mod tests {
             };
             let cfg = StoreConfig {
                 max_entries: Some(24),
-                ..StoreConfig::default()
             };
             let root = scratch_root("near-history");
             let rec = Recorder::disabled();
@@ -1773,7 +1762,6 @@ mod tests {
         // oldest random entries, never the planted (33rd) one.
         let cfg = StoreConfig {
             max_entries: Some(48),
-            ..StoreConfig::default()
         };
         let (root, store) = random_store("two-threads", cfg, 32, &neighbour);
         let rec = Recorder::disabled();

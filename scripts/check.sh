@@ -16,8 +16,7 @@ fi
 
 echo "==> cargo test (workspace, warnings are errors)"
 # One unfiltered run gates every suite — chaos (deadline-kill and
-# kill-resume equality, identical speculation set, service kill-resume
-# from the WAL), telemetry (golden schema, bounded sinks, monitor
+# kill-resume equality, service kill-resume from the WAL), telemetry (golden schema, bounded sinks, monitor
 # stream-vs-replay), service (byte-identical virtual replay, fair share,
 # typed quotas, live drain) and store (stable keys, 100 % warm hits,
 # identical cache counters on both executors) — so none is re-run by name.

@@ -1,23 +1,21 @@
 //! Chaos harness: seeded scenarios composing worker deaths, task
-//! faults, stragglers, deadline kills, and mid-append journal kills.
+//! faults, long-tail tasks, deadline kills, and mid-append journal kills.
 //!
 //! The invariants pinned here are the robustness contract of the
 //! dataflow layer (paper §3.3 plus the walltime-bin reality of LSF
 //! campaigns): every task completes exactly once in the outputs, resume
 //! never recomputes finished work, a deadline-killed campaign followed
 //! by resume legs reproduces the uninterrupted record set byte for
-//! byte, and attempt/speculation accounting matches across the virtual
-//! and thread executors.
+//! byte, and attempt accounting matches across the virtual and thread
+//! executors.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 use summitfold::dataflow::chaos::{FaultPlan as IoFaultPlan, IoFault, IoFaults};
-use summitfold::dataflow::deadline::{speculation_flags, DEFAULT_SPECULATION_FACTOR};
 use summitfold::dataflow::fault::WorkerFault;
 use summitfold::dataflow::real::ThreadExecutor;
-use summitfold::dataflow::retry::FaultPlan;
 use summitfold::dataflow::sim::VirtualExecutor;
 use summitfold::dataflow::stats::to_csv;
 use summitfold::dataflow::{
@@ -29,8 +27,8 @@ use summitfold::protein::rng::Xoshiro256;
 use summitfold::store::{Artifact, Store, StoreConfig};
 
 /// Seeded workload with stragglers: every sixth task's modeled duration
-/// runs 3× its expected duration (`cost_hint`), so speculation triggers
-/// under the default threshold.
+/// runs 3× its expected duration (`cost_hint`), so the longest-first
+/// order (by hint) misjudges them and they land late in the schedule.
 fn straggler_workload(seed: u64, n: usize) -> (Vec<TaskSpec>, Vec<f64>) {
     let mut rng = Xoshiro256::seed_from_u64(seed);
     let mut specs = Vec::with_capacity(n);
@@ -65,13 +63,11 @@ fn deadline_campaign_reproduces_uninterrupted_records() {
                 .durations(&durations)
                 .retry(RetryPolicy::new(3, 0.5, 2.0))
                 .task_faults(&faults)
-                .speculation(None)
         };
 
         let full_journal = Journal::new();
         let full = batch().journal(&full_journal).run(&exec).expect("full run");
         assert_eq!(full.status, BatchStatus::Complete);
-        assert!(full.speculated > 0, "seed {seed}: workload must speculate");
 
         // Campaign legs: each job runs against a walltime horizon one
         // third of the uninterrupted makespan further out, resuming from
@@ -113,86 +109,11 @@ fn deadline_campaign_reproduces_uninterrupted_records() {
     }
 }
 
-/// Both executors derive the speculation decision from the same pure
-/// function, so they duplicate the identical task set.
-#[test]
-fn executors_agree_on_speculation_set() {
-    let n = 12;
-    let expected = 0.002; // seconds — the thread backend really sleeps
-    let stragglers: BTreeSet<usize> = [3usize, 7, 10].into_iter().collect();
-    let specs: Vec<TaskSpec> = (0..n)
-        .map(|i| TaskSpec::new(format!("t{i}"), expected))
-        .collect();
-    let durations: Vec<f64> = (0..n)
-        .map(|i| {
-            if stragglers.contains(&i) {
-                0.08
-            } else {
-                expected
-            }
-        })
-        .collect();
-    let batch = || {
-        Batch::new(&specs)
-            .workers(4)
-            .policy(OrderingPolicy::Fifo)
-            .durations(&durations)
-            .speculation(None)
-    };
-
-    let sim = batch().run(&VirtualExecutor::new(0.0)).expect("sim");
-    let items = durations.clone();
-    let real = batch()
-        .run_with(&ThreadExecutor, &items, |_, &d: &f64| {
-            std::thread::sleep(Duration::from_secs_f64(d));
-        })
-        .expect("thread");
-
-    // The pure decision function is the contract both backends follow.
-    let flags = speculation_flags(
-        &specs,
-        &durations,
-        &FaultPlan::new(&[], RetryPolicy::none()),
-        Some(DEFAULT_SPECULATION_FACTOR),
-        4,
-    );
-    let flagged: BTreeSet<String> = specs
-        .iter()
-        .zip(&flags)
-        .filter(|&(_, &f)| f)
-        .map(|(s, _)| s.id.clone())
-        .collect();
-    let expected_ids: BTreeSet<String> = stragglers.iter().map(|i| format!("t{i}")).collect();
-    assert_eq!(flagged, expected_ids);
-
-    for (label, out) in [("sim", &sim), ("thread", &real)] {
-        assert_eq!(out.speculated, stragglers.len(), "{label}");
-        assert_eq!(
-            task_id_set(&out.cancelled),
-            flagged,
-            "{label}: the losing half of every race records as cancelled"
-        );
-        assert!(
-            out.cancelled.iter().all(|r| r.attempts == 0),
-            "{label}: cancelled records carry attempts = 0"
-        );
-        assert_eq!(
-            task_id_set(&out.records).len(),
-            n,
-            "{label}: every task completes exactly once"
-        );
-        assert!(out.speculation_wins <= out.speculated, "{label}");
-    }
-}
-
 /// Counters whose *presence* depends on which thread wins a race: a
-/// dying worker may pull a twin instead of a primary, and a twin only
-/// launches if an idle worker reaches it before its primary finishes.
-const RACY_COUNTERS: [&str; 3] = [
-    "dataflow/requeued",
-    "dataflow/speculated",
-    "dataflow/speculation_wins",
-];
+/// dying worker requeues only the pull it dies holding, and a worker
+/// that dies before it pulls never requeues anything — if the survivors
+/// drain the queue first, the death leaves no `dataflow/requeued`.
+const RACY_COUNTERS: [&str; 1] = ["dataflow/requeued"];
 
 fn counter_names(rec: &Recorder) -> BTreeSet<String> {
     Trace::from_events(rec.events())
@@ -203,7 +124,7 @@ fn counter_names(rec: &Recorder) -> BTreeSet<String> {
 }
 
 /// Composed chaos on the simulator: worker deaths, task faults,
-/// stragglers, quarantine, deadline kills, and a byte-level torn journal
+/// long-tail tasks, quarantine, deadline kills, and a byte-level torn journal
 /// tail — the completion/partition/resume invariants all hold. The same
 /// seeded settings then run on the thread executor, and everything that
 /// does not depend on a clock must come out the same.
@@ -235,7 +156,6 @@ fn chaos_invariants_hold_under_composed_faults() {
                 .task_faults(&task_faults)
                 .faults(&worker_faults)
                 .quarantine(2)
-                .speculation(None)
         };
 
         let journal = Journal::new();

@@ -453,7 +453,6 @@ fn eviction_is_oldest_first_and_durable() {
     let rec = Recorder::virtual_time();
     let cfg = StoreConfig {
         max_entries: Some(2),
-        ..StoreConfig::default()
     };
     {
         let store = Store::open_with(&dir, cfg).expect("writable scratch dir");

@@ -100,24 +100,24 @@ fn golden_trace() -> String {
         .label("demo")
         .run(&VirtualExecutor::new(1.0))
         .expect("golden batch is well-formed");
-    // A speculating batch under a walltime budget: pins the
-    // `dataflow/speculated`, `dataflow/speculation_wins`, and
-    // `dataflow/deadline_carryover` counters plus the `:carryover`
-    // marker span in the golden schema.
+    // A batch under a walltime budget: pins the
+    // `dataflow/deadline_carryover` counter plus the `:carryover` marker
+    // span in the golden schema. Epsilon ends exactly at the budget (a
+    // finish at the deadline still dispatches); eta would end at 9 s and
+    // carries over.
     let cut_specs = [
         TaskSpec::new("delta", 2.0),
         TaskSpec::new("epsilon", 2.0),
         TaskSpec::new("zeta", 2.0),
         TaskSpec::new("eta", 2.0),
     ];
-    let cut_durations = [2.0, 9.0, 2.0, 2.0]; // epsilon straggles at 4.5×
+    let cut_durations = [2.0, 6.0, 2.0, 2.0];
     Batch::new(&cut_specs)
         .workers(2)
         .policy(OrderingPolicy::Fifo)
         .durations(&cut_durations)
         .recorder(&rec)
         .label("cut")
-        .speculation(None)
         .deadline(7.0)
         .run(&VirtualExecutor::new(1.0))
         .expect("golden cut batch is well-formed");
