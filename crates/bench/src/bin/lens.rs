@@ -29,10 +29,11 @@
 //! fold the trace's `lineage/*` breadcrumbs and span/task rows into the
 //! attribution reports of `summitfold_obs::lineage`. They are pure
 //! functions of the trace: the same file yields byte-identical reports
-//! on every run. Whenever the trace looks truncated (a ring sink
-//! dropped events, or counters/spans arrive mid-stream), a warning goes
-//! to stderr and the JSON reports carry `"truncated":1` with the
-//! dropped-event count.
+//! on every run. Whenever a trace looks truncated (a ring sink dropped
+//! events, or counters/spans arrive mid-stream), a warning naming the
+//! file goes to stderr — for `--diff`, one per truncated side, marked
+//! `new` or `baseline` — and the JSON reports carry `"truncated":1`
+//! with the dropped-event count.
 //!
 //! Exit codes: 0 success / no regressions, 1 regressions found (or a
 //! task/report the trace cannot support), 2 bad usage — unknown flag,
@@ -62,7 +63,7 @@ fn main() {
                 return bad_usage();
             };
             let trace = load_trace_or_exit(path);
-            warn_if_truncated(&trace);
+            warn_if_truncated(path, &trace);
             print!("{}", render_trace(&trace));
         }
         Some("--diff") => {
@@ -71,7 +72,8 @@ fn main() {
             };
             let new = load_trace_or_exit(new_path);
             let baseline = load_trace_or_exit(base_path);
-            warn_if_truncated(&new);
+            warn_if_truncated(&format!("new {new_path}"), &new);
+            warn_if_truncated(&format!("baseline {base_path}"), &baseline);
             let diff = new.diff(&baseline);
             if json {
                 println!("{}", diff.to_json());
@@ -87,7 +89,7 @@ fn main() {
                 return bad_usage();
             };
             let trace = load_trace_or_exit(path);
-            let truncation = warn_if_truncated(&trace);
+            let truncation = warn_if_truncated(path, &trace);
             let Some(journey) = lineage::journey_of(&trace, task) else {
                 eprintln!("lens: {path}: no journey for task {task:?}");
                 std::process::exit(1);
@@ -103,7 +105,7 @@ fn main() {
                 return bad_usage();
             };
             let trace = load_trace_or_exit(path);
-            let truncation = warn_if_truncated(&trace);
+            let truncation = warn_if_truncated(path, &trace);
             let Some(cp) = lineage::critical_path_of(&trace) else {
                 eprintln!("lens: {path}: trace has no completed executions");
                 std::process::exit(1);
@@ -120,7 +122,7 @@ fn main() {
                 return bad_usage();
             };
             let trace = load_trace_or_exit(path);
-            let truncation = warn_if_truncated(&trace);
+            let truncation = warn_if_truncated(path, &trace);
             let Some(report) = lineage::imbalance_of(&trace, top_k) else {
                 eprintln!("lens: {path}: trace has no completed executions");
                 std::process::exit(1);
@@ -161,11 +163,12 @@ fn bad_usage() {
 }
 
 /// Detect a truncated capture (ring-sink drop marker or structural
-/// gaps), warn on stderr, and hand the verdict to the report JSON.
-fn warn_if_truncated(trace: &Trace) -> Truncation {
+/// gaps), warn on stderr naming the trace by `label`, and hand the
+/// verdict to the report JSON.
+fn warn_if_truncated(label: &str, trace: &Trace) -> Truncation {
     let truncation = lineage::truncation_of(trace);
     if let Some(warning) = truncation.warning() {
-        eprintln!("lens: warning: {warning}");
+        eprintln!("lens: {label}: {warning}");
     }
     truncation
 }

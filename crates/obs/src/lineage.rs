@@ -9,7 +9,7 @@
 //!
 //! * [`journeys_of`] — one [`Journey`] per task: admission, WAL append,
 //!   cache lookup outcome, every execution (retries, quarantine reruns,
-//!   speculative losers), and settlement, on one absolute timeline;
+//!   rows that never completed), and settlement, on one absolute timeline;
 //! * [`critical_path_of`] — the dependency-ordered chain of task
 //!   intervals whose durations plus waits telescope exactly to the
 //!   campaign makespan, with a per-category breakdown (queue-wait vs
@@ -145,8 +145,8 @@ pub struct Execution {
     pub start: f64,
     /// Absolute end, same timebase.
     pub end: f64,
-    /// Attempts including the successful one; 0 marks a cancelled
-    /// speculative execution.
+    /// Attempts including the successful one; 0 marks an execution that
+    /// never completed (kept, but never counted as a completion).
     pub attempts: u32,
 }
 
@@ -175,7 +175,7 @@ pub struct Journey {
     /// retried or the policy has no backoff).
     pub retry_backoff_s: f64,
     /// Executions in recorded order (completed, retried, quarantine
-    /// reruns, and cancelled speculative twins).
+    /// reruns, and cancelled rows that never completed).
     pub executions: Vec<Execution>,
 }
 
@@ -225,7 +225,7 @@ impl Journey {
         self.admitted_t.map(|a| (lookup - a).max(0.0))
     }
 
-    /// Number of cancelled speculative executions (attempts = 0).
+    /// Number of cancelled executions (attempts = 0).
     #[must_use]
     pub fn cancelled_executions(&self) -> usize {
         self.executions.iter().filter(|e| e.attempts == 0).count()
@@ -313,7 +313,7 @@ impl Journey {
             if e.attempts == 0 {
                 let _ = writeln!(
                     out,
-                    "  cancelled  worker {} [{:.3}s..{:.3}s] speculative loser",
+                    "  cancelled  worker {} [{:.3}s..{:.3}s] never completed",
                     e.worker, e.start, e.end
                 );
             } else {
@@ -345,6 +345,132 @@ impl Journey {
     }
 }
 
+/// One lineage-bearing event: a task row on the absolute timeline, or a
+/// breadcrumb `(task, phase, t)`.
+enum Step<'t> {
+    Row(&'t str, Execution),
+    Crumb(&'t str, &'t str, f64),
+}
+
+/// Walk the trace once, resolving each task row against its enclosing
+/// span's start (rows without an opened span resolve against 0).
+fn steps(trace: &Trace) -> impl Iterator<Item = Step<'_>> {
+    let mut span_starts: BTreeMap<u64, f64> = BTreeMap::new();
+    trace.events().iter().filter_map(move |e| match e {
+        Event::SpanStart { id, t, .. } => {
+            span_starts.insert(id.0, *t);
+            None
+        }
+        Event::Task {
+            span,
+            task,
+            worker,
+            start,
+            end,
+            attempts,
+        } => {
+            let base = span
+                .and_then(|s| span_starts.get(&s.0).copied())
+                .unwrap_or(0.0);
+            Some(Step::Row(
+                task,
+                Execution {
+                    worker: *worker,
+                    start: base + start,
+                    end: base + end,
+                    attempts: *attempts,
+                },
+            ))
+        }
+        Event::Lineage { name, task, t } => Some(Step::Crumb(task, name, *t)),
+        _ => None,
+    })
+}
+
+impl Journey {
+    /// Apply one breadcrumb: `admitted`/`wal`/`settled`/cache keep the
+    /// first occurrence and `retry_backoff` values accumulate.
+    fn record(&mut self, phase: &str, t: f64) {
+        match phase {
+            "lineage/admitted" => {
+                self.admitted_t.get_or_insert(t);
+            }
+            "lineage/wal" => {
+                self.wal_t.get_or_insert(t);
+            }
+            "lineage/settled" => {
+                self.settled_t.get_or_insert(t);
+            }
+            "lineage/cache_hit" => {
+                self.cache.get_or_insert((CacheOutcome::Hit, t));
+            }
+            "lineage/cache_near_hit" => {
+                self.cache.get_or_insert((CacheOutcome::NearHit, t));
+            }
+            "lineage/cache_miss" => {
+                self.cache.get_or_insert((CacheOutcome::Miss, t));
+            }
+            "lineage/retry_backoff" => self.retry_backoff_s += t,
+            // The grammar is closed; an unknown phase is a future
+            // extension and carries no journey field.
+            _ => {}
+        }
+    }
+}
+
+/// A task row on the absolute timeline, keyed by its borrowed task id.
+type Row<'t> = (&'t str, Execution);
+
+/// The one borrowed pass every report reads.
+struct Fold<'t> {
+    /// Every task row, stably sorted by task id: the order
+    /// `journeys_of(..).values()` flattens to, so a sum over it keeps
+    /// its summation order and its bits.
+    rows: Vec<Row<'t>>,
+    /// Each breadcrumbed task's lineage fields, held in a [`Journey`]
+    /// with no task id and no executions.
+    crumbs: BTreeMap<&'t str, Journey>,
+}
+
+impl<'t> Fold<'t> {
+    fn of(trace: &'t Trace) -> Self {
+        let mut rows = Vec::new();
+        let mut crumbs: BTreeMap<&str, Journey> = BTreeMap::new();
+        for step in steps(trace) {
+            match step {
+                Step::Row(task, e) => rows.push((task, e)),
+                Step::Crumb(task, phase, t) => crumbs.entry(task).or_default().record(phase, t),
+            }
+        }
+        rows.sort_by_key(|&(task, _)| task);
+        Self { rows, crumbs }
+    }
+
+    /// Each task's rows, in task-id order.
+    fn tasks(&self) -> impl Iterator<Item = &[Row<'t>]> {
+        self.rows.chunk_by(|a, b| a.0 == b.0)
+    }
+
+    /// Completed executions (attempts ≥ 1), in fold order.
+    fn completed(&self) -> impl Iterator<Item = (&'t str, &Execution)> {
+        self.rows
+            .iter()
+            .filter(|(_, e)| e.attempts >= 1)
+            .map(|(task, e)| (*task, e))
+    }
+
+    /// The journey of one task, from its rows (one group of
+    /// [`Fold::tasks`]) and its breadcrumbs.
+    fn journey(&self, rows: &[Row<'_>]) -> Journey {
+        let task = rows[0].0;
+        Journey {
+            task: task.to_owned(),
+            executions: rows.iter().map(|(_, e)| e.clone()).collect(),
+            ..self.crumbs.get(task).cloned().unwrap_or_default()
+        }
+    }
+}
+
 /// Fold a trace into per-task journeys, keyed by task id.
 ///
 /// Absolute times come from resolving each task row against its
@@ -353,77 +479,51 @@ impl Journey {
 /// service tasks that never execute — get a journey with no
 /// executions. Repeated `admitted`/`wal`/`settled`/cache breadcrumbs
 /// keep the first occurrence; `retry_backoff` values accumulate.
+///
+/// One borrowed pass over the trace, materialised with one owned id per
+/// distinct task.
 #[must_use]
 pub fn journeys_of(trace: &Trace) -> BTreeMap<String, Journey> {
-    let mut span_starts: BTreeMap<u64, f64> = BTreeMap::new();
-    let mut journeys: BTreeMap<String, Journey> = BTreeMap::new();
-    for e in trace.events() {
-        match e {
-            Event::SpanStart { id, t, .. } => {
-                span_starts.insert(id.0, *t);
-            }
-            Event::Task {
-                span,
-                task,
-                worker,
-                start,
-                end,
-                attempts,
-            } => {
-                let base = span
-                    .and_then(|s| span_starts.get(&s.0).copied())
-                    .unwrap_or(0.0);
-                let j = journeys.entry(task.clone()).or_insert_with(|| Journey {
-                    task: task.clone(),
-                    ..Journey::default()
-                });
-                j.executions.push(Execution {
-                    worker: *worker,
-                    start: base + start,
-                    end: base + end,
-                    attempts: *attempts,
-                });
-            }
-            Event::Lineage { name, task, t } => {
-                let j = journeys.entry(task.clone()).or_insert_with(|| Journey {
-                    task: task.clone(),
-                    ..Journey::default()
-                });
-                match name.as_str() {
-                    "lineage/admitted" => {
-                        j.admitted_t.get_or_insert(*t);
-                    }
-                    "lineage/wal" => {
-                        j.wal_t.get_or_insert(*t);
-                    }
-                    "lineage/settled" => {
-                        j.settled_t.get_or_insert(*t);
-                    }
-                    "lineage/cache_hit" => {
-                        j.cache.get_or_insert((CacheOutcome::Hit, *t));
-                    }
-                    "lineage/cache_near_hit" => {
-                        j.cache.get_or_insert((CacheOutcome::NearHit, *t));
-                    }
-                    "lineage/cache_miss" => {
-                        j.cache.get_or_insert((CacheOutcome::Miss, *t));
-                    }
-                    "lineage/retry_backoff" => j.retry_backoff_s += *t,
-                    // The grammar is closed; an unknown phase is a
-                    // future extension and carries no journey field.
-                    _ => {}
-                }
-            }
-            _ => {}
+    let fold = Fold::of(trace);
+    let mut journeys: BTreeMap<String, Journey> = fold
+        .tasks()
+        .map(|rows| {
+            let j = fold.journey(rows);
+            (j.task.clone(), j)
+        })
+        .collect();
+    for (task, crumbs) in fold.crumbs {
+        if !journeys.contains_key(task) {
+            let j = Journey {
+                task: task.to_owned(),
+                ..crumbs
+            };
+            journeys.insert(j.task.clone(), j);
         }
     }
     journeys
 }
 
-/// The journey of one task, if the trace mentions it.
+/// The journey of one task, if the trace mentions it: one scan that
+/// builds only that task's journey.
 #[must_use]
 pub fn journey_of(trace: &Trace, task: &str) -> Option<Journey> {
-    journeys_of(trace).remove(task)
+    let mut journey: Option<Journey> = None;
+    for step in steps(trace) {
+        let (Step::Row(id, _) | Step::Crumb(id, ..)) = &step;
+        if *id != task {
+            continue;
+        }
+        let j = journey.get_or_insert_with(|| Journey {
+            task: task.to_owned(),
+            ..Journey::default()
+        });
+        match step {
+            Step::Row(_, e) => j.executions.push(e),
+            Step::Crumb(_, phase, t) => j.record(phase, t),
+        }
+    }
+    journey
 }
 
 /// One link of the critical-path chain.
@@ -595,16 +695,16 @@ impl CriticalPath {
 /// the link's wait; the first link waits from the campaign origin.
 /// Durations plus waits therefore telescope exactly to the makespan.
 /// Ties (equal ends) break on lexicographically smaller task id, so
-/// the extraction is deterministic for any fixed trace.
+/// the extraction is deterministic for any fixed trace. An execution
+/// already on the chain is never its own ancestor, so coincident
+/// zero-length rows cannot loop the walk.
+///
+/// One borrowed pass over the trace; each predecessor search walks only
+/// the current link's worker.
 #[must_use]
 pub fn critical_path_of(trace: &Trace) -> Option<CriticalPath> {
-    let journeys = journeys_of(trace);
-    let mut execs: Vec<(&Journey, &Execution)> = Vec::new();
-    for j in journeys.values() {
-        for e in j.executions.iter().filter(|e| e.attempts >= 1) {
-            execs.push((j, e));
-        }
-    }
+    let fold = Fold::of(trace);
+    let execs: Vec<(&str, &Execution)> = fold.completed().collect();
     if execs.is_empty() {
         return None;
     }
@@ -617,28 +717,37 @@ pub fn critical_path_of(trace: &Trace) -> Option<CriticalPath> {
 
     // Deterministic pick of the chain tail: latest end, then smaller id.
     let mut tail = 0;
-    for (i, (j, e)) in execs.iter().enumerate() {
-        let (bj, be) = &execs[tail];
-        if e.end > be.end || (e.end == be.end && j.task < bj.task) {
+    for (i, &(task, e)) in execs.iter().enumerate() {
+        let (bt, be) = execs[tail];
+        if e.end > be.end || (e.end == be.end && task < bt) {
             tail = i;
         }
     }
+    // Each worker's executions in fold order, so a predecessor search
+    // meets its candidates in the order a scan over all would.
+    let mut by_worker: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    for (i, (_, e)) in execs.iter().enumerate() {
+        by_worker.entry(e.worker).or_default().push(i);
+    }
+    let mut on_chain = vec![false; execs.len()];
     let mut rev: Vec<ChainLink> = Vec::new();
     let mut current = tail;
     loop {
-        let (cj, ce) = &execs[current];
+        let (ctask, ce) = execs[current];
+        on_chain[current] = true;
         // Predecessor: same worker, end ≤ start (within float noise),
         // greatest end; ties break on smaller task id.
         let mut pred: Option<usize> = None;
-        for (i, (j, e)) in execs.iter().enumerate() {
-            if i == current || e.worker != ce.worker || e.end > ce.start + 1e-9 {
+        for &i in by_worker.get(&ce.worker).into_iter().flatten() {
+            let (task, e) = execs[i];
+            if on_chain[i] || e.end > ce.start + 1e-9 {
                 continue;
             }
             match pred {
                 None => pred = Some(i),
                 Some(p) => {
-                    let (pj, pe) = &execs[p];
-                    if e.end > pe.end || (e.end == pe.end && j.task < pj.task) {
+                    let (pt, pe) = execs[p];
+                    if e.end > pe.end || (e.end == pe.end && task < pt) {
                         pred = Some(i);
                     }
                 }
@@ -649,7 +758,7 @@ pub fn critical_path_of(trace: &Trace) -> Option<CriticalPath> {
             None => (ce.start - origin).max(0.0),
         };
         rev.push(ChainLink {
-            task: cj.task.clone(),
+            task: ctask.to_owned(),
             worker: ce.worker,
             start: ce.start,
             end: ce.end,
@@ -678,9 +787,11 @@ pub fn critical_path_of(trace: &Trace) -> Option<CriticalPath> {
         compute += d - r;
         retry += r;
         wait += l.wait_s;
-        if let Some(j) = journeys.get(&l.task) {
-            cache += j.cache_lookup_s().unwrap_or(0.0);
-        }
+        cache += fold
+            .crumbs
+            .get(l.task.as_str())
+            .and_then(Journey::cache_lookup_s)
+            .unwrap_or(0.0);
     }
 
     let mut busy: BTreeMap<usize, f64> = BTreeMap::new();
@@ -859,29 +970,30 @@ impl ImbalanceReport {
 
 /// Compute the load-imbalance report. `None` when no completed
 /// executions are recorded. `top_k` bounds the straggler list.
+///
+/// One borrowed pass over the trace; tasks are ranked by compute
+/// seconds and only the top `top_k` get a [`Journey`] built.
 #[must_use]
 pub fn imbalance_of(trace: &Trace, top_k: usize) -> Option<ImbalanceReport> {
-    let journeys = journeys_of(trace);
+    let fold = Fold::of(trace);
     let mut origin = f64::INFINITY;
     let mut last_end = 0.0_f64;
     let mut by_worker: BTreeMap<usize, WorkerLoad> = BTreeMap::new();
     let mut any = false;
-    for j in journeys.values() {
-        for e in j.executions.iter().filter(|e| e.attempts >= 1) {
-            any = true;
-            origin = origin.min(e.start);
-            last_end = last_end.max(e.end);
-            let l = by_worker.entry(e.worker).or_insert(WorkerLoad {
-                worker: e.worker,
-                busy_s: 0.0,
-                idle_s: 0.0,
-                finish_t: 0.0,
-                tasks: 0,
-            });
-            l.busy_s += e.duration();
-            l.finish_t = l.finish_t.max(e.end);
-            l.tasks += 1;
-        }
+    for (_, e) in fold.completed() {
+        any = true;
+        origin = origin.min(e.start);
+        last_end = last_end.max(e.end);
+        let l = by_worker.entry(e.worker).or_insert(WorkerLoad {
+            worker: e.worker,
+            busy_s: 0.0,
+            idle_s: 0.0,
+            finish_t: 0.0,
+            tasks: 0,
+        });
+        l.busy_s += e.duration();
+        l.finish_t = l.finish_t.max(e.end);
+        l.tasks += 1;
     }
     if !any {
         return None;
@@ -908,29 +1020,34 @@ pub fn imbalance_of(trace: &Trace, top_k: usize) -> Option<ImbalanceReport> {
         0.0
     };
 
-    let mut rows: Vec<Straggler> = journeys
-        .values()
-        .filter_map(|j| {
-            let longest = j
-                .executions
-                .iter()
-                .filter(|e| e.attempts >= 1)
+    // Rank every task with a completed execution by compute seconds
+    // (the same sum as `Journey::compute_s`), then build journeys for
+    // the top k only. Ids are distinct, so the ranking is a total order.
+    let mut ranked: Vec<(f64, usize, &[Row<'_>])> = fold
+        .tasks()
+        .filter_map(|rows| {
+            let done = rows.iter().map(|(_, e)| e).filter(|e| e.attempts >= 1);
+            let longest = done
+                .clone()
                 .max_by(|a, b| a.duration().total_cmp(&b.duration()))?;
-            Some(Straggler {
-                task: j.task.clone(),
-                duration_s: j.compute_s(),
-                worker: longest.worker,
-                attempts: j.max_attempts(),
-                journey: j.clone(),
-            })
+            Some((done.map(Execution::duration).sum(), longest.worker, rows))
         })
         .collect();
-    rows.sort_by(|a, b| {
-        b.duration_s
-            .total_cmp(&a.duration_s)
-            .then_with(|| a.task.cmp(&b.task))
-    });
-    rows.truncate(top_k);
+    ranked.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.2[0].0.cmp(b.2[0].0)));
+    ranked.truncate(top_k);
+    let stragglers = ranked
+        .into_iter()
+        .map(|(duration_s, worker, rows)| {
+            let journey = fold.journey(rows);
+            Straggler {
+                task: journey.task.clone(),
+                duration_s,
+                worker,
+                attempts: journey.max_attempts(),
+                journey,
+            }
+        })
+        .collect();
 
     Some(ImbalanceReport {
         origin,
@@ -941,7 +1058,7 @@ pub fn imbalance_of(trace: &Trace, top_k: usize) -> Option<ImbalanceReport> {
         busy_mean_s: mean,
         idle_total_s: idle_total,
         utilization,
-        stragglers: rows,
+        stragglers,
     })
 }
 
@@ -1046,20 +1163,283 @@ fn opt_num(w: &mut ObjectWriter, key: &str, v: Option<f64>) {
     }
 }
 
+/// The per-report folds the single pass replaced, kept verbatim as the
+/// oracle of the differential test: each report re-folds every journey,
+/// `journey_of` included.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub fn journeys_of(trace: &Trace) -> BTreeMap<String, Journey> {
+        let mut span_starts: BTreeMap<u64, f64> = BTreeMap::new();
+        let mut journeys: BTreeMap<String, Journey> = BTreeMap::new();
+        for e in trace.events() {
+            match e {
+                Event::SpanStart { id, t, .. } => {
+                    span_starts.insert(id.0, *t);
+                }
+                Event::Task {
+                    span,
+                    task,
+                    worker,
+                    start,
+                    end,
+                    attempts,
+                } => {
+                    let base = span
+                        .and_then(|s| span_starts.get(&s.0).copied())
+                        .unwrap_or(0.0);
+                    let j = journeys.entry(task.clone()).or_insert_with(|| Journey {
+                        task: task.clone(),
+                        ..Journey::default()
+                    });
+                    j.executions.push(Execution {
+                        worker: *worker,
+                        start: base + start,
+                        end: base + end,
+                        attempts: *attempts,
+                    });
+                }
+                Event::Lineage { name, task, t } => {
+                    let j = journeys.entry(task.clone()).or_insert_with(|| Journey {
+                        task: task.clone(),
+                        ..Journey::default()
+                    });
+                    match name.as_str() {
+                        "lineage/admitted" => {
+                            j.admitted_t.get_or_insert(*t);
+                        }
+                        "lineage/wal" => {
+                            j.wal_t.get_or_insert(*t);
+                        }
+                        "lineage/settled" => {
+                            j.settled_t.get_or_insert(*t);
+                        }
+                        "lineage/cache_hit" => {
+                            j.cache.get_or_insert((CacheOutcome::Hit, *t));
+                        }
+                        "lineage/cache_near_hit" => {
+                            j.cache.get_or_insert((CacheOutcome::NearHit, *t));
+                        }
+                        "lineage/cache_miss" => {
+                            j.cache.get_or_insert((CacheOutcome::Miss, *t));
+                        }
+                        "lineage/retry_backoff" => j.retry_backoff_s += *t,
+                        _ => {}
+                    }
+                }
+                _ => {}
+            }
+        }
+        journeys
+    }
+
+    pub fn journey_of(trace: &Trace, task: &str) -> Option<Journey> {
+        journeys_of(trace).remove(task)
+    }
+
+    pub fn critical_path_of(trace: &Trace) -> Option<CriticalPath> {
+        let journeys = journeys_of(trace);
+        let mut execs: Vec<(&Journey, &Execution)> = Vec::new();
+        for j in journeys.values() {
+            for e in j.executions.iter().filter(|e| e.attempts >= 1) {
+                execs.push((j, e));
+            }
+        }
+        if execs.is_empty() {
+            return None;
+        }
+        let origin = execs
+            .iter()
+            .map(|(_, e)| e.start)
+            .fold(f64::INFINITY, f64::min);
+        let last_end = execs.iter().map(|(_, e)| e.end).fold(0.0_f64, f64::max);
+        let makespan = (last_end - origin).max(0.0);
+
+        let mut tail = 0;
+        for (i, (j, e)) in execs.iter().enumerate() {
+            let (bj, be) = &execs[tail];
+            if e.end > be.end || (e.end == be.end && j.task < bj.task) {
+                tail = i;
+            }
+        }
+        let mut rev: Vec<ChainLink> = Vec::new();
+        let mut current = tail;
+        loop {
+            let (cj, ce) = &execs[current];
+            let mut pred: Option<usize> = None;
+            for (i, (j, e)) in execs.iter().enumerate() {
+                if i == current || e.worker != ce.worker || e.end > ce.start + 1e-9 {
+                    continue;
+                }
+                match pred {
+                    None => pred = Some(i),
+                    Some(p) => {
+                        let (pj, pe) = &execs[p];
+                        if e.end > pe.end || (e.end == pe.end && j.task < pj.task) {
+                            pred = Some(i);
+                        }
+                    }
+                }
+            }
+            let wait = match pred {
+                Some(p) => (ce.start - execs[p].1.end).max(0.0),
+                None => (ce.start - origin).max(0.0),
+            };
+            rev.push(ChainLink {
+                task: cj.task.clone(),
+                worker: ce.worker,
+                start: ce.start,
+                end: ce.end,
+                wait_s: wait,
+                attempts: ce.attempts,
+            });
+            match pred {
+                Some(p) => current = p,
+                None => break,
+            }
+        }
+        rev.reverse();
+        let chain = rev;
+
+        let mut compute = 0.0;
+        let mut retry = 0.0;
+        let mut wait = 0.0;
+        let mut cache = 0.0;
+        for l in &chain {
+            let d = l.duration();
+            let r = if l.attempts > 1 {
+                d * f64::from(l.attempts - 1) / f64::from(l.attempts)
+            } else {
+                0.0
+            };
+            compute += d - r;
+            retry += r;
+            wait += l.wait_s;
+            if let Some(j) = journeys.get(&l.task) {
+                cache += j.cache_lookup_s().unwrap_or(0.0);
+            }
+        }
+
+        let mut busy: BTreeMap<usize, f64> = BTreeMap::new();
+        for (_, e) in &execs {
+            *busy.entry(e.worker).or_insert(0.0) += e.duration();
+        }
+        let idle_total = busy.values().map(|b| (makespan - b).max(0.0)).sum();
+
+        Some(CriticalPath {
+            origin,
+            makespan_s: makespan,
+            chain,
+            compute_s: compute,
+            retry_s: retry,
+            queue_wait_s: wait,
+            cache_s: cache,
+            idle_total_s: idle_total,
+            workers: busy.len(),
+        })
+    }
+
+    pub fn imbalance_of(trace: &Trace, top_k: usize) -> Option<ImbalanceReport> {
+        let journeys = journeys_of(trace);
+        let mut origin = f64::INFINITY;
+        let mut last_end = 0.0_f64;
+        let mut by_worker: BTreeMap<usize, WorkerLoad> = BTreeMap::new();
+        let mut any = false;
+        for j in journeys.values() {
+            for e in j.executions.iter().filter(|e| e.attempts >= 1) {
+                any = true;
+                origin = origin.min(e.start);
+                last_end = last_end.max(e.end);
+                let l = by_worker.entry(e.worker).or_insert(WorkerLoad {
+                    worker: e.worker,
+                    busy_s: 0.0,
+                    idle_s: 0.0,
+                    finish_t: 0.0,
+                    tasks: 0,
+                });
+                l.busy_s += e.duration();
+                l.finish_t = l.finish_t.max(e.end);
+                l.tasks += 1;
+            }
+        }
+        if !any {
+            return None;
+        }
+        let makespan = (last_end - origin).max(0.0);
+        let mut workers: Vec<WorkerLoad> = by_worker.into_values().collect();
+        for l in &mut workers {
+            l.idle_s = (makespan - l.busy_s).max(0.0);
+        }
+        let n = workers.len() as f64;
+        let busy_sum: f64 = workers.iter().map(|l| l.busy_s).sum();
+        let mean = busy_sum / n;
+        let var = workers
+            .iter()
+            .map(|l| (l.busy_s - mean).powi(2))
+            .sum::<f64>()
+            / n;
+        let cov = if mean > 0.0 { var.sqrt() / mean } else { 0.0 };
+        let gini = gini_of(workers.iter().map(|l| l.busy_s));
+        let idle_total: f64 = workers.iter().map(|l| l.idle_s).sum();
+        let utilization = if makespan > 0.0 && !workers.is_empty() {
+            busy_sum / (makespan * n)
+        } else {
+            0.0
+        };
+
+        let mut rows: Vec<Straggler> = journeys
+            .values()
+            .filter_map(|j| {
+                let longest = j
+                    .executions
+                    .iter()
+                    .filter(|e| e.attempts >= 1)
+                    .max_by(|a, b| a.duration().total_cmp(&b.duration()))?;
+                Some(Straggler {
+                    task: j.task.clone(),
+                    duration_s: j.compute_s(),
+                    worker: longest.worker,
+                    attempts: j.max_attempts(),
+                    journey: j.clone(),
+                })
+            })
+            .collect();
+        rows.sort_by(|a, b| {
+            b.duration_s
+                .total_cmp(&a.duration_s)
+                .then_with(|| a.task.cmp(&b.task))
+        });
+        rows.truncate(top_k);
+
+        Some(ImbalanceReport {
+            origin,
+            makespan_s: makespan,
+            workers,
+            gini,
+            cov,
+            busy_mean_s: mean,
+            idle_total_s: idle_total,
+            utilization,
+            stragglers: rows,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::SpanId;
     use crate::recorder::Recorder;
 
-    /// Two workers, one retried task, one cancelled speculative twin,
+    /// Two workers, one retried task, one cancelled row of that task,
     /// service breadcrumbs on t1.
     fn sample_trace() -> Trace {
         let r = Recorder::virtual_time();
         let s = r.span_start("batch");
         r.task(Some(s), "t0", 0, 0.0, 4.0, 1);
         r.task(Some(s), "t1", 1, 1.0, 7.0, 2);
-        r.task(Some(s), "t1", 0, 5.0, 7.0, 0); // losing duplicate
+        r.task(Some(s), "t1", 0, 5.0, 7.0, 0); // cancelled
         r.task(Some(s), "t2", 0, 4.0, 9.0, 1);
         admitted(&r, "t1", 0.25);
         wal(&r, "t1", 0.5);
@@ -1245,5 +1625,189 @@ mod tests {
         let t = Trace::from_events(r.events());
         // Lineage timestamps never extend the makespan.
         assert_eq!(t.last_timestamp(), 3.0);
+    }
+
+    #[test]
+    fn critical_path_walk_ends_on_coincident_zero_length_rows() {
+        // b and c each end no later than the other starts; a walk that
+        // could revisit b would alternate between them forever.
+        let r = Recorder::virtual_time();
+        r.task(None, "a", 0, 0.0, 1.5, 1);
+        r.task(None, "b", 0, 2.0, 2.0, 1);
+        r.task(None, "c", 0, 2.0, 2.0, 1);
+        let cp = critical_path_of(&Trace::from_events(r.events())).expect("path");
+        let chain: Vec<&str> = cp.chain.iter().map(|l| l.task.as_str()).collect();
+        assert_eq!(chain, ["a", "c", "b"]);
+        let total: f64 = cp.chain.iter().map(|l| l.duration() + l.wait_s).sum();
+        assert_eq!(total, cp.makespan_s);
+    }
+
+    /// SplitMix64, the seeded stream behind the differential traces.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// A row time: half the draws on a coarse grid, so ends and
+        /// starts coincide across tasks; the rest arbitrary, so sums
+        /// depend on their order.
+        fn time(&mut self) -> f64 {
+            if self.below(2) == 0 {
+                self.below(16) as f64 * 0.5
+            } else {
+                (self.next() >> 11) as f64 / (1u64 << 50) as f64
+            }
+        }
+    }
+
+    /// Every breadcrumb phase, plus one the grammar does not know.
+    const PHASES: [&str; 8] = [
+        "lineage/admitted",
+        "lineage/wal",
+        "lineage/settled",
+        "lineage/cache_hit",
+        "lineage/cache_near_hit",
+        "lineage/cache_miss",
+        "lineage/retry_backoff",
+        "lineage/unknown_phase",
+    ];
+
+    /// A seeded adversarial trace: nested spans opened at non-zero times
+    /// (ids reused), rows with no span or a never-opened one, task ids
+    /// repeated on one worker, ends shared across tasks, zero-length
+    /// rows, attempts 0..=3, repeated breadcrumbs of every phase, an
+    /// unknown phase, and tasks known only from breadcrumbs.
+    fn adversarial_trace(seed: u64) -> Trace {
+        let mut rng = Mix(seed);
+        let ids = 1 + rng.below(12);
+        let workers = 1 + rng.below(4);
+        let mut open: Vec<SpanId> = Vec::new();
+        let mut events = Vec::new();
+        for _ in 0..rng.below(160) {
+            match rng.below(10) {
+                0 => {
+                    let id = SpanId(1 + rng.below(4));
+                    let t = [0.1, 2.5, 7.3, 1e3 + 0.3][rng.below(4) as usize];
+                    events.push(Event::SpanStart {
+                        id,
+                        parent: open.last().copied(),
+                        name: "s".into(),
+                        t,
+                    });
+                    open.push(id);
+                }
+                1 => {
+                    if let Some(id) = open.pop() {
+                        events.push(Event::SpanEnd { id, t: 2e3 });
+                    }
+                }
+                2..=6 => {
+                    let span = match rng.below(5) {
+                        0 => None,
+                        1 => Some(SpanId(9)),
+                        _ => Some(SpanId(1 + rng.below(4))),
+                    };
+                    let start = rng.time();
+                    let end = match rng.below(4) {
+                        0 => start,
+                        1 => 8.0 + rng.below(8) as f64 * 0.5,
+                        _ => start + rng.time(),
+                    };
+                    events.push(Event::Task {
+                        span,
+                        task: format!("t{}", rng.below(ids)),
+                        worker: rng.below(workers) as usize,
+                        start,
+                        end,
+                        attempts: rng.below(4) as u32,
+                    });
+                }
+                7 => events.push(Event::Gauge {
+                    name: "g".into(),
+                    value: 1.0,
+                    t: 1.0,
+                }),
+                _ => {
+                    let task = match rng.below(4) {
+                        0 => format!("crumb_only{}", rng.below(3)),
+                        _ => format!("t{}", rng.below(ids)),
+                    };
+                    events.push(Event::Lineage {
+                        name: PHASES[rng.below(8) as usize].into(),
+                        task,
+                        t: rng.time(),
+                    });
+                }
+            }
+        }
+        Trace::from_events(events)
+    }
+
+    /// Whether two completed executions on one worker each end before
+    /// the other starts (coincident zero-length rows): the reference
+    /// predecessor walk alternates between such a pair forever.
+    fn loops_reference(journeys: &BTreeMap<String, Journey>) -> bool {
+        let done: Vec<&Execution> = journeys.values().flat_map(|j| j.completed()).collect();
+        done.iter().enumerate().any(|(i, a)| {
+            done[i + 1..]
+                .iter()
+                .any(|b| a.worker == b.worker && a.end <= b.start + 1e-6 && b.end <= a.start + 1e-6)
+        })
+    }
+
+    #[test]
+    fn one_pass_reports_equal_the_reference_folds_bit_for_bit() {
+        let mut compared = 0;
+        let mut seed = 0;
+        while compared < 500 {
+            seed += 1;
+            assert!(seed < 2_000, "too few traces the reference can walk");
+            let trace = adversarial_trace(seed);
+            let tr = truncation_of(&trace);
+            let want = reference::journeys_of(&trace);
+            let got = journeys_of(&trace);
+            assert_eq!(got, want, "journeys_of, seed {seed}");
+            for (task, j) in &want {
+                let one = journey_of(&trace, task);
+                assert_eq!(one, reference::journey_of(&trace, task), "seed {seed}");
+                let one = one.expect("a folded task has a journey");
+                assert_eq!(one.to_json(&tr), j.to_json(&tr), "seed {seed}");
+                assert_eq!(got[task].to_json(&tr), j.to_json(&tr), "seed {seed}");
+            }
+            assert_eq!(journey_of(&trace, "absent"), None);
+            for k in [0, 1, 3, want.len()] {
+                let (a, b) = (imbalance_of(&trace, k), reference::imbalance_of(&trace, k));
+                assert_eq!(a, b, "imbalance_of k={k}, seed {seed}");
+                assert_eq!(
+                    a.map(|r| r.to_json(&tr)),
+                    b.map(|r| r.to_json(&tr)),
+                    "seed {seed}"
+                );
+            }
+            if loops_reference(&want) {
+                continue;
+            }
+            let (a, b) = (
+                critical_path_of(&trace),
+                reference::critical_path_of(&trace),
+            );
+            assert_eq!(a, b, "critical_path_of, seed {seed}");
+            assert_eq!(
+                a.map(|c| c.to_json(&tr)),
+                b.map(|c| c.to_json(&tr)),
+                "seed {seed}"
+            );
+            compared += 1;
+        }
     }
 }

@@ -76,7 +76,7 @@ pub struct HealthSnapshot {
     pub workers: usize,
     /// Re-executions beyond the first attempt, summed over done tasks.
     pub retries: u64,
-    /// Cancelled speculative executions (attempts = 0).
+    /// Executions that never completed (attempts = 0).
     pub cancelled: usize,
     /// Completions more than 1.5× the mean duration of the tasks
     /// completed before them.
@@ -131,7 +131,7 @@ struct State {
     now: f64,
     /// Completed tasks (attempts ≥ 1).
     done: usize,
-    /// Cancelled speculative executions (attempts = 0).
+    /// Executions that never completed (attempts = 0).
     cancelled: usize,
     /// Total executions (sum of attempts over completed tasks).
     executions: u64,
@@ -335,7 +335,7 @@ mod tests {
         evs.push(task(0, 0.0, 10.0, 1));
         evs.push(task(1, 0.0, 10.0, 2));
         evs.push(task(0, 10.0, 40.0, 1)); // straggler: 30s vs mean 10s
-        evs.push(task(1, 10.0, 20.0, 0)); // cancelled speculative
+        evs.push(task(1, 10.0, 20.0, 0)); // never completed
         evs.push(Event::SpanEnd {
             id: SpanId(1),
             t: 40.0,

@@ -458,8 +458,7 @@ pub(crate) fn summary_of(events: &[Event]) -> String {
     let tasks = tasks_of(events);
     if !tasks.is_empty() {
         let retried = tasks.iter().filter(|t| t.attempts > 1).count();
-        // attempts == 0 marks a cancelled speculative execution: the
-        // duplicate (or original) that lost the completion race.
+        // attempts == 0 marks an execution that never completed.
         let cancelled = tasks.iter().filter(|t| t.attempts == 0).count();
         let mut notes = Vec::new();
         if retried > 0 {
@@ -467,7 +466,7 @@ pub(crate) fn summary_of(events: &[Event]) -> String {
             notes.push(format!("{retried} retried, max attempts {max_attempts}"));
         }
         if cancelled > 0 {
-            notes.push(format!("{cancelled} cancelled speculative"));
+            notes.push(format!("{cancelled} cancelled"));
         }
         if notes.is_empty() {
             let _ = writeln!(out, "tasks: {}", tasks.len());
@@ -637,18 +636,15 @@ mod tests {
     }
 
     #[test]
-    fn summary_counts_cancelled_speculative_executions() {
+    fn summary_counts_cancelled_executions() {
         let r = Recorder::virtual_time();
         let s = r.span_start("batch");
         r.task(Some(s), "t0", 0, 0.0, 5.0, 1);
-        r.task(Some(s), "t0", 1, 2.0, 5.0, 0); // losing duplicate
+        r.task(Some(s), "t0", 1, 2.0, 5.0, 0); // never completed
         r.advance_clock_to(5.0);
         r.span_end(s);
         let text = Trace::from_events(r.events()).summary();
-        assert!(
-            text.contains("tasks: 2 (1 cancelled speculative)"),
-            "{text}"
-        );
+        assert!(text.contains("tasks: 2 (1 cancelled)"), "{text}");
     }
 
     #[test]
