@@ -435,6 +435,51 @@ mod tests {
     }
 
     #[test]
+    fn journals_written_before_the_borrowed_decoder_replay_identically() {
+        // Literal lines as the map-building parser's build wrote them:
+        // escapes, a non-ASCII id, shortest-round-trip floats, carryover.
+        let text = "{\"event\":\"task_done\",\"task\":\"DVU_00042/model_3\",\"worker\":5,\"start\":0.5,\"end\":30.25,\"attempts\":2}\n\
+                    {\"event\":\"task_done\",\"task\":\"a\\\"b\\\\c\\nd\\u0001é\",\"worker\":0,\"start\":0,\"end\":0.3333333333333333,\"attempts\":1}\n\
+                    {\"event\":\"task_carryover\",\"task\":\"DVU_00117/model_1\"}\n";
+        let j = Journal::parse_jsonl(text).expect("HEAD lines replay");
+        let done = |task: &str, worker, start, end, attempts| JournalEntry {
+            task: task.into(),
+            worker,
+            start,
+            end,
+            attempts,
+        };
+        assert_eq!(
+            j.entries(),
+            vec![
+                done("DVU_00042/model_3", 5, 0.5, 30.25, 2),
+                done("a\"b\\c\nd\u{1}é", 0, 0.0, 1.0 / 3.0, 1),
+            ]
+        );
+        assert_eq!(j.carried_over(), vec!["DVU_00117/model_1".to_owned()]);
+        assert_eq!(j.to_jsonl(), text);
+        // And the same lines are refused with the same words.
+        let refused = [
+            ("not json", "expected '{' (at byte 0)"),
+            ("{\"event\":\"task_done\"", "expected ',' or '}' (at byte 20)"),
+            ("{\"event\":\"task_done\",\"task\":\"c\",\"worker\":--1}", "invalid number '--1' (at byte 41)"),
+            ("{\"event\":\"task_done\",\"task\":\"c\",\"worker\":1e400}", "field 'worker' is not an integer in range"),
+            ("{\"task\":\"c\"}", "missing string field 'event'"),
+            ("{\"event\":\"task_done\"}", "missing string field 'task'"),
+            ("{\"event\":\"task\",\"task\":\"c\"}", "unknown event kind 'task'"),
+            ("{\"event\":\"task_done\",\"task\":\"c\"}", "missing numeric field 'worker'"),
+            ("{\"event\":\"task_done\",\"task\":\"c\",\"worker\":-1}", "field 'worker' is not an integer in range"),
+            ("{\"event\":\"task_done\",\"task\":\"c\",\"worker\":1,\"start\":null}", "missing numeric field 'start'"),
+            ("{\"event\":\"task_done\",\"task\":\"c\",\"worker\":1,\"start\":0,\"end\":1,\"attempts\":\"1\"}", "field 'attempts' is not an integer in range"),
+            ("{\"event\":7,\"task\":\"c\"}", "missing string field 'event'"),
+        ];
+        for (line, want) in refused {
+            let err = Journal::parse_jsonl(&format!("{text}{line}\n")).expect_err(line);
+            assert_eq!(err.to_string(), format!("journal line 4: {want}"), "{line}");
+        }
+    }
+
+    #[test]
     fn concurrent_appends_are_safe() {
         let j = Journal::new();
         std::thread::scope(|scope| {

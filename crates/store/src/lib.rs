@@ -1272,6 +1272,43 @@ mod tests {
     }
 
     #[test]
+    fn blob_headers_written_before_the_borrowed_decoder_read_as_before() {
+        // Literal blobs: a version-1 header (unsealed, no `psum`), the
+        // current version-2 header, and a sealed version-3 header from a
+        // newer build.
+        let a = art("feature_gen", "ACDEF");
+        let hex = a.key().to_hex();
+        let payload = "{\"x\":\"ACDEF\"}\n";
+        let head = |version: u64| {
+            format!(
+                "\"store\":\"summitfold\",\"version\":{version},\"key\":\"{hex}\",\
+                 \"stage\":\"feature_gen\",\"preset\":\"p\",\"content\":\"ACDEF\",\"lines\":1"
+            )
+        };
+        let sealed = |body: String| {
+            let body = format!("{body},\"psum\":\"{:016x}\"", fnv64(payload));
+            let sum = fnv64(&format!("{{{body}}}"));
+            format!("{{{body},\"sum\":\"{sum:016x}\"}}\n{payload}")
+        };
+        let root = scratch_root("head-blobs");
+        let store = Store::open(&root).unwrap();
+        let rec = Recorder::virtual_time();
+        let blob = root.join("objects").join(format!("{hex}.jsonl"));
+        fs::create_dir_all(root.join("objects")).unwrap();
+        fs::write(&blob, format!("{{{}}}\n{payload}", head(1))).unwrap();
+        assert!(matches!(store.read_blob(&hex), BlobRead::Ok(ref got) if *got == a));
+        fs::write(&blob, sealed(head(2))).unwrap();
+        assert!(matches!(store.read_blob(&hex), BlobRead::Ok(ref got) if *got == a));
+        // What this build writes is that version-2 blob, byte for byte.
+        let _ = fs::remove_file(&blob);
+        store.put(&a, &rec).unwrap();
+        assert_eq!(fs::read_to_string(&blob).unwrap(), sealed(head(2)));
+        fs::write(&blob, sealed(head(3))).unwrap();
+        assert!(matches!(store.read_blob(&hex), BlobRead::Newer));
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn corrupt_blob_is_quarantined_once_and_reads_as_miss() {
         let root = scratch_root("quarantine");
         let rec = Recorder::virtual_time();
