@@ -207,47 +207,20 @@ impl Journal {
 
     fn parse_line(line: &str) -> Result<ParsedLine, String> {
         let obj = json::parse_object(line).map_err(|e| e.to_string())?;
-        let kind = obj
-            .get("event")
-            .and_then(json::Value::as_str)
-            .ok_or("missing string field 'event'")?;
-        let task = obj
-            .get("task")
-            .and_then(json::Value::as_str)
-            .ok_or("missing string field 'task'")?
-            .to_string();
+        let kind = obj.str("event")?;
+        let task = obj.str("task")?.to_owned();
         match kind {
             "task_carryover" => Ok(ParsedLine::Carryover(task)),
-            "task_done" => {
-                let need_num = |key: &str| {
-                    obj.get(key)
-                        .and_then(json::Value::as_num)
-                        .ok_or(format!("missing numeric field '{key}'"))
-                };
-                Ok(ParsedLine::Done(JournalEntry {
-                    task,
-                    worker: need_int(&obj, "worker")?,
-                    start: need_num("start")?,
-                    end: need_num("end")?,
-                    attempts: need_int(&obj, "attempts")?,
-                }))
-            }
+            "task_done" => Ok(ParsedLine::Done(JournalEntry {
+                task,
+                worker: obj.uint("worker")?,
+                start: obj.num("start")?,
+                end: obj.num("end")?,
+                attempts: obj.uint("attempts")?,
+            })),
             other => Err(format!("unknown event kind '{other}'")),
         }
     }
-}
-
-/// An integer field: finite, integral, in `0..=2^53` and in `T`'s range
-/// — never a saturating cast, so a resume replays the worker id and
-/// attempt count that were written, or refuses the line.
-fn need_int<T: TryFrom<u64>>(obj: &BTreeMap<String, json::Value>, key: &str) -> Result<T, String> {
-    let value = obj
-        .get(key)
-        .ok_or(format!("missing numeric field '{key}'"))?;
-    value
-        .as_uint()
-        .and_then(|n| T::try_from(n).ok())
-        .ok_or(format!("field '{key}' is not an integer in range"))
 }
 
 /// One parsed journal line.

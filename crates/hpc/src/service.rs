@@ -94,7 +94,7 @@ use summitfold_dataflow::{
     BatchError, BatchOutcome, ClassConfig, DispatchEntry, Executor, LiveRun, SubmissionQueue,
     SubmitError, TaskRecord, TaskSpec,
 };
-use summitfold_obs::json::{self, ObjectWriter, Seal, Value};
+use summitfold_obs::json::{self, ObjectWriter, Seal};
 use summitfold_obs::{lineage, Event, HealthSnapshot, Monitor, MonitorConfig, Recorder, Sink as _};
 use summitfold_store::{Artifact, Store};
 
@@ -522,42 +522,44 @@ impl Record<'_> {
         let obj = json::parse_object(line)
             .ok()
             .filter(|_| seal == Seal::Valid)?;
-        let s = |key: &str| obj.get(key).and_then(Value::as_str).map(str::to_owned);
-        let n = |key: &str| obj.get(key).and_then(Value::as_num);
-        Some(match obj.get("event")?.as_str()? {
+        let owned = |key: &str| obj.str(key).ok().map(str::to_owned);
+        Some(match obj.str("event").ok()? {
             "open" => Self::Open(Cow::Owned(ServiceConfig {
-                label: s("label")?,
-                workers: n("workers")? as usize,
-                max_queue_depth: n("depth")? as usize,
+                label: owned("label")?,
+                workers: obj.uint("workers").ok()?,
+                max_queue_depth: obj.uint("depth").ok()?,
                 ..ServiceConfig::default()
             })),
             "tenant" => Self::Tenant(Cow::Owned(TenantSpec {
-                name: s("name")?,
-                weight: n("weight")?,
-                priority: n("priority")? as u32,
-                quota_node_hours: n("quota")?,
-                cached: n("cached")? != 0.0,
+                name: owned("name")?,
+                weight: obj.num("weight").ok()?,
+                priority: obj.uint("priority").ok()?,
+                quota_node_hours: obj.num("quota").ok()?,
+                cached: obj.flag("cached").ok()?,
             })),
-            "task" => Self::Task(Cow::Owned(TaskSpec::new(s("task")?, n("cost")?))),
+            "task" => Self::Task(Cow::Owned(TaskSpec::new(
+                owned("task")?,
+                obj.num("cost").ok()?,
+            ))),
             "admit" => Self::Admit {
-                tenant: s("tenant")?,
-                campaign: s("campaign")?,
-                arrival: n("arrival")?,
-                tasks: n("tasks")? as usize,
+                tenant: owned("tenant")?,
+                campaign: owned("campaign")?,
+                arrival: obj.num("arrival").ok()?,
+                tasks: obj.uint("tasks").ok()?,
             },
             "reject" => Self::Reject {
-                tenant: s("tenant")?,
-                kind: s("kind")?,
+                tenant: owned("tenant")?,
+                kind: owned("kind")?,
             },
             "settle" => Self::Settle(
                 Cow::Owned(TaskRecord {
-                    task_id: s("task")?,
-                    worker_id: n("worker")? as usize,
-                    start: n("start")?,
-                    end: n("end")?,
-                    attempts: n("attempts")? as u32,
+                    task_id: owned("task")?,
+                    worker_id: obj.uint("worker").ok()?,
+                    start: obj.num("start").ok()?,
+                    end: obj.num("end").ok()?,
+                    attempts: obj.uint("attempts").ok()?,
                 }),
-                n("cost")?,
+                obj.num("cost").ok()?,
             ),
             _ => return None,
         })
@@ -1714,6 +1716,62 @@ mod tests {
         };
         assert_eq!(report, expected);
         assert_eq!(resumed.settlement_trace(), HEAD_TRACE);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sealed_settlements_with_non_integer_counts_are_corrupt_not_clamped() {
+        // Correctly sealed, so only the decoder can refuse them: a cast
+        // would replay `-1` attempts as 0 and worker `1.5` as 1.
+        let settle = |task: &str, worker: f64, attempts: f64| {
+            let mut w = ObjectWriter::new();
+            w.str_field("event", "settle");
+            w.str_field("task", task);
+            w.num_field("cost", 2.5);
+            w.num_field("worker", worker);
+            w.num_field("start", 0.0);
+            w.num_field("end", 2.5);
+            w.num_field("attempts", attempts);
+            w.finish_sealed()
+        };
+        let bad_attempts = settle("alice:c0:t1", 1.0, -1.0);
+        let bad_worker = settle("bob:c1:u", 1.5, 1.0);
+        assert!(bad_attempts.contains("\"attempts\":-1,"), "{bad_attempts}");
+        assert!(bad_worker.contains("\"worker\":1.5,"), "{bad_worker}");
+        let wal: String = HEAD_WAL
+            .lines()
+            .map(|line| match line {
+                l if l.contains("\"alice:c0:t1\"") => bad_attempts.clone(),
+                l if l.contains("\"bob:c1:u\"") => bad_worker.clone(),
+                l => l.to_owned(),
+            })
+            .map(|line| line + "\n")
+            .collect();
+        let dir = wal_dir("uint-settle");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("service.jsonl"), wal).unwrap();
+        let cfg = ServiceConfig {
+            workers: 2,
+            dir: Some(dir.clone()),
+            ..ServiceConfig::default()
+        };
+        let tenants = vec![
+            TenantSpec::new("alice", 2.0, 1.0).cached(),
+            TenantSpec::new("bob", 1.5, 0.001).priority(1),
+        ];
+        let rec = Arc::new(Recorder::virtual_time());
+        let (resumed, report) = FoldingService::resume(cfg, tenants, rec).unwrap();
+        assert_eq!(report.wal_corrupt_lines, 2, "{report:?}");
+        assert_eq!(report.replayed_settlements, 1, "{report:?}");
+        assert_eq!(report.requeued_tasks, 2, "{report:?}");
+        let trace = resumed.settlement_trace();
+        assert!(trace.contains("\"alice:c0:t0\""), "{trace}");
+        for unsettled in ["\"alice:c0:t1\"", "\"bob:c1:u\""] {
+            assert!(
+                !trace.contains(unsettled),
+                "{unsettled} settled from a bad line: {trace}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

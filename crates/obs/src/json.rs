@@ -1,25 +1,29 @@
-//! A minimal JSON object parser and writer for trace lines.
+//! A minimal flat-object JSON parser and writer for trace and log lines.
 //!
-//! Trace consumers (`lens --trace`, the CSV/Gantt views) only ever see
-//! flat objects whose values are strings, numbers, or `null` — the schema
-//! in [`crate::event`]. This parser handles exactly that subset plus the
-//! standard string escapes, keeping the crate dependency-free. It is not
-//! a general JSON parser: nested objects and arrays are rejected.
+//! Every line the workspace reads back — trace events ([`crate::event`]),
+//! the checkpoint journal, the store journal and blob headers, the service
+//! WAL, stage payloads — is a flat object of strings, numbers and `null`.
+//! This module handles exactly that subset plus the standard string
+//! escapes, keeping the crate dependency-free; nested objects and arrays
+//! are rejected.
 //!
-//! [`ObjectWriter`] is the producing side: every flat-object line in the
-//! workspace (trace events, the dataflow checkpoint journal) is written
-//! through it, so escaping and number formatting are identical across
-//! producers and `parse_object` round-trips them exactly.
+//! [`parse_object`] returns a borrowed [`Object`]: fields in line order,
+//! keys and strings borrowed from the line unless they hold a `\` escape.
+//! A repeated key reads as its last value. Numbers are parsed eagerly, so
+//! a malformed one rejects the line even in a field nobody reads. Readers
+//! take fields through one accessor set ([`Object::str`], `num`, `uint`,
+//! `opt_uint`, `flag`) whose [`FieldError`] messages every reader reports.
 //!
-//! Durable journals (the store journal, blob headers, the service WAL)
-//! additionally *seal* each line: [`ObjectWriter::finish_sealed`] appends
-//! a trailing `sum` field holding the FNV-1a-64 checksum of the line as
-//! it would have been without that field, and [`check_seal`] verifies it
-//! on read. A flipped bit anywhere in a sealed line is detected instead
-//! of silently replayed — the store-corruption failure mode cached
-//! pipelines are most exposed to.
+//! [`ObjectWriter`] is the producing side: every flat-object line is
+//! written through it, so escaping and number formatting are identical
+//! across producers and `parse_object` round-trips them exactly. Durable
+//! journals (the store journal, blob headers, the service WAL) *seal* each
+//! line: [`ObjectWriter::finish_sealed`] appends a `sum` field holding the
+//! FNV-1a-64 checksum of the line as it would have been without it, and
+//! [`check_seal`] verifies it on read, so a flipped bit is detected instead
+//! of silently replayed.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// FNV-1a-64 offset basis (same family as the store's content keys).
@@ -230,18 +234,18 @@ fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// A value in a parsed trace line.
+/// A value in a parsed line.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// A JSON string.
-    Str(String),
+pub enum Value<'a> {
+    /// A JSON string, borrowed from the line unless it held an escape.
+    Str(Cow<'a, str>),
     /// A JSON number (always read as `f64`).
     Num(f64),
     /// JSON `null`.
     Null,
 }
 
-impl Value {
+impl Value<'_> {
     /// The string payload, if this is a string.
     #[must_use]
     pub fn as_str(&self) -> Option<&str> {
@@ -275,7 +279,117 @@ impl Value {
     }
 }
 
-/// Why a trace line failed to parse.
+/// One parsed line: its fields in line order, borrowed from the line.
+#[derive(Debug)]
+pub struct Object<'a> {
+    fields: Vec<(Cow<'a, str>, Value<'a>)>,
+}
+
+/// Why [`Object`]'s typed accessors refused a field. `Display` gives the
+/// message the trace and checkpoint-journal readers report.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FieldError {
+    /// The key is absent or its value is not a string.
+    MissingString(String),
+    /// The key is absent or its value is not a number.
+    MissingNumber(String),
+    /// The value is not an integer in `0..=2^53` and the target type.
+    NotAnInteger(String),
+    /// The value is a number other than 0 or 1.
+    NotAFlag(String),
+}
+
+impl std::fmt::Display for FieldError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::MissingString(key) => write!(f, "missing string field '{key}'"),
+            Self::MissingNumber(key) => write!(f, "missing numeric field '{key}'"),
+            Self::NotAnInteger(key) => write!(f, "field '{key}' is not an integer in range"),
+            Self::NotAFlag(key) => write!(f, "field '{key}' is not 0 or 1"),
+        }
+    }
+}
+
+/// Readers whose errors are plain messages take `?` on an accessor.
+impl From<FieldError> for String {
+    fn from(e: FieldError) -> Self {
+        e.to_string()
+    }
+}
+
+impl<'a> Object<'a> {
+    /// The value of `key` — its last one if the key repeats, as a map
+    /// insert would keep.
+    #[must_use]
+    pub fn get(&self, key: &str) -> Option<&Value<'a>> {
+        self.fields
+            .iter()
+            .rev()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+    }
+
+    /// Whether `key` appears in the line.
+    #[must_use]
+    pub fn contains_key(&self, key: &str) -> bool {
+        self.get(key).is_some()
+    }
+
+    /// Every field in line order, repeated keys included.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &Value<'a>)> {
+        self.fields.iter().map(|(k, v)| (&**k, v))
+    }
+
+    /// A string field; [`FieldError::MissingString`] if it is absent or
+    /// not a string.
+    pub fn str(&self, key: &str) -> Result<&str, FieldError> {
+        self.get(key)
+            .and_then(Value::as_str)
+            .ok_or_else(|| FieldError::MissingString(key.to_owned()))
+    }
+
+    /// A numeric field; [`FieldError::MissingNumber`] if it is absent or
+    /// not a number.
+    pub fn num(&self, key: &str) -> Result<f64, FieldError> {
+        self.get(key)
+            .and_then(Value::as_num)
+            .ok_or_else(|| FieldError::MissingNumber(key.to_owned()))
+    }
+
+    /// An integer field: finite, integral, in `0..=2^53`
+    /// ([`Value::as_uint`]) and in `T`'s range — never a saturating cast.
+    /// [`FieldError::MissingNumber`] if it is absent,
+    /// [`FieldError::NotAnInteger`] if it is anything but such a number.
+    pub fn uint<T: TryFrom<u64>>(&self, key: &str) -> Result<T, FieldError> {
+        let value = self
+            .get(key)
+            .ok_or_else(|| FieldError::MissingNumber(key.to_owned()))?;
+        value
+            .as_uint()
+            .and_then(|n| T::try_from(n).ok())
+            .ok_or_else(|| FieldError::NotAnInteger(key.to_owned()))
+    }
+
+    /// [`uint`](Self::uint), except that absent or `null` is `None`.
+    pub fn opt_uint<T: TryFrom<u64>>(&self, key: &str) -> Result<Option<T>, FieldError> {
+        match self.get(key) {
+            None | Some(Value::Null) => Ok(None),
+            Some(_) => self.uint(key).map(Some),
+        }
+    }
+
+    /// A boolean written as the number 0 or 1;
+    /// [`FieldError::NotAFlag`] for any other number.
+    pub fn flag(&self, key: &str) -> Result<bool, FieldError> {
+        match self.num(key)? {
+            0.0 => Ok(false),
+            1.0 => Ok(true),
+            _ => Err(FieldError::NotAFlag(key.to_owned())),
+        }
+    }
+}
+
+/// Why a line failed to parse.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// What was wrong with the line.
@@ -293,7 +407,7 @@ impl std::fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 struct Cursor<'a> {
-    bytes: &'a [u8],
+    line: &'a str,
     pos: usize,
 }
 
@@ -306,7 +420,7 @@ impl<'a> Cursor<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.line.as_bytes().get(self.pos).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -333,8 +447,24 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn parse_string(&mut self) -> Result<String, ParseError> {
+    /// A string, borrowed from the line when its closing quote comes
+    /// before any `\`; otherwise (an escape, or no closing quote) it is
+    /// unescaped into an owned copy.
+    fn parse_string(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.consume(b'"')?;
+        let rest = &self.line.as_bytes()[self.pos..];
+        match rest.iter().position(|&b| b == b'"' || b == b'\\') {
+            Some(n) if rest[n] == b'"' => {
+                let text = &self.line[self.pos..self.pos + n];
+                self.pos += n + 1;
+                Ok(Cow::Borrowed(text))
+            }
+            _ => self.unescape().map(Cow::Owned),
+        }
+    }
+
+    /// The rest of a string whose opening quote is consumed.
+    fn unescape(&mut self) -> Result<String, ParseError> {
         let mut out = String::new();
         loop {
             match self.bump() {
@@ -367,35 +497,24 @@ impl<'a> Cursor<'a> {
                     _ => return self.err("bad escape"),
                 },
                 Some(b) if b < 0x80 => out.push(b as char),
-                Some(b) => {
-                    // Re-decode a UTF-8 multi-byte sequence starting at b.
+                Some(_) => {
+                    // A multi-byte character: the cursor only ever stops
+                    // on a character boundary of the `&str` line.
                     let start = self.pos - 1;
-                    let width = match b {
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        0xF0..=0xF7 => 4,
-                        _ => return self.err("invalid UTF-8 in string"),
-                    };
-                    let end = start + width;
-                    let Some(chunk) = self.bytes.get(start..end) else {
-                        return self.err("truncated UTF-8 in string");
-                    };
-                    let Ok(s) = std::str::from_utf8(chunk) else {
-                        return self.err("invalid UTF-8 in string");
-                    };
-                    out.push_str(s);
-                    self.pos = end;
+                    let c = self.line[start..].chars().next().unwrap_or_default();
+                    out.push(c);
+                    self.pos = start + c.len_utf8();
                 }
             }
         }
     }
 
-    fn parse_value(&mut self) -> Result<Value, ParseError> {
+    fn parse_value(&mut self) -> Result<Value<'a>, ParseError> {
         self.skip_ws();
         match self.peek() {
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
             Some(b'n') => {
-                if self.bytes[self.pos..].starts_with(b"null") {
+                if self.line.as_bytes()[self.pos..].starts_with(b"null") {
                     self.pos += 4;
                     Ok(Value::Null)
                 } else {
@@ -410,11 +529,15 @@ impl<'a> Cursor<'a> {
                 ) {
                     self.pos += 1;
                 }
-                let text =
-                    std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| ParseError {
-                        message: "invalid number bytes".to_string(),
-                        at: start,
-                    })?;
+                // Every byte scanned is ASCII, so the slice is on
+                // character boundaries.
+                let text = &self.line[start..self.pos];
+                // Up to 15 plain digits are an integer below 2^53, which
+                // `f64` holds exactly: the bits `parse` would give.
+                if text.len() <= 15 && text.bytes().all(|b| b.is_ascii_digit()) {
+                    let n = text.bytes().fold(0, |n, b| n * 10 + u64::from(b - b'0'));
+                    return Ok(Value::Num(n as f64));
+                }
                 text.parse::<f64>().map(Value::Num).map_err(|_| ParseError {
                     message: format!("invalid number '{text}'"),
                     at: start,
@@ -425,17 +548,14 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Parse one trace line into its key/value map.
+/// Parse one line into its borrowed [`Object`].
 ///
 /// # Errors
 /// Returns [`ParseError`] if the line is not a flat JSON object of
 /// string/number/null values.
-pub fn parse_object(line: &str) -> Result<BTreeMap<String, Value>, ParseError> {
-    let mut c = Cursor {
-        bytes: line.as_bytes(),
-        pos: 0,
-    };
-    let mut map = BTreeMap::new();
+pub fn parse_object(line: &str) -> Result<Object<'_>, ParseError> {
+    let mut c = Cursor { line, pos: 0 };
+    let mut fields = Vec::with_capacity(8);
     c.consume(b'{')?;
     c.skip_ws();
     if c.peek() == Some(b'}') {
@@ -446,7 +566,7 @@ pub fn parse_object(line: &str) -> Result<BTreeMap<String, Value>, ParseError> {
             let key = c.parse_string()?;
             c.consume(b':')?;
             let value = c.parse_value()?;
-            map.insert(key, value);
+            fields.push((key, value));
             c.skip_ws();
             match c.bump() {
                 Some(b',') => continue,
@@ -456,10 +576,238 @@ pub fn parse_object(line: &str) -> Result<BTreeMap<String, Value>, ParseError> {
         }
     }
     c.skip_ws();
-    if c.pos != c.bytes.len() {
+    if c.pos != c.line.len() {
         return c.err("trailing bytes after object");
     }
-    Ok(map)
+    Ok(Object { fields })
+}
+
+#[cfg(test)]
+mod reference {
+    //! The map-building parser this module replaced, kept verbatim as
+    //! the oracle for the differential test below.
+
+    use super::ParseError;
+    use std::collections::BTreeMap;
+
+    /// A value in a parsed trace line.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Value {
+        /// A JSON string.
+        Str(String),
+        /// A JSON number (always read as `f64`).
+        Num(f64),
+        /// JSON `null`.
+        Null,
+    }
+
+    impl Value {
+        /// The string payload, if this is a string.
+        #[must_use]
+        pub fn as_str(&self) -> Option<&str> {
+            match self {
+                Self::Str(s) => Some(s),
+                _ => None,
+            }
+        }
+
+        /// The numeric payload, if this is a number.
+        #[must_use]
+        pub fn as_num(&self) -> Option<f64> {
+            match self {
+                Self::Num(n) => Some(*n),
+                _ => None,
+            }
+        }
+
+        /// The numeric payload as an unsigned integer, if it is finite,
+        /// integral and in `0..=2^53` (the range where every integer is an
+        /// exact `f64`). Readers of id, worker and attempt fields use this
+        /// instead of an `as` cast, which would read `-1` as 0, `1.9` as 1
+        /// and `1e30` as `u64::MAX`.
+        #[must_use]
+        pub fn as_uint(&self) -> Option<u64> {
+            const MAX_EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
+            match *self {
+                Self::Num(n) if n.fract() == 0.0 && (0.0..=MAX_EXACT).contains(&n) => {
+                    Some(n as u64)
+                }
+                _ => None,
+            }
+        }
+    }
+
+    struct Cursor<'a> {
+        bytes: &'a [u8],
+        pos: usize,
+    }
+
+    impl<'a> Cursor<'a> {
+        fn err<T>(&self, message: &str) -> Result<T, ParseError> {
+            Err(ParseError {
+                message: message.to_string(),
+                at: self.pos,
+            })
+        }
+
+        fn peek(&self) -> Option<u8> {
+            self.bytes.get(self.pos).copied()
+        }
+
+        fn bump(&mut self) -> Option<u8> {
+            let b = self.peek();
+            if b.is_some() {
+                self.pos += 1;
+            }
+            b
+        }
+
+        fn skip_ws(&mut self) {
+            while matches!(self.peek(), Some(b' ' | b'\t')) {
+                self.pos += 1;
+            }
+        }
+
+        fn consume(&mut self, b: u8) -> Result<(), ParseError> {
+            self.skip_ws();
+            if self.peek() == Some(b) {
+                self.pos += 1;
+                Ok(())
+            } else {
+                self.err(&format!("expected '{}'", b as char))
+            }
+        }
+
+        fn parse_string(&mut self) -> Result<String, ParseError> {
+            self.consume(b'"')?;
+            let mut out = String::new();
+            loop {
+                match self.bump() {
+                    None => return self.err("unterminated string"),
+                    Some(b'"') => return Ok(out),
+                    Some(b'\\') => match self.bump() {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'u') => {
+                            let mut code: u32 = 0;
+                            for _ in 0..4 {
+                                let Some(h) = self.bump().and_then(|b| (b as char).to_digit(16))
+                                else {
+                                    return self.err("bad \\u escape");
+                                };
+                                code = code * 16 + h;
+                            }
+                            // Trace writers only emit \u for control chars
+                            // (< 0x20), so surrogate pairs cannot occur.
+                            let Some(c) = char::from_u32(code) else {
+                                return self.err("invalid \\u code point");
+                            };
+                            out.push(c);
+                        }
+                        _ => return self.err("bad escape"),
+                    },
+                    Some(b) if b < 0x80 => out.push(b as char),
+                    Some(b) => {
+                        // Re-decode a UTF-8 multi-byte sequence starting at b.
+                        let start = self.pos - 1;
+                        let width = match b {
+                            0xC0..=0xDF => 2,
+                            0xE0..=0xEF => 3,
+                            0xF0..=0xF7 => 4,
+                            _ => return self.err("invalid UTF-8 in string"),
+                        };
+                        let end = start + width;
+                        let Some(chunk) = self.bytes.get(start..end) else {
+                            return self.err("truncated UTF-8 in string");
+                        };
+                        let Ok(s) = std::str::from_utf8(chunk) else {
+                            return self.err("invalid UTF-8 in string");
+                        };
+                        out.push_str(s);
+                        self.pos = end;
+                    }
+                }
+            }
+        }
+
+        fn parse_value(&mut self) -> Result<Value, ParseError> {
+            self.skip_ws();
+            match self.peek() {
+                Some(b'"') => Ok(Value::Str(self.parse_string()?)),
+                Some(b'n') => {
+                    if self.bytes[self.pos..].starts_with(b"null") {
+                        self.pos += 4;
+                        Ok(Value::Null)
+                    } else {
+                        self.err("expected null")
+                    }
+                }
+                Some(b'-' | b'0'..=b'9') => {
+                    let start = self.pos;
+                    while matches!(
+                        self.peek(),
+                        Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
+                    ) {
+                        self.pos += 1;
+                    }
+                    let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| {
+                        ParseError {
+                            message: "invalid number bytes".to_string(),
+                            at: start,
+                        }
+                    })?;
+                    text.parse::<f64>().map(Value::Num).map_err(|_| ParseError {
+                        message: format!("invalid number '{text}'"),
+                        at: start,
+                    })
+                }
+                _ => self.err("expected a string, number, or null"),
+            }
+        }
+    }
+
+    /// Parse one trace line into its key/value map.
+    ///
+    /// # Errors
+    /// Returns [`ParseError`] if the line is not a flat JSON object of
+    /// string/number/null values.
+    pub fn parse_object(line: &str) -> Result<BTreeMap<String, Value>, ParseError> {
+        let mut c = Cursor {
+            bytes: line.as_bytes(),
+            pos: 0,
+        };
+        let mut map = BTreeMap::new();
+        c.consume(b'{')?;
+        c.skip_ws();
+        if c.peek() == Some(b'}') {
+            c.pos += 1;
+        } else {
+            loop {
+                c.skip_ws();
+                let key = c.parse_string()?;
+                c.consume(b':')?;
+                let value = c.parse_value()?;
+                map.insert(key, value);
+                c.skip_ws();
+                match c.bump() {
+                    Some(b',') => continue,
+                    Some(b'}') => break,
+                    _ => return c.err("expected ',' or '}'"),
+                }
+            }
+        }
+        c.skip_ws();
+        if c.pos != c.bytes.len() {
+            return c.err("trailing bytes after object");
+        }
+        Ok(map)
+    }
 }
 
 #[cfg(test)]
@@ -511,8 +859,11 @@ mod tests {
             },
         ];
         for e in &events {
-            let obj = parse_object(&e.to_json_line()).expect("parse");
-            assert!(obj.contains_key("event"), "{e:?}");
+            let line = e.to_json_line();
+            assert!(
+                parse_object(&line).expect("parse").contains_key("event"),
+                "{e:?}"
+            );
         }
     }
 
@@ -526,8 +877,8 @@ mod tests {
         }
         .to_json_line();
         let obj = parse_object(&line).expect("parse");
-        assert_eq!(obj["value"].as_num(), Some(v));
-        assert_eq!(obj["t"].as_num(), Some(1.0 / 3.0));
+        assert_eq!(obj.num("value"), Ok(v));
+        assert_eq!(obj.num("t"), Ok(1.0 / 3.0));
     }
 
     #[test]
@@ -552,7 +903,7 @@ mod tests {
         }
         .to_json_line();
         let obj = parse_object(&line).expect("parse");
-        assert_eq!(obj["name"].as_str(), Some("a\"b\\c\nd\u{1}é"));
+        assert_eq!(obj.str("name"), Ok("a\"b\\c\nd\u{1}é"));
     }
 
     #[test]
@@ -567,7 +918,7 @@ mod tests {
 
     #[test]
     fn empty_object_is_fine() {
-        assert!(parse_object("{}").expect("parse").is_empty());
+        assert_eq!(parse_object("{}").expect("parse").iter().count(), 0);
     }
 
     #[test]
@@ -580,11 +931,11 @@ mod tests {
         w.opt_int_field("span", None);
         let line = w.finish();
         let obj = parse_object(&line).expect("parse");
-        assert_eq!(obj["event"].as_str(), Some("task_done"));
-        assert_eq!(obj["task"].as_str(), Some("a\"b\\c\nd"));
-        assert_eq!(obj["worker"].as_num(), Some(42.0));
-        assert_eq!(obj["start"].as_num(), Some(0.1 + 0.2));
-        assert_eq!(obj["span"], Value::Null);
+        assert_eq!(obj.str("event"), Ok("task_done"));
+        assert_eq!(obj.str("task"), Ok("a\"b\\c\nd"));
+        assert_eq!(obj.uint::<usize>("worker"), Ok(42));
+        assert_eq!(obj.num("start"), Ok(0.1 + 0.2));
+        assert_eq!(obj.get("span"), Some(&Value::Null));
     }
 
     #[test]
@@ -601,16 +952,16 @@ mod tests {
         let line = w.finish_sealed();
         assert_eq!(check_seal(&line), Seal::Valid);
         let obj = parse_object(&line).expect("sealed lines stay flat JSON");
-        assert_eq!(obj["event"].as_str(), Some("put"));
-        assert_eq!(obj["cost"].as_num(), Some(0.1 + 0.2));
-        assert_eq!(obj["sum"].as_str().map(str::len), Some(16));
+        assert_eq!(obj.str("event"), Ok("put"));
+        assert_eq!(obj.num("cost"), Ok(0.1 + 0.2));
+        assert_eq!(obj.str("sum").map(str::len), Ok(16));
     }
 
     #[test]
     fn sealed_empty_object_verifies() {
         let line = ObjectWriter::new().finish_sealed();
         assert_eq!(check_seal(&line), Seal::Valid);
-        assert_eq!(parse_object(&line).expect("parse").len(), 1);
+        assert_eq!(parse_object(&line).expect("parse").iter().count(), 1);
     }
 
     #[test]
@@ -674,5 +1025,436 @@ mod tests {
         // Chunk boundaries do not show in the digest.
         assert_eq!(fnv64_chunks(["fo", "", "obar"]), fnv64("foobar"));
         assert_eq!(fnv64_chunks([]), fnv64(""));
+    }
+
+    #[test]
+    fn unescaped_strings_are_borrowed_and_escaped_ones_owned() {
+        let obj = parse_object(r#"{"plain":"abc é","esc":"a\nb","k\"q":1}"#).expect("parse");
+        let kinds: Vec<bool> = obj
+            .fields
+            .iter()
+            .map(|(k, _)| matches!(k, Cow::Borrowed(_)))
+            .collect();
+        assert_eq!(kinds, [true, true, false]);
+        assert!(matches!(
+            obj.get("plain"),
+            Some(Value::Str(Cow::Borrowed("abc é")))
+        ));
+        assert!(matches!(obj.get("esc"), Some(Value::Str(Cow::Owned(s))) if s == "a\nb"));
+        assert_eq!(obj.num("k\"q"), Ok(1.0));
+    }
+
+    #[test]
+    fn a_repeated_key_reads_as_its_last_value() {
+        let obj = parse_object(r#"{"a":1,"b":"x","a":"two","a":null}"#).expect("parse");
+        assert_eq!(obj.get("a"), Some(&Value::Null));
+        assert_eq!(obj.iter().count(), 4, "every field is kept in line order");
+        assert_eq!(obj.iter().map(|(k, _)| k).collect::<String>(), "abaa");
+        let obj = parse_object(r#"{"a":"one","a":2}"#).expect("parse");
+        assert_eq!(obj.num("a"), Ok(2.0));
+        assert!(obj.str("a").is_err());
+    }
+
+    #[test]
+    fn accessors_report_the_readers_messages_word_for_word() {
+        let obj =
+            parse_object(r#"{"s":"x","n":2.5,"i":7,"neg":-1,"big":1e30,"z":null,"f0":0,"f1":1}"#)
+                .expect("parse");
+        let msg = |e: FieldError| e.to_string();
+        assert_eq!(obj.str("s"), Ok("x"));
+        assert_eq!(
+            obj.str("n").map_err(msg),
+            Err("missing string field 'n'".into())
+        );
+        assert_eq!(
+            obj.str("gone").map_err(msg),
+            Err("missing string field 'gone'".into())
+        );
+        assert_eq!(obj.num("n"), Ok(2.5));
+        assert_eq!(
+            obj.num("z").map_err(msg),
+            Err("missing numeric field 'z'".into())
+        );
+        assert_eq!(obj.uint::<u8>("i"), Ok(7));
+        assert_eq!(
+            obj.uint::<u32>("gone").map_err(msg),
+            Err("missing numeric field 'gone'".into())
+        );
+        for key in ["n", "neg", "big", "s", "z"] {
+            let want = format!("field '{key}' is not an integer in range");
+            assert_eq!(obj.uint::<u64>(key).map_err(msg), Err(want), "{key}");
+        }
+        let huge = parse_object(r#"{"w":300,"x":4294967296}"#).expect("parse");
+        assert_eq!(
+            huge.uint::<u8>("w"),
+            Err(FieldError::NotAnInteger("w".into()))
+        );
+        assert_eq!(huge.uint::<u16>("w"), Ok(300));
+        assert_eq!(
+            huge.uint::<u32>("x"),
+            Err(FieldError::NotAnInteger("x".into()))
+        );
+        assert_eq!(obj.opt_uint::<u64>("z"), Ok(None));
+        assert_eq!(obj.opt_uint::<u64>("gone"), Ok(None));
+        assert_eq!(obj.opt_uint::<u64>("i"), Ok(Some(7)));
+        assert_eq!(
+            obj.opt_uint::<u64>("neg"),
+            Err(FieldError::NotAnInteger("neg".into()))
+        );
+        assert_eq!(obj.flag("f0"), Ok(false));
+        assert_eq!(obj.flag("f1"), Ok(true));
+        assert_eq!(obj.flag("i"), Err(FieldError::NotAFlag("i".into())));
+        assert_eq!(obj.flag("s"), Err(FieldError::MissingNumber("s".into())));
+        assert_eq!(
+            String::from(FieldError::NotAFlag("i".into())),
+            "field 'i' is not 0 or 1"
+        );
+    }
+
+    /// SplitMix64, the seeded stream behind the differential corpus.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn pick<'s>(&mut self, from: &[&'s str]) -> &'s str {
+            from[self.below(from.len())]
+        }
+    }
+
+    /// One line of every schema the workspace writes, as `(key, raw
+    /// JSON value)` fields: the seven trace events, the checkpoint
+    /// journal, the store journal and blob header, the service WAL, the
+    /// stage payloads and a pair call.
+    fn schemas() -> Vec<Vec<(&'static str, String)>> {
+        let s = |v: &str| format!("\"{v}\"");
+        let hex = s("00ff00ff00ff00ff00ff00ff00ff00ff");
+        let sum = s("0123456789abcdef");
+        let n = |v: f64| format!("{v}");
+        vec![
+            vec![
+                ("event", s("span_start")),
+                ("id", n(1.0)),
+                ("parent", "null".into()),
+                ("name", s("batch")),
+                ("t", n(0.0)),
+            ],
+            vec![("event", s("span_end")), ("id", n(1.0)), ("t", n(12.5))],
+            vec![
+                ("event", s("task")),
+                ("span", n(1.0)),
+                ("task", s("DVU_00042/model_3")),
+                ("worker", n(3.0)),
+                ("start", n(0.25)),
+                ("end", n(1.0 / 3.0)),
+                ("attempts", n(1.0)),
+            ],
+            vec![
+                ("event", s("counter")),
+                ("name", s("cache/hit")),
+                ("delta", n(1.0)),
+                ("total", n(4.0)),
+                ("t", n(2.0)),
+            ],
+            vec![
+                ("event", s("gauge")),
+                ("name", s("util")),
+                ("value", n(0.1 + 0.2)),
+                ("t", n(2.0)),
+            ],
+            vec![
+                ("event", s("observe")),
+                ("name", s("recycles")),
+                ("value", n(3.0)),
+                ("t", n(1e-7)),
+            ],
+            vec![
+                ("event", s("lineage")),
+                ("name", s("lineage/settled")),
+                ("task", s("acme:c1:t0")),
+                ("t", n(2.5)),
+            ],
+            vec![
+                ("event", s("task_done")),
+                ("task", s("a")),
+                ("worker", n(5.0)),
+                ("start", n(0.5)),
+                ("end", n(30.25)),
+                ("attempts", n(2.0)),
+            ],
+            vec![
+                ("event", s("task_carryover")),
+                ("task", s("DVU_00117/model_1")),
+            ],
+            vec![
+                ("event", s("put")),
+                ("key", hex.clone()),
+                ("stage", s("feature_gen")),
+                ("preset", s("Genome")),
+                ("content", s("MKVLY")),
+                ("sum", sum.clone()),
+            ],
+            vec![
+                ("event", s("evict")),
+                ("key", hex.clone()),
+                ("sum", sum.clone()),
+            ],
+            vec![
+                ("store", s("summitfold")),
+                ("version", n(2.0)),
+                ("key", hex),
+                ("stage", s("inference")),
+                ("preset", s("p")),
+                ("content", s("ACDEF")),
+                ("lines", n(3.0)),
+                ("psum", sum.clone()),
+                ("sum", sum.clone()),
+            ],
+            vec![
+                ("event", s("open")),
+                ("label", s("svc")),
+                ("workers", n(4.0)),
+                ("depth", n(64.0)),
+                ("sum", sum.clone()),
+            ],
+            vec![
+                ("event", s("tenant")),
+                ("name", s("acme")),
+                ("weight", n(1.5)),
+                ("priority", n(2.0)),
+                ("quota", n(1e3)),
+                ("cached", n(1.0)),
+                ("sum", sum.clone()),
+            ],
+            vec![
+                ("event", s("admit")),
+                ("tenant", s("acme")),
+                ("campaign", s("c1")),
+                ("arrival", n(0.75)),
+                ("tasks", n(12.0)),
+                ("sum", sum.clone()),
+            ],
+            vec![
+                ("event", s("reject")),
+                ("tenant", s("acme")),
+                ("kind", s("quota")),
+                ("sum", sum.clone()),
+            ],
+            vec![
+                ("event", s("settle")),
+                ("task", s("acme:c1:t0")),
+                ("cost", n(1234.5)),
+                ("worker", n(0.0)),
+                ("start", n(0.0)),
+                ("end", n(99.125)),
+                ("attempts", n(1.0)),
+                ("sum", sum),
+            ],
+            vec![
+                ("target_id", s("DVU_1")),
+                ("length", n(120.0)),
+                ("richness", n(0.875)),
+                ("neff", n(31.5)),
+                ("coverage", n(0.9)),
+                ("has_templates", n(0.0)),
+            ],
+            vec![
+                ("target_id", s("DVU_1")),
+                ("model", n(3.0)),
+                ("recycles", n(4.0)),
+                ("converged", n(1.0)),
+                ("ptms", n(0.61)),
+                ("plddt_mean", n(88.2)),
+                ("peak_mem_bytes", n(1.6e10)),
+            ],
+            vec![
+                ("id", s("DVU_1")),
+                ("residues", s("MKV")),
+                ("ca", s("0 0 0;3.8 0 0;7.6 0 0")),
+                ("sidechain", s("1 1 1;2 2 2;3 3 3")),
+                ("plddt", "null".into()),
+            ],
+            vec![
+                ("pair_id", s("A/B")),
+                ("iscore", n(0.42)),
+                ("truly_interacts", n(0.0)),
+                ("gpu_seconds", n(77.0)),
+            ],
+        ]
+    }
+
+    const NUMBERS: [&str; 24] = [
+        "-0",
+        "1e5",
+        "1.",
+        "+1",
+        "--1",
+        "1e400",
+        "-1e400",
+        "0.1",
+        "1E-3",
+        ".5",
+        "01",
+        "1e",
+        "-",
+        "9007199254740993",
+        "1.5e308",
+        "5e-324",
+        "123456789012345678901234567890",
+        "1e-400",
+        "2.5e+3",
+        "1.0.0",
+        "0x10",
+        "1-2",
+        "7",
+        "-12.75",
+    ];
+
+    const STRINGS: [&str; 22] = [
+        r#""""#,
+        r#""\"""#,
+        r#""\\""#,
+        r#""\/""#,
+        r#""a\nb\tc\rd""#,
+        r#""\b\f""#,
+        r#""\u0001\u001f""#,
+        r#""éÿ""#,
+        r#""\u12""#,
+        r#""\ud800""#,
+        r#""\x""#,
+        r#""\""#,
+        r#""é中😀""#,
+        r#""tab	raw""#,
+        r#""unterminated"#,
+        r#""a"b""#,
+        "null",
+        "nul",
+        "true",
+        "[1]",
+        "{}",
+        r#""ABC""#,
+    ];
+
+    /// One line drawn from the corpus: a schema line, then structural
+    /// mutations (value swaps, escapes, repeated keys, whitespace) and
+    /// byte-level ones (flips, truncations).
+    fn corpus_line(rng: &mut Mix, schemas: &[Vec<(&'static str, String)>]) -> String {
+        let mut fields: Vec<(String, String)> = schemas[rng.below(schemas.len())]
+            .iter()
+            .map(|(k, v)| (format!("\"{k}\""), v.clone()))
+            .collect();
+        for _ in 0..rng.below(3) {
+            let i = rng.below(fields.len());
+            match rng.below(5) {
+                0 => fields[i].1 = rng.pick(&NUMBERS).to_owned(),
+                1 => fields[i].1 = rng.pick(&STRINGS).to_owned(),
+                2 => {
+                    let (num, text) = (rng.pick(&NUMBERS), rng.pick(&STRINGS));
+                    let value = rng.pick(&[num, text, "null", "0", "1"]);
+                    let repeat = (fields[i].0.clone(), value.to_owned());
+                    fields.push(repeat);
+                }
+                3 => fields[i].0 = rng.pick(&STRINGS).to_owned(),
+                _ => {
+                    let j = rng.below(fields.len());
+                    fields.swap(i, j);
+                }
+            }
+        }
+        let ws = |rng: &mut Mix| match rng.below(300) {
+            0..=9 => " ",
+            10..=19 => "\t",
+            20..=24 => "  \t",
+            25 => "\n",
+            26 => "\r",
+            _ => "",
+        };
+        let mut line = String::new();
+        line.push_str(ws(rng));
+        line.push('{');
+        for (i, (k, v)) in fields.iter().enumerate() {
+            if i > 0 {
+                line.push_str(ws(rng));
+                line.push(',');
+            }
+            for part in [ws(rng), k.as_str(), ws(rng), ":", ws(rng), v.as_str()] {
+                line.push_str(part);
+            }
+        }
+        line.push_str(ws(rng));
+        line.push('}');
+        line.push_str(ws(rng));
+        match rng.below(6) {
+            0 => {
+                let mut bytes = line.into_bytes();
+                let i = rng.below(bytes.len());
+                bytes[i] ^= 1 << rng.below(8);
+                String::from_utf8_lossy(&bytes).into_owned()
+            }
+            1 => {
+                let mut cut = rng.below(line.len() + 1);
+                while !line.is_char_boundary(cut) {
+                    cut -= 1;
+                }
+                line.truncate(cut);
+                line
+            }
+            _ => line,
+        }
+    }
+
+    fn same_value(new: &Value<'_>, old: &reference::Value) -> bool {
+        let same = match (new, old) {
+            (Value::Str(a), reference::Value::Str(b)) => a == b,
+            (Value::Num(a), reference::Value::Num(b)) => a.to_bits() == b.to_bits(),
+            (Value::Null, reference::Value::Null) => true,
+            _ => false,
+        };
+        same && new.as_str() == old.as_str()
+            && new.as_num().map(f64::to_bits) == old.as_num().map(f64::to_bits)
+            && new.as_uint() == old.as_uint()
+    }
+
+    #[test]
+    fn borrowed_parser_matches_the_map_building_reference_line_for_line() {
+        let schemas = schemas();
+        let mut rng = Mix(0x5EED_0030);
+        let (mut ok, mut err, mut repeats) = (0, 0, 0);
+        for _ in 0..2400 {
+            let line = corpus_line(&mut rng, &schemas);
+            match (parse_object(&line), reference::parse_object(&line)) {
+                (Ok(obj), Ok(map)) => {
+                    ok += 1;
+                    let keys: std::collections::BTreeSet<&str> =
+                        obj.iter().map(|(k, _)| k).collect();
+                    assert_eq!(keys.len(), map.len(), "{line}");
+                    repeats += usize::from(obj.iter().count() > keys.len());
+                    for (key, old) in &map {
+                        let new = obj
+                            .get(key)
+                            .unwrap_or_else(|| panic!("{key} missing: {line}"));
+                        assert!(same_value(new, old), "{key}: {new:?} vs {old:?} in {line}");
+                    }
+                }
+                (Err(new), Err(old)) => {
+                    err += 1;
+                    assert_eq!(new, old, "{line}");
+                }
+                (new, old) => panic!("{line:?}: {new:?} vs {old:?}"),
+            }
+        }
+        // The corpus exercises both outcomes and repeated keys.
+        assert!(ok >= 600 && err >= 600, "ok {ok}, err {err}");
+        assert!(repeats >= 100, "{repeats} lines with a repeated key");
     }
 }

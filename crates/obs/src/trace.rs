@@ -8,7 +8,7 @@
 //! sufficient to regenerate all of them byte-identically.
 
 use crate::event::{Event, SpanId};
-use crate::json::{self, Value};
+use crate::json::{self, Object};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -128,61 +128,51 @@ impl std::fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-fn need_num(obj: &BTreeMap<String, Value>, key: &str, line: usize) -> Result<f64, TraceError> {
-    obj.get(key)
-        .and_then(Value::as_num)
-        .ok_or_else(|| TraceError {
-            line,
-            message: format!("missing numeric field '{key}'"),
-        })
-}
-
-fn need_str(obj: &BTreeMap<String, Value>, key: &str, line: usize) -> Result<String, TraceError> {
-    obj.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| TraceError {
-            line,
-            message: format!("missing string field '{key}'"),
-        })
-}
-
-/// An integer field: finite, integral, in `0..=2^53` ([`Value::as_uint`])
-/// and in `T`'s range — never a saturating cast.
-fn int_of<T: TryFrom<u64>>(value: &Value, key: &str, line: usize) -> Result<T, TraceError> {
-    value
-        .as_uint()
-        .and_then(|n| T::try_from(n).ok())
-        .ok_or_else(|| TraceError {
-            line,
-            message: format!("field '{key}' is not an integer in range"),
-        })
-}
-
-fn need_int<T: TryFrom<u64>>(
-    obj: &BTreeMap<String, Value>,
-    key: &str,
-    line: usize,
-) -> Result<T, TraceError> {
-    match obj.get(key) {
-        Some(value) => int_of(value, key, line),
-        None => Err(TraceError {
-            line,
-            message: format!("missing numeric field '{key}'"),
-        }),
-    }
-}
-
-/// A span reference: absent or `null` is no span.
-fn opt_span(
-    obj: &BTreeMap<String, Value>,
-    key: &str,
-    line: usize,
-) -> Result<Option<SpanId>, TraceError> {
-    match obj.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(value) => int_of(value, key, line).map(|n| Some(SpanId(n))),
-    }
+/// One trace line's event; `Err` is the [`TraceError`] message.
+fn event_of(obj: &Object<'_>) -> Result<Event, String> {
+    let owned = |key: &str| obj.str(key).map(str::to_owned);
+    Ok(match obj.str("event")? {
+        "span_start" => Event::SpanStart {
+            id: SpanId(obj.uint("id")?),
+            parent: obj.opt_uint("parent")?.map(SpanId),
+            name: owned("name")?,
+            t: obj.num("t")?,
+        },
+        "span_end" => Event::SpanEnd {
+            id: SpanId(obj.uint("id")?),
+            t: obj.num("t")?,
+        },
+        "task" => Event::Task {
+            span: obj.opt_uint("span")?.map(SpanId),
+            task: owned("task")?,
+            worker: obj.uint("worker")?,
+            start: obj.num("start")?,
+            end: obj.num("end")?,
+            attempts: obj.uint("attempts")?,
+        },
+        "counter" => Event::Counter {
+            name: owned("name")?,
+            delta: obj.num("delta")?,
+            total: obj.num("total")?,
+            t: obj.num("t")?,
+        },
+        "gauge" => Event::Gauge {
+            name: owned("name")?,
+            value: obj.num("value")?,
+            t: obj.num("t")?,
+        },
+        "observe" => Event::Observe {
+            name: owned("name")?,
+            value: obj.num("value")?,
+            t: obj.num("t")?,
+        },
+        "lineage" => Event::Lineage {
+            name: owned("name")?,
+            task: owned("task")?,
+            t: obj.num("t")?,
+        },
+        other => return Err(format!("unknown event kind '{other}'")),
+    })
 }
 
 impl Trace {
@@ -200,63 +190,17 @@ impl Trace {
     pub fn parse_jsonl(text: &str) -> Result<Self, TraceError> {
         let mut events = Vec::new();
         for (i, raw) in text.lines().enumerate() {
-            let line_no = i + 1;
             let line = raw.trim();
             if line.is_empty() {
                 continue;
             }
-            let obj = json::parse_object(line).map_err(|e| TraceError {
-                line: line_no,
-                message: e.to_string(),
-            })?;
-            let kind = need_str(&obj, "event", line_no)?;
-            let event = match kind.as_str() {
-                "span_start" => Event::SpanStart {
-                    id: SpanId(need_int(&obj, "id", line_no)?),
-                    parent: opt_span(&obj, "parent", line_no)?,
-                    name: need_str(&obj, "name", line_no)?,
-                    t: need_num(&obj, "t", line_no)?,
-                },
-                "span_end" => Event::SpanEnd {
-                    id: SpanId(need_int(&obj, "id", line_no)?),
-                    t: need_num(&obj, "t", line_no)?,
-                },
-                "task" => Event::Task {
-                    span: opt_span(&obj, "span", line_no)?,
-                    task: need_str(&obj, "task", line_no)?,
-                    worker: need_int(&obj, "worker", line_no)?,
-                    start: need_num(&obj, "start", line_no)?,
-                    end: need_num(&obj, "end", line_no)?,
-                    attempts: need_int(&obj, "attempts", line_no)?,
-                },
-                "counter" => Event::Counter {
-                    name: need_str(&obj, "name", line_no)?,
-                    delta: need_num(&obj, "delta", line_no)?,
-                    total: need_num(&obj, "total", line_no)?,
-                    t: need_num(&obj, "t", line_no)?,
-                },
-                "gauge" => Event::Gauge {
-                    name: need_str(&obj, "name", line_no)?,
-                    value: need_num(&obj, "value", line_no)?,
-                    t: need_num(&obj, "t", line_no)?,
-                },
-                "observe" => Event::Observe {
-                    name: need_str(&obj, "name", line_no)?,
-                    value: need_num(&obj, "value", line_no)?,
-                    t: need_num(&obj, "t", line_no)?,
-                },
-                "lineage" => Event::Lineage {
-                    name: need_str(&obj, "name", line_no)?,
-                    task: need_str(&obj, "task", line_no)?,
-                    t: need_num(&obj, "t", line_no)?,
-                },
-                other => {
-                    return Err(TraceError {
-                        line: line_no,
-                        message: format!("unknown event kind '{other}'"),
-                    })
-                }
-            };
+            let event = json::parse_object(line)
+                .map_err(|e| e.to_string())
+                .and_then(|obj| event_of(&obj))
+                .map_err(|message| TraceError {
+                    line: i + 1,
+                    message,
+                })?;
             events.push(event);
         }
         Ok(Self { events })

@@ -19,34 +19,6 @@ use summitfold_relax::protocol::RelaxOutcome;
 use summitfold_relax::violations::Violations;
 use summitfold_store::StoreKey;
 
-fn get_str(obj: &std::collections::BTreeMap<String, Value>, key: &str) -> Option<String> {
-    obj.get(key).and_then(Value::as_str).map(ToOwned::to_owned)
-}
-
-fn get_num(obj: &std::collections::BTreeMap<String, Value>, key: &str) -> Option<f64> {
-    obj.get(key).and_then(Value::as_num)
-}
-
-fn get_usize(obj: &std::collections::BTreeMap<String, Value>, key: &str) -> Option<usize> {
-    let n = get_num(obj, key)?;
-    if n.fract() == 0.0 && n >= 0.0 {
-        Some(n as usize)
-    } else {
-        None
-    }
-}
-
-fn get_bool(obj: &std::collections::BTreeMap<String, Value>, key: &str) -> Option<bool> {
-    let n = get_num(obj, key)?;
-    if n == 0.0 {
-        Some(false)
-    } else if n == 1.0 {
-        Some(true)
-    } else {
-        None
-    }
-}
-
 /// Encode a coordinate list as `"x y z;x y z;..."` in round-trip `{}`
 /// form.
 fn coords_to_string(coords: &[Vec3]) -> String {
@@ -174,12 +146,12 @@ pub fn decode_feature_set(payload: &[String]) -> Option<FeatureSet> {
     let [line] = payload else { return None };
     let obj = parse_object(line).ok()?;
     Some(FeatureSet {
-        target_id: get_str(&obj, "target_id")?,
-        length: get_usize(&obj, "length")?,
-        richness: get_num(&obj, "richness")?,
-        neff: get_num(&obj, "neff")?,
-        coverage: get_num(&obj, "coverage")?,
-        has_templates: get_bool(&obj, "has_templates")?,
+        target_id: obj.str("target_id").ok()?.to_owned(),
+        length: obj.uint("length").ok()?,
+        richness: obj.num("richness").ok()?,
+        neff: obj.num("neff").ok()?,
+        coverage: obj.num("coverage").ok()?,
+        has_templates: obj.flag("has_templates").ok()?,
     })
 }
 
@@ -198,13 +170,13 @@ fn encode_structure(s: &Structure) -> String {
 
 fn decode_structure(line: &str) -> Option<Structure> {
     let obj = parse_object(line).ok()?;
-    let residues = residues_from_letters(&get_str(&obj, "residues")?)?;
-    let ca = coords_from_string(&get_str(&obj, "ca")?)?;
-    let sidechain = coords_from_string(&get_str(&obj, "sidechain")?)?;
+    let residues = residues_from_letters(obj.str("residues").ok()?)?;
+    let ca = coords_from_string(obj.str("ca").ok()?)?;
+    let sidechain = coords_from_string(obj.str("sidechain").ok()?)?;
     if residues.len() != ca.len() || residues.len() != sidechain.len() {
         return None;
     }
-    let mut s = Structure::new(&get_str(&obj, "id")?, residues, ca, sidechain);
+    let mut s = Structure::new(obj.str("id").ok()?, residues, ca, sidechain);
     s.plddt = match obj.get("plddt")? {
         Value::Null => None,
         Value::Str(text) => {
@@ -238,21 +210,20 @@ fn encode_prediction(p: &Prediction) -> String {
 
 fn decode_prediction(line: &str, structure: Option<Structure>) -> Option<Prediction> {
     let obj = parse_object(line).ok()?;
-    let model = get_usize(&obj, "model")?;
     Some(Prediction {
-        target_id: get_str(&obj, "target_id")?,
-        model: ModelId(u8::try_from(model).ok()?),
-        recycles: u32::try_from(get_usize(&obj, "recycles")?).ok()?,
-        converged: get_bool(&obj, "converged")?,
-        ptms: get_num(&obj, "ptms")?,
-        plddt_mean: get_num(&obj, "plddt_mean")?,
-        plddt_frac70: get_num(&obj, "plddt_frac70")?,
-        plddt_frac90: get_num(&obj, "plddt_frac90")?,
-        final_error: get_num(&obj, "final_error")?,
-        challenging: get_bool(&obj, "challenging")?,
+        target_id: obj.str("target_id").ok()?.to_owned(),
+        model: ModelId(obj.uint("model").ok()?),
+        recycles: obj.uint("recycles").ok()?,
+        converged: obj.flag("converged").ok()?,
+        ptms: obj.num("ptms").ok()?,
+        plddt_mean: obj.num("plddt_mean").ok()?,
+        plddt_frac70: obj.num("plddt_frac70").ok()?,
+        plddt_frac90: obj.num("plddt_frac90").ok()?,
+        final_error: obj.num("final_error").ok()?,
+        challenging: obj.flag("challenging").ok()?,
         structure,
-        gpu_seconds: get_num(&obj, "gpu_seconds")?,
-        peak_mem_bytes: get_num(&obj, "peak_mem_bytes")? as u64,
+        gpu_seconds: obj.num("gpu_seconds").ok()?,
+        peak_mem_bytes: obj.uint("peak_mem_bytes").ok()?,
     })
 }
 
@@ -281,8 +252,8 @@ pub fn encode_target_result(r: &TargetResult) -> Vec<String> {
 pub fn decode_target_result(payload: &[String]) -> Option<TargetResult> {
     let (header_line, rest) = payload.split_first()?;
     let header = parse_object(header_line).ok()?;
-    let count = get_usize(&header, "predictions")?;
-    let top_index = get_usize(&header, "top_index")?;
+    let count = header.uint("predictions").ok()?;
+    let top_index = header.uint("top_index").ok()?;
     let mut predictions = Vec::with_capacity(count);
     let mut i = 0usize;
     while predictions.len() < count {
@@ -305,7 +276,7 @@ pub fn decode_target_result(payload: &[String]) -> Option<TargetResult> {
         return None;
     }
     Some(TargetResult {
-        target_id: get_str(&header, "target_id")?,
+        target_id: header.str("target_id").ok()?.to_owned(),
         predictions,
         top_index,
     })
@@ -337,19 +308,19 @@ pub fn decode_relax_outcome(payload: &[String]) -> Option<RelaxOutcome> {
     let obj = parse_object(header_line).ok()?;
     Some(RelaxOutcome {
         structure: decode_structure(structure_line)?,
-        rounds: get_usize(&obj, "rounds")?,
-        total_iterations: get_usize(&obj, "total_iterations")?,
-        violation_checks: get_usize(&obj, "violation_checks")?,
+        rounds: obj.uint("rounds").ok()?,
+        total_iterations: obj.uint("total_iterations").ok()?,
+        violation_checks: obj.uint("violation_checks").ok()?,
         initial_violations: Violations {
-            clashes: get_usize(&obj, "initial_clashes")?,
-            bumps: get_usize(&obj, "initial_bumps")?,
+            clashes: obj.uint("initial_clashes").ok()?,
+            bumps: obj.uint("initial_bumps").ok()?,
         },
         final_violations: Violations {
-            clashes: get_usize(&obj, "final_clashes")?,
-            bumps: get_usize(&obj, "final_bumps")?,
+            clashes: obj.uint("final_clashes").ok()?,
+            bumps: obj.uint("final_bumps").ok()?,
         },
-        energy_initial: get_num(&obj, "energy_initial")?,
-        energy_final: get_num(&obj, "energy_final")?,
+        energy_initial: obj.num("energy_initial").ok()?,
+        energy_final: obj.num("energy_final").ok()?,
     })
 }
 
@@ -450,6 +421,21 @@ mod tests {
         });
         lines.push("extra".to_owned());
         assert!(decode_feature_set(&lines).is_none());
+    }
+
+    #[test]
+    fn integer_fields_out_of_range_decode_to_none_not_a_cast() {
+        let line = |length: &str| {
+            vec![format!(
+                "{{\"target_id\":\"t\",\"length\":{length},\"richness\":0.5,\"neff\":8,\
+                 \"coverage\":0.9,\"has_templates\":0}}"
+            )]
+        };
+        assert_eq!(decode_feature_set(&line("10")).map(|f| f.length), Some(10));
+        // A cast would read 1e30 as usize::MAX, -1 as 0 and 2.5 as 2.
+        for bad in ["1e30", "-1", "2.5", "null"] {
+            assert!(decode_feature_set(&line(bad)).is_none(), "{bad}");
+        }
     }
 
     #[test]

@@ -83,23 +83,13 @@ fn encode_pair(p: &PairCall, gpu_seconds: f64) -> Vec<String> {
     vec![w.finish()]
 }
 
-fn num_to_bool(n: f64) -> Option<bool> {
-    if n == 0.0 {
-        Some(false)
-    } else if n == 1.0 {
-        Some(true)
-    } else {
-        None
-    }
-}
-
 fn decode_pair(payload: &[String]) -> Option<PairCall> {
     let [line] = payload else { return None };
     let obj = parse_object(line).ok()?;
     Some(PairCall {
-        pair_id: obj.get("pair_id")?.as_str()?.to_owned(),
-        iscore: obj.get("iscore")?.as_num()?,
-        truly_interacts: num_to_bool(obj.get("truly_interacts")?.as_num()?)?,
+        pair_id: obj.str("pair_id").ok()?.to_owned(),
+        iscore: obj.num("iscore").ok()?,
+        truly_interacts: obj.flag("truly_interacts").ok()?,
     })
 }
 

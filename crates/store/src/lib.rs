@@ -352,9 +352,9 @@ impl Event {
             Seal::Absent if obj.contains_key("sum") => return None,
             Seal::Absent => {}
         }
-        let field = |name: &str| obj.get(name)?.as_str().map(str::to_owned);
+        let field = |name: &str| obj.str(name).ok().map(str::to_owned);
         let key = field("key")?;
-        match obj.get("event")?.as_str()? {
+        match obj.str("event").ok()? {
             "put" => Some(Self::Put {
                 key: StoreKey::from_hex(&key).map(|_| key)?,
                 stage: field("stage")?,
@@ -671,13 +671,13 @@ impl Store {
         let Ok(header) = json::parse_object(header_line) else {
             return BlobRead::Corrupt;
         };
-        let version = header
-            .get("version")
-            .and_then(json::Value::as_num)
-            .map(|v| v as u64);
+        // Never a cast: a `version` or `lines` of 2.5 is corruption.
+        let Ok(version) = header.uint::<u64>("version") else {
+            return BlobRead::Corrupt;
+        };
         // Seal before version: a flipped bit in the version digits must
         // read as corruption, not as a mysteriously newer format.
-        let sealed = version.is_none_or(|v| v >= 2);
+        let sealed = version >= 2;
         match check_seal(header_line) {
             Seal::Valid => {}
             Seal::Mismatch => return BlobRead::Corrupt,
@@ -686,23 +686,21 @@ impl Store {
             Seal::Absent if sealed || header.contains_key("sum") => return BlobRead::Corrupt,
             Seal::Absent => {}
         }
-        if version.is_some_and(|v| v > FORMAT_VERSION) {
+        if version > FORMAT_VERSION {
             return BlobRead::Newer;
         }
-        let sealed = version.is_some_and(|v| v >= 2);
-        let sfield = |key: &str| header.get(key).and_then(json::Value::as_str);
-        if sfield("store") != Some("summitfold") || version.is_none() || sfield("key") != Some(hex)
-        {
+        let sfield = |key: &str| header.str(key).ok();
+        if sfield("store") != Some("summitfold") || sfield("key") != Some(hex) {
             return BlobRead::Corrupt;
         }
-        let Some(expected) = header.get("lines").and_then(json::Value::as_num) else {
+        let Ok(expected) = header.uint::<usize>("lines") else {
             return BlobRead::Corrupt;
         };
         let payload: Vec<String> = lines.map(ToOwned::to_owned).collect();
-        if payload.len() < expected as usize {
+        if payload.len() < expected {
             return BlobRead::Torn; // truncated mid-payload
         }
-        if payload.len() > expected as usize {
+        if payload.len() > expected {
             return BlobRead::Corrupt; // trailing garbage after the payload
         }
         if sealed {
@@ -1305,6 +1303,39 @@ mod tests {
         assert_eq!(fs::read_to_string(&blob).unwrap(), sealed(head(2)));
         fs::write(&blob, sealed(head(3))).unwrap();
         assert!(matches!(store.read_blob(&hex), BlobRead::Newer));
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_non_integer_version_or_line_count_is_corrupt_not_cast() {
+        let a = Artifact::new("feature_gen", "p", "ACDEF", vec!["{}".into(), "{}".into()]);
+        let hex = a.key().to_hex();
+        let payload = "{}\n{}\n";
+        let blob_with = |version: &str, lines: &str| {
+            let body = format!(
+                "\"store\":\"summitfold\",\"version\":{version},\"key\":\"{hex}\",\
+                 \"stage\":\"feature_gen\",\"preset\":\"p\",\"content\":\"ACDEF\",\
+                 \"lines\":{lines},\"psum\":\"{:016x}\"",
+                fnv64(payload)
+            );
+            let sum = fnv64(&format!("{{{body}}}"));
+            format!("{{{body},\"sum\":\"{sum:016x}\"}}\n{payload}")
+        };
+        let root = scratch_root("uint-header");
+        let store = Store::open(&root).unwrap();
+        let blob = root.join("objects").join(format!("{hex}.jsonl"));
+        fs::create_dir_all(root.join("objects")).unwrap();
+        fs::write(&blob, blob_with("2", "2")).unwrap();
+        assert!(matches!(store.read_blob(&hex), BlobRead::Ok(ref got) if *got == a));
+        // A cast would read 2.5 lines as 2 and 2.5 as version 2.
+        for (version, lines) in [("2", "2.5"), ("2.5", "2"), ("2", "-2"), ("2", "1e30")] {
+            fs::write(&blob, blob_with(version, lines)).unwrap();
+            let read = store.read_blob(&hex);
+            assert!(
+                matches!(read, BlobRead::Corrupt),
+                "{version}/{lines}: {read:?}"
+            );
+        }
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -280,14 +280,14 @@ fn sweep_service_wal(dir: &std::path::Path) {
         let mut charged: std::collections::BTreeMap<String, (usize, f64)> = Default::default();
         for line in svc.settlement_trace().lines() {
             let obj = parse_object(line).expect("settlement trace is flat JSON");
-            let tenant = obj["tenant"].as_str().expect("tenant name").to_owned();
+            let tenant = obj.str("tenant").expect("tenant name").to_owned();
             let tally = charged.entry(tenant).or_default();
             if obj.contains_key("task") {
                 tally.0 += 1;
-                tally.1 += obj["cost"].as_num().expect("task cost");
+                tally.1 += obj.num("cost").expect("task cost");
             } else {
-                let completed = obj["completed"].as_num().expect("completed count");
-                let hours = obj["charged_node_hours"].as_num().expect("charge");
+                let completed = obj.num("completed").expect("completed count");
+                let hours = obj.num("charged_node_hours").expect("charge");
                 assert_eq!(completed, tally.0 as f64, "service.jsonl+{off}");
                 assert!(
                     (hours * 3600.0 - tally.1).abs() < 1e-9,

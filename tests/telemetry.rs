@@ -24,11 +24,8 @@ fn schema(jsonl: &str) -> BTreeMap<String, BTreeSet<String>> {
     let mut out: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
     for line in jsonl.lines() {
         let obj = parse_object(line).expect("every trace line is a flat JSON object");
-        let kind = obj["event"]
-            .as_str()
-            .expect("event kind is a string")
-            .to_owned();
-        let keys: BTreeSet<String> = obj.keys().cloned().collect();
+        let kind = obj.str("event").expect("event kind is a string").to_owned();
+        let keys: BTreeSet<String> = obj.iter().map(|(k, _)| k.to_owned()).collect();
         let prev = out.entry(kind.clone()).or_insert_with(|| keys.clone());
         assert_eq!(*prev, keys, "inconsistent keys within kind {kind}");
     }
@@ -213,8 +210,8 @@ fn gauge_sequence(rec: &Recorder, name: &str) -> Vec<f64> {
     rec.to_jsonl()
         .lines()
         .map(|l| parse_object(l).expect("trace line parses"))
-        .filter(|o| o["event"].as_str() == Some("gauge") && o["name"].as_str() == Some(name))
-        .map(|o| o["value"].as_num().expect("gauge value is a number"))
+        .filter(|o| o.str("event") == Ok("gauge") && o.str("name") == Ok(name))
+        .map(|o| o.num("value").expect("gauge value is a number"))
         .collect()
 }
 
