@@ -414,7 +414,7 @@ mod tests {
         let text = "{\"event\":\"task_done\",\"task\":\"DVU_00042/model_3\",\"worker\":5,\"start\":0.5,\"end\":30.25,\"attempts\":2}\n\
                     {\"event\":\"task_done\",\"task\":\"a\\\"b\\\\c\\nd\\u0001é\",\"worker\":0,\"start\":0,\"end\":0.3333333333333333,\"attempts\":1}\n\
                     {\"event\":\"task_carryover\",\"task\":\"DVU_00117/model_1\"}\n";
-        let j = Journal::parse_jsonl(text).expect("HEAD lines replay");
+        let j = Journal::parse_jsonl(text).expect("pre-decoder lines replay");
         let done = |task: &str, worker, start, end, attempts| JournalEntry {
             task: task.into(),
             worker,
