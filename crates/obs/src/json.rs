@@ -532,12 +532,6 @@ impl<'a> Cursor<'a> {
                 // Every byte scanned is ASCII, so the slice is on
                 // character boundaries.
                 let text = &self.line[start..self.pos];
-                // Up to 15 plain digits are an integer below 2^53, which
-                // `f64` holds exactly: the bits `parse` would give.
-                if text.len() <= 15 && text.bytes().all(|b| b.is_ascii_digit()) {
-                    let n = text.bytes().fold(0, |n, b| n * 10 + u64::from(b - b'0'));
-                    return Ok(Value::Num(n as f64));
-                }
                 text.parse::<f64>().map(Value::Num).map_err(|_| ParseError {
                     message: format!("invalid number '{text}'"),
                     at: start,
