@@ -211,12 +211,6 @@ fn load_trace(path: &str) -> Result<Trace, String> {
 fn render_trace(trace: &Trace) -> String {
     let mut out = trace.summary();
     let totals = trace.counter_totals();
-    // Deadline accounting, when the batch recorded any.
-    if let Some(&carried) = totals.get("dataflow/deadline_carryover") {
-        out.push_str(&format!(
-            "deadline: {carried:.0} task(s) carried over to a follow-on job\n"
-        ));
-    }
     let node: Vec<(&String, &f64)> = totals
         .iter()
         .filter(|(k, _)| k.starts_with("node_seconds/"))

@@ -146,12 +146,6 @@ pub fn run(ctx: &Ctx) -> (Outcome, Report) {
             sim.quarantine_makespan / 60.0
         ));
     }
-    if sim.status.is_partial() {
-        rpt.line(format!(
-            "Walltime budget cut the batch: {} task(s) carried over to a follow-on job.",
-            sim.status.carried_over().len()
-        ));
-    }
     rpt.line(format!(
         "First task longer than last on {first_longer}/10 sampled workers (sorted queue effect)."
     ));

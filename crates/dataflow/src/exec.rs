@@ -82,8 +82,6 @@ pub enum BatchError {
         /// Workers in the batch.
         workers: usize,
     },
-    /// The walltime budget is not a finite non-negative number.
-    InvalidDeadline,
     /// `progress(0)` was requested: the cadence must be at least 1 task.
     InvalidProgress,
     /// The retry/quarantine/journal configuration cannot complete.
@@ -114,9 +112,6 @@ impl std::fmt::Display for BatchError {
                 f,
                 "fault schedule names worker {worker}, but the batch has workers 0..{workers}"
             ),
-            Self::InvalidDeadline => {
-                write!(f, "deadline must be a finite non-negative number of seconds")
-            }
             Self::InvalidProgress => {
                 write!(f, "progress cadence must be at least one task")
             }
@@ -168,12 +163,6 @@ pub struct Plan<'a> {
     pub quarantine_workers: Option<usize>,
     /// Checkpoint journal to append completions to, if any.
     pub journal: Option<&'a Journal>,
-    /// Walltime budget in seconds: backends stop dispatching tasks whose
-    /// completion would overrun it (`None` = unbounded). On the virtual
-    /// backend the budget is an absolute virtual-time horizon, so a
-    /// resumed batch reuses the schedule's original clock — pass a later
-    /// horizon to model the follow-on job's fresh allocation.
-    pub deadline: Option<f64>,
     /// Emit `monitor/...` health gauges every N completed tasks
     /// (`None` = no progress telemetry). Validated ≥ 1.
     pub progress: Option<usize>,
@@ -181,52 +170,6 @@ pub struct Plan<'a> {
     /// must not re-schedule them; see [`Batch::resume`] for the exact
     /// per-backend semantics.
     pub completed: BTreeMap<String, JournalEntry>,
-}
-
-/// Whether a batch ran to completion or was cut by its walltime budget.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BatchStatus {
-    /// Every task completed.
-    Complete,
-    /// The deadline cut dispatching; the named tasks carried over to a
-    /// follow-on job.
-    Partial {
-        /// Task ids left undone, sorted by submission index (the same
-        /// on both backends, whatever the queue policy).
-        carried_over: Vec<String>,
-    },
-}
-
-impl BatchStatus {
-    fn from_carryover(carried_over: Vec<String>) -> Self {
-        if carried_over.is_empty() {
-            Self::Complete
-        } else {
-            Self::Partial { carried_over }
-        }
-    }
-
-    /// Whether the batch was cut by its deadline.
-    #[must_use]
-    pub fn is_partial(&self) -> bool {
-        matches!(self, Self::Partial { .. })
-    }
-
-    /// Whether every task completed — the symmetric twin of
-    /// [`Self::carried_over`] for callers asserting the happy path.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        matches!(self, Self::Complete)
-    }
-
-    /// The carried-over task ids (empty for a complete batch).
-    #[must_use]
-    pub fn carried_over(&self) -> &[String] {
-        match self {
-            Self::Complete => &[],
-            Self::Partial { carried_over } => carried_over,
-        }
-    }
 }
 
 /// Result of one batch execution, identical across backends.
@@ -258,10 +201,6 @@ pub struct BatchOutcome<O> {
     pub quarantine_makespan: f64,
     /// Tasks skipped because a resume journal already recorded them.
     pub resumed: usize,
-    /// Whether the batch completed or was cut by its walltime budget.
-    /// Carried-over tasks still appear in `outputs` (the closure runs
-    /// inline, as for resumed tasks) but have no completion record.
-    pub status: BatchStatus,
 }
 
 impl<O> BatchOutcome<O> {
@@ -373,8 +312,7 @@ impl<O> BatchOutcome<O> {
 /// A validated live-queue run, handed to [`Executor::run_live`].
 ///
 /// Constructed only by [`crate::source::LiveRun`] after validation, so
-/// backends may rely on `workers > 0` and a finite non-negative
-/// deadline when one is set.
+/// backends may rely on `workers > 0`.
 pub struct LivePlan<'a> {
     /// Worker count pulling from the queue (> 0).
     pub workers: usize,
@@ -382,10 +320,6 @@ pub struct LivePlan<'a> {
     pub recorder: &'a Recorder,
     /// Span label for the run ("service", …).
     pub label: &'a str,
-    /// Horizon in seconds on the executor's clock: no dispatched task
-    /// may end past it; tasks that would overrun stay queued and are
-    /// reported as carried over (`None` = unbounded).
-    pub deadline: Option<f64>,
 }
 
 /// A backend that can run a validated [`Plan`].
@@ -439,7 +373,6 @@ pub struct Batch<'a> {
     task_faults: &'a [TaskFault],
     quarantine_workers: Option<usize>,
     journal: Option<&'a Journal>,
-    deadline: Option<f64>,
     progress: Option<usize>,
 }
 
@@ -472,7 +405,6 @@ impl<'a> Batch<'a> {
             task_faults: &[],
             quarantine_workers: None,
             journal: None,
-            deadline: None,
             progress: None,
         }
     }
@@ -555,20 +487,6 @@ impl<'a> Batch<'a> {
         self
     }
 
-    /// Set a walltime budget: dispatching stops at the first task whose
-    /// completion would overrun `seconds`, in-flight work finishes, the
-    /// leftover is journaled as carried-over, and the outcome's status
-    /// becomes [`BatchStatus::Partial`]. On the virtual backend the
-    /// budget is an absolute virtual-time horizon (a resumed batch keeps
-    /// the original clock, so pass a later horizon for each follow-on
-    /// job); on the thread backend it is wall-clock seconds since batch
-    /// start.
-    #[must_use]
-    pub fn deadline(mut self, seconds: f64) -> Self {
-        self.deadline = Some(seconds);
-        self
-    }
-
     /// Emit live-health gauges (`monitor/done`, `monitor/throughput`,
     /// `monitor/utilization`, `monitor/eta_s`, …) every `every_n_tasks`
     /// completions, plus once at batch end. The gauges flow through the
@@ -616,11 +534,6 @@ impl<'a> Batch<'a> {
                 dying,
             });
         }
-        if let Some(d) = self.deadline {
-            if !d.is_finite() || d < 0.0 {
-                return Err(BatchError::InvalidDeadline);
-            }
-        }
         if self.progress == Some(0) {
             return Err(BatchError::InvalidProgress);
         }
@@ -662,7 +575,6 @@ impl<'a> Batch<'a> {
             task_faults: self.task_faults,
             quarantine_workers: self.quarantine_workers,
             journal: self.journal,
-            deadline: self.deadline,
             progress: self.progress,
             completed: BTreeMap::new(),
         })
@@ -729,11 +641,6 @@ impl<'a> Batch<'a> {
         for task in completed.keys() {
             if !known.contains(task.as_str()) {
                 return Err(ResilienceError::UnknownJournalTask { task: task.clone() }.into());
-            }
-        }
-        for task in journal.carried_over() {
-            if !known.contains(task.as_str()) {
-                return Err(ResilienceError::UnknownJournalTask { task }.into());
             }
         }
         if journal.had_torn_tail() && self.recorder.is_enabled() {
@@ -872,8 +779,6 @@ pub(crate) struct PassParams<'a> {
     pub lane: Lane,
     /// Failed executions each task burned in earlier lanes.
     pub prior_failures: u32,
-    /// Absolute completion horizon (`None` = unbounded).
-    pub deadline: Option<f64>,
     /// `worker id → tasks_before_death` (first fault per worker wins).
     pub budgets: &'a BTreeMap<usize, usize>,
     pub fault_plan: &'a FaultPlan<'a>,
@@ -883,15 +788,13 @@ pub(crate) struct PassParams<'a> {
 pub(crate) struct PassResult {
     /// Worker ids that registered, in registration order.
     pub registered: Vec<usize>,
-    /// Tasks never dispatched because the deadline cut the lane.
-    pub carryover: Vec<usize>,
     /// When the lane drained, on the backend's clock.
     pub makespan: f64,
     pub requeued: usize,
 }
 
 /// The frozen path, once for every backend: prepare, run the standard
-/// lane, run the high-memory rerun lane unless the deadline already cut,
+/// lane, run the high-memory rerun lane when tasks exhausted it,
 /// assemble the outcome, close the span. `run_lane` is all a backend
 /// supplies.
 pub(crate) fn run_frozen<I, O, F>(
@@ -935,23 +838,16 @@ where
         start_at: 0.0,
         lane: Lane::Standard,
         prior_failures: 0,
-        deadline: plan.deadline,
         budgets: &budgets,
         fault_plan: &fault_plan,
     };
     let pass1 = run_lane(&standard, &mut ledger);
     let exhausted = std::mem::take(&mut ledger.exhausted);
     let mut registered_workers = pass1.registered;
-    let mut carryover = pass1.carryover;
     let mut requeued = pass1.requeued;
     let mut makespan = pass1.makespan;
-    let mut quarantined = 0;
-    if !carryover.is_empty() {
-        // A deadline that already cut the standard lane skips the rerun:
-        // its start time would differ from the uninterrupted run's, so
-        // the exhausted tasks carry over and a resume re-runs them.
-        carryover.extend_from_slice(&exhausted);
-    } else if !exhausted.is_empty() {
+    let quarantined = exhausted.len();
+    if quarantined > 0 {
         // §3.3's dedicated rerun: a fresh high-memory lane, numbered
         // after the standard workers, starts once the standard lane
         // drains.
@@ -972,36 +868,20 @@ where
             ledger.exhausted.is_empty(),
             "validation rejects doomed tasks"
         );
-        quarantined = exhausted.len() - pass2.carryover.len();
-        carryover.extend_from_slice(&pass2.carryover);
         requeued += pass2.requeued;
-        if quarantined > 0 {
-            makespan = makespan.max(pass2.makespan);
-            registered_workers.extend(pass2.registered);
-        }
+        makespan = makespan.max(pass2.makespan);
+        registered_workers.extend(pass2.registered);
     }
-    let quarantine_makespan = if quarantined > 0 {
-        makespan - pass1.makespan
-    } else {
-        0.0
-    };
+    let quarantine_makespan = makespan - pass1.makespan;
 
-    // Carried-over ids are journalled and reported by submission index.
-    carryover.sort_unstable();
-    let carried_over: Vec<String> = carryover.iter().map(|&i| specs[i].id.clone()).collect();
-    if let Some(journal) = plan.journal {
-        for task in &carried_over {
-            journal.record_carryover(task.clone());
-        }
-    }
     // An unused rerun lane is trimmed so utilization only counts
     // workers that could have run.
     let lanes_width = plan.workers + if quarantined > 0 { q_width } else { 0 };
     ledger.worker_busy.truncate(lanes_width);
     ledger.worker_finish.truncate(lanes_width);
     let outcome = BatchOutcome {
-        // Tasks that never ran here (carried over, or every task of a
-        // simulated batch) get their output inline, in submission order.
+        // Tasks that never ran here (every task of a simulated batch)
+        // get their output inline, in submission order.
         outputs: ledger
             .outputs
             .into_iter()
@@ -1020,7 +900,6 @@ where
         quarantined,
         quarantine_makespan,
         resumed: plan.completed.len(),
-        status: BatchStatus::from_carryover(carried_over),
     };
     close_batch_span(plan, span, t0, &outcome);
     outcome
@@ -1038,11 +917,9 @@ pub(crate) struct LiveDrain {
 
 /// The live path, once for every backend: open the span, let the
 /// backend drain the queue, assemble the outcome, emit the
-/// `service/live_*` counters. Whatever the drain left queued carries
-/// over.
+/// `service/live_*` counters.
 pub(crate) fn finish_live(
     plan: &LivePlan<'_>,
-    queue: &SubmissionQueue,
     drain: impl FnOnce() -> LiveDrain,
 ) -> BatchOutcome<()> {
     let rec = plan.recorder;
@@ -1067,7 +944,6 @@ pub(crate) fn finish_live(
         quarantined: 0,
         quarantine_makespan: 0.0,
         resumed: 0,
-        status: BatchStatus::from_carryover(queue.pending_ids()),
     };
     if rec.is_enabled() {
         for r in &outcome.records {
@@ -1082,10 +958,6 @@ pub(crate) fn finish_live(
         }
         rec.add("service/live_completed", outcome.records.len() as f64);
         rec.add("service/live_waits", waits as f64);
-        let carried = outcome.status.carried_over().len();
-        if carried > 0 {
-            rec.add("service/live_carryover", carried as f64);
-        }
         rec.advance_clock_to(t0 + outcome.makespan);
     }
     rec.span_end(span);
@@ -1096,11 +968,9 @@ pub(crate) fn finish_live(
 /// clocks to the batch end so the span duration equals the makespan.
 ///
 /// Resilience telemetry rides along: `dataflow/retries`,
-/// `dataflow/quarantined`, `dataflow/resumed` and
-/// `dataflow/deadline_carryover` counters, a nested `{label}:quarantine`
-/// span covering the rerun pass when one happened, and a zero-duration
-/// `{label}:carryover` marker span when the deadline cut the batch. When the plan asked for
-/// progress telemetry, `monitor/...` gauges are interleaved at their
+/// `dataflow/quarantined` and `dataflow/resumed` counters and a nested
+/// `{label}:quarantine` span covering the rerun pass when one happened.
+/// When the plan asked for progress telemetry, `monitor/...` gauges are interleaved at their
 /// completion timestamps (see [`Batch::progress`]).
 fn close_batch_span<O>(plan: &Plan<'_>, span: SpanId, t0: f64, outcome: &BatchOutcome<O>) {
     let rec = plan.recorder;
@@ -1156,15 +1026,6 @@ fn close_batch_span<O>(plan: &Plan<'_>, span: SpanId, t0: f64, outcome: &BatchOu
         rec.advance_clock_to(t0 + outcome.makespan);
         rec.span_end(q);
     }
-    let carried = outcome.status.carried_over();
-    if !carried.is_empty() {
-        // The carryover marker span: zero duration at the cut point,
-        // with a counter carrying how many tasks move to the next job.
-        rec.add("dataflow/deadline_carryover", carried.len() as f64);
-        rec.advance_clock_to(t0 + outcome.makespan);
-        let c = rec.span_start(&format!("{}:carryover", plan.label));
-        rec.span_end(c);
-    }
     rec.advance_clock_to(t0 + outcome.makespan);
     rec.span_end(span);
 }
@@ -1189,7 +1050,6 @@ fn emit_progress<O>(plan: &Plan<'_>, t0: f64, outcome: &BatchOutcome<O>, every: 
         total_tasks: Some(plan.specs.len()),
         expected_total_s: Some(expected_total_s),
         workers: Some(plan.workers),
-        ..MonitorConfig::default()
     });
     let mut records: Vec<&TaskRecord> = outcome.records.iter().collect();
     records.sort_by(|a, b| {
@@ -1256,17 +1116,6 @@ fn per_worker_stats(records: &[TaskRecord], workers: usize) -> (Vec<f64>, Vec<f6
         .map(|g| g.iter().map(|r| r.end).fold(0.0, f64::max))
         .collect();
     (busy, finish)
-}
-
-/// Whether completing at `completion` seconds would overrun `deadline`.
-///
-/// `None` means no budget (never overruns); the comparison is strict, so
-/// a task finishing exactly at the deadline still dispatches. Stopping
-/// at the *first* overrun, rather than skipping it for a later, shorter
-/// task, keeps a cut run's records a prefix of the uninterrupted run's,
-/// which is what lets a killed campaign resume byte-for-byte.
-pub(crate) fn would_overrun(deadline: Option<f64>, completion: f64) -> bool {
-    deadline.is_some_and(|d| completion > d)
 }
 
 #[cfg(test)]
@@ -1382,33 +1231,6 @@ mod tests {
     }
 
     #[test]
-    fn no_deadline_never_overruns() {
-        assert!(!would_overrun(None, f64::MAX));
-        assert!(!would_overrun(Some(10.0), 10.0), "exact finish dispatches");
-        assert!(would_overrun(Some(10.0), 10.0 + 1e-12));
-    }
-
-    #[test]
-    fn bad_deadline_is_a_typed_error() {
-        let s = specs(4);
-        for bad in [f64::NAN, f64::INFINITY, -1.0] {
-            let err = Batch::new(&s)
-                .workers(2)
-                .deadline(bad)
-                .run(&VirtualExecutor::new(0.0))
-                .unwrap_err();
-            assert_eq!(err, BatchError::InvalidDeadline, "deadline {bad}");
-        }
-        // A zero deadline is legal: everything carries over.
-        let r = Batch::new(&s)
-            .workers(2)
-            .deadline(0.0)
-            .run(&VirtualExecutor::new(0.0))
-            .unwrap();
-        assert_eq!(r.status.carried_over().len(), 4);
-    }
-
-    #[test]
     fn errors_render_usefully() {
         let msgs = [
             BatchError::NoWorkers.to_string(),
@@ -1428,7 +1250,6 @@ mod tests {
                 workers: 2,
             }
             .to_string(),
-            BatchError::InvalidDeadline.to_string(),
             BatchError::InvalidProgress.to_string(),
         ];
         for m in &msgs {

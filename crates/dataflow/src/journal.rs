@@ -14,12 +14,12 @@
 //!
 //! ```text
 //! {"event":"task_done","task":"DVU_00042/model_3","worker":5,"start":0.5,"end":30.25,"attempts":2}
-//! {"event":"task_carryover","task":"DVU_00117/model_1"}
 //! ```
 //!
-//! `task_carryover` lines name tasks a deadline-cut batch left undone
-//! (see `Batch::deadline`), sorted by submission index. A kill
-//! mid-append can truncate the file mid-byte; [`Journal::parse_jsonl`]
+//! Journals written by older builds may also hold `task_carryover`
+//! lines naming tasks a walltime-cut batch left undone. They parse and
+//! are ignored: such a task has no `task_done` line, so resume re-runs
+//! it. A kill mid-append can truncate the file mid-byte; [`Journal::parse_jsonl`]
 //! applies the workspace's one torn-tail rule ([`crate::log`]): a final
 //! line without its `\n` is not a record, parseable or not. It is
 //! dropped (the task it named simply re-runs) and flagged via
@@ -70,7 +70,6 @@ impl JournalEntry {
 #[derive(Debug, Default)]
 pub struct Journal {
     entries: Mutex<Vec<JournalEntry>>,
-    carryover: Mutex<Vec<String>>,
     torn_tail: bool,
 }
 
@@ -104,19 +103,6 @@ impl Journal {
         lock(&self.entries).is_empty()
     }
 
-    /// Note a task the deadline left undone. Carryover lines are written
-    /// at batch end, after every completion, sorted by submission index.
-    pub fn record_carryover(&self, task: impl Into<String>) {
-        lock(&self.carryover).push(task.into());
-    }
-
-    /// Tasks journaled as carried over by a deadline-cut batch, sorted
-    /// by submission index.
-    #[must_use]
-    pub fn carried_over(&self) -> Vec<String> {
-        lock(&self.carryover).clone()
-    }
-
     /// Whether [`Journal::parse_jsonl`] dropped a torn final line (the
     /// producing batch was killed mid-append).
     #[must_use]
@@ -125,9 +111,7 @@ impl Journal {
     }
 
     /// A new journal holding only the first `n` entries — the state on
-    /// disk after a batch was killed at that task boundary. Carryover
-    /// lines are dropped: they are written only at a clean batch end,
-    /// after the last completion.
+    /// disk after a batch was killed at that task boundary.
     #[must_use]
     pub fn truncated(&self, n: usize) -> Self {
         let mut entries = self.entries();
@@ -148,23 +132,14 @@ impl Journal {
             .collect()
     }
 
-    /// Serialize as JSONL: one `task_done` object per completion, then
-    /// one `task_carryover` object per carried-over task, trailing
-    /// newline (empty string for an empty journal).
+    /// Serialize as JSONL: one `task_done` object per completion,
+    /// trailing newline (empty string for an empty journal).
     #[must_use]
     pub fn to_jsonl(&self) -> String {
         let entries = lock(&self.entries);
-        let carryover = lock(&self.carryover);
-        let mut out = String::with_capacity(entries.len() * 96 + carryover.len() * 48);
+        let mut out = String::with_capacity(entries.len() * 96);
         for e in entries.iter() {
             out.push_str(&e.to_json_line());
-            out.push('\n');
-        }
-        for task in carryover.iter() {
-            let mut w = ObjectWriter::new();
-            w.str_field("event", "task_carryover");
-            w.str_field("task", task);
-            out.push_str(&w.finish());
             out.push('\n');
         }
         out
@@ -182,7 +157,6 @@ impl Journal {
     /// field).
     pub fn parse_jsonl(text: &str) -> Result<Self, ResilienceError> {
         let mut entries = Vec::new();
-        let mut carryover = Vec::new();
         let (body, torn_tail) = complete_lines(text);
         for (i, raw) in body.lines().enumerate() {
             let line = raw.trim();
@@ -193,25 +167,23 @@ impl Journal {
                 line: i + 1,
                 message,
             })?;
-            match parsed {
-                ParsedLine::Done(entry) => entries.push(entry),
-                ParsedLine::Carryover(task) => carryover.push(task),
-            }
+            entries.extend(parsed);
         }
         Ok(Self {
             entries: Mutex::new(entries),
-            carryover: Mutex::new(carryover),
             torn_tail,
         })
     }
 
-    fn parse_line(line: &str) -> Result<ParsedLine, String> {
+    /// One complete line: a `task_done` entry, or `None` for a legacy
+    /// `task_carryover` line (see the module docs).
+    fn parse_line(line: &str) -> Result<Option<JournalEntry>, String> {
         let obj = json::parse_object(line).map_err(|e| e.to_string())?;
         let kind = obj.str("event")?;
         let task = obj.str("task")?.to_owned();
         match kind {
-            "task_carryover" => Ok(ParsedLine::Carryover(task)),
-            "task_done" => Ok(ParsedLine::Done(JournalEntry {
+            "task_carryover" => Ok(None),
+            "task_done" => Ok(Some(JournalEntry {
                 task,
                 worker: obj.uint("worker")?,
                 start: obj.num("start")?,
@@ -221,14 +193,6 @@ impl Journal {
             other => Err(format!("unknown event kind '{other}'")),
         }
     }
-}
-
-/// One parsed journal line.
-enum ParsedLine {
-    /// A `task_done` completion entry.
-    Done(JournalEntry),
-    /// A `task_carryover` name.
-    Carryover(String),
 }
 
 #[cfg(test)]
@@ -386,31 +350,30 @@ mod tests {
     }
 
     #[test]
-    fn carryover_lines_round_trip_after_completions() {
-        let j = sample();
-        j.record_carryover("x");
-        j.record_carryover("y");
-        let text = j.to_jsonl();
-        assert!(
-            text.ends_with(
-                "{\"event\":\"task_carryover\",\"task\":\"x\"}\n\
-                 {\"event\":\"task_carryover\",\"task\":\"y\"}\n"
-            ),
-            "{text}"
+    fn legacy_carryover_lines_parse_and_are_ignored() {
+        // An older build ended a walltime-cut journal with the tasks it
+        // left undone. They are not completions: resume re-runs them.
+        let text = format!(
+            "{}{{\"event\":\"task_carryover\",\"task\":\"x\"}}\n",
+            sample().to_jsonl()
         );
         let parsed = Journal::parse_jsonl(&text).expect("parse");
-        assert_eq!(parsed.carried_over(), vec!["x".to_owned(), "y".to_owned()]);
-        assert_eq!(parsed.len(), 2, "carryover lines are not completions");
-        assert_eq!(parsed.to_jsonl(), text);
-        // Truncation models a kill: carryover lines (written only at a
-        // clean end) are dropped.
-        assert!(j.truncated(1).carried_over().is_empty());
+        assert_eq!(parsed.entries(), sample().entries());
+        assert!(!parsed.completed().contains_key("x"));
+        assert_eq!(parsed.to_jsonl(), sample().to_jsonl(), "not written back");
+        // The legacy line still needs its task name.
+        let bad = Journal::parse_jsonl("{\"event\":\"task_carryover\"}\n").unwrap_err();
+        assert_eq!(
+            bad.to_string(),
+            "journal line 1: missing string field 'task'"
+        );
     }
 
     #[test]
     fn journals_written_before_the_borrowed_decoder_replay_identically() {
         // Literal lines as the map-building parser's build wrote them:
-        // escapes, a non-ASCII id, shortest-round-trip floats, carryover.
+        // escapes, a non-ASCII id, shortest-round-trip floats, and a
+        // legacy carryover line, which is read and dropped.
         let text = "{\"event\":\"task_done\",\"task\":\"DVU_00042/model_3\",\"worker\":5,\"start\":0.5,\"end\":30.25,\"attempts\":2}\n\
                     {\"event\":\"task_done\",\"task\":\"a\\\"b\\\\c\\nd\\u0001é\",\"worker\":0,\"start\":0,\"end\":0.3333333333333333,\"attempts\":1}\n\
                     {\"event\":\"task_carryover\",\"task\":\"DVU_00117/model_1\"}\n";
@@ -429,8 +392,10 @@ mod tests {
                 done("a\"b\\c\nd\u{1}é", 0, 0.0, 1.0 / 3.0, 1),
             ]
         );
-        assert_eq!(j.carried_over(), vec!["DVU_00117/model_1".to_owned()]);
-        assert_eq!(j.to_jsonl(), text);
+        assert_eq!(
+            j.to_jsonl(),
+            text[..text.rfind("{\"event\":\"task_carryover\"").unwrap()]
+        );
         // And the same lines are refused with the same words.
         let refused = [
             ("not json", "expected '{' (at byte 0)"),

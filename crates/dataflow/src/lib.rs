@@ -52,11 +52,6 @@
 //! Both persist through [`log`]: one append-only JSONL primitive (one
 //! torn-tail rule, seals as data, one fault-gated append).
 //!
-//! Walltime budgets ride on the same description: a batch stops
-//! dispatching at the first task that would overrun `Batch::deadline`,
-//! journals the leftovers as carried over, and returns
-//! [`exec::BatchStatus::Partial`] so a follow-on job can resume exactly.
-//!
 //! The live layer (see [`source`]) is the multi-tenant pivot: a
 //! [`source::SubmissionQueue`] accepts campaigns from concurrent
 //! submitters with weighted fair-share + priority scheduling across
@@ -79,7 +74,7 @@ mod sync;
 pub mod task;
 
 pub use chaos::{IoFault, IoFaultKind, IoFaults, WriteOutcome};
-pub use exec::{Batch, BatchError, BatchOutcome, BatchStatus, Executor};
+pub use exec::{Batch, BatchError, BatchOutcome, Executor};
 pub use journal::{Journal, JournalEntry};
 pub use policy::OrderingPolicy;
 pub use retry::{ResilienceError, RetryPolicy, TaskFault, TaskFaultKind};

@@ -28,23 +28,21 @@
 //!   [`crate::retry`], failed attempts re-execute the closure, backoff
 //!   delays sleep, and retry-exhausted tasks burn their whole budget on
 //!   the worker before the frame hands them to the high-memory lane;
-//! * **wall-clock deadlines** — a worker will not start a task whose
-//!   modeled duration would overrun the budget; in-flight work finishes;
 //! * **resume replays the journal verbatim** — wall-clock times cannot
 //!   be re-derived, so journaled records go back into the ledger as
 //!   written (outputs recomputed inline) and only the remainder runs
 //!   (the simulator re-derives the whole schedule instead).
 
 use crate::exec::{
-    finish_live, run_frozen, would_overrun, BatchOutcome, Executor, Ledger, LiveDrain, LivePlan,
-    PassParams, PassResult, Plan, Ran,
+    finish_live, run_frozen, BatchOutcome, Executor, Ledger, LiveDrain, LivePlan, PassParams,
+    PassResult, Plan, Ran,
 };
 use crate::retry::{Lane, PassOutcome};
 use crate::source::{Pull, SubmissionQueue};
 use crate::sync::lock;
 use crate::task::{TaskRecord, TaskSpec};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -76,8 +74,7 @@ where
     // The scheduler queue: pending task indices in lane order, minus what
     // a resume already replayed into the ledger. The whole lane is
     // enqueued before any worker starts; workers drain the deque until
-    // the remaining counter proves every task resolved, or the deadline
-    // stops dispatch.
+    // the remaining counter proves every task resolved.
     let queue = &Mutex::new(
         p.order
             .iter()
@@ -93,7 +90,6 @@ where
     // work.
     let registered = &Mutex::new(Vec::with_capacity(p.workers));
     let requeued = AtomicUsize::new(0);
-    let deadline_hit = AtomicBool::new(false);
     {
         let ledger = Mutex::new(&mut *ledger);
         let work = |worker_id: usize| {
@@ -103,9 +99,6 @@ where
             loop {
                 if remaining.load(Ordering::Acquire) == 0 {
                     return; // every task resolved somewhere
-                }
-                if deadline_hit.load(Ordering::Acquire) {
-                    return; // dispatch stopped; leftovers carry over
                 }
                 let Some(idx) = lock(queue).pop_front() else {
                     if refills {
@@ -120,14 +113,6 @@ where
                     // same way).
                     lock(queue).push_back(idx);
                     requeued.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                if would_overrun(p.deadline, now() + p.durations[idx]) {
-                    // Starting this task would overrun the walltime
-                    // budget: put it back at the head and stop all
-                    // dispatch.
-                    lock(queue).push_front(idx);
-                    deadline_hit.store(true, Ordering::Release);
                     return;
                 }
                 let run = || f(&p.specs[idx], &items[idx]);
@@ -173,12 +158,9 @@ where
     // Race-free deterministic rerun order regardless of which worker
     // exhausted which task first.
     ledger.exhausted.sort_unstable();
-    // Tasks the deadline left undispatched.
-    let carryover = std::mem::take(&mut *lock(queue)).into();
     let registered = std::mem::take(&mut *lock(registered));
     PassResult {
         registered,
-        carryover,
         makespan: now(),
         requeued: requeued.into_inner(),
     }
@@ -226,31 +208,23 @@ impl Executor for ThreadExecutor {
     }
 
     fn run_live(&self, plan: &LivePlan<'_>, queue: &SubmissionQueue) -> BatchOutcome<()> {
-        finish_live(plan, queue, || {
+        finish_live(plan, || {
             let registered = &Mutex::new(Vec::with_capacity(plan.workers));
             let records: Mutex<Vec<TaskRecord>> = Mutex::new(Vec::new());
             let waits = AtomicUsize::new(0);
-            let deadline_hit = AtomicBool::new(false);
             let epoch = Instant::now();
             // Live workers pull dispatches one at a time, wall-clocked:
             // `Wait` sleeps until the next arrival (capped, then
             // re-check), `Pending` yields — the queue is open and a
             // concurrent submitter may still push — and `Drained` retires
             // the worker. Tasks are scheduling-only on the live path
-            // (`cost_hint` models the work); a dispatch whose modeled
-            // completion would overrun the deadline is returned to the
-            // queue and stops all dispatch, mirroring the frozen path.
+            // (`cost_hint` models the work).
             let work = |worker_id: usize| {
                 lock(registered).push(worker_id);
-                while !deadline_hit.load(Ordering::Acquire) {
+                loop {
                     let now = epoch.elapsed().as_secs_f64();
                     match queue.pull(now) {
                         Pull::Task(d) => {
-                            if would_overrun(plan.deadline, now + d.spec.cost_hint.max(0.0)) {
-                                queue.requeue(d);
-                                deadline_hit.store(true, Ordering::Release);
-                                return;
-                            }
                             let start = epoch.elapsed().as_secs_f64();
                             let end = epoch.elapsed().as_secs_f64();
                             lock(&records).push(TaskRecord::new(d.spec.id, worker_id, start, end));

@@ -20,17 +20,14 @@
 //!   backoff (busy time excludes the backoff); a worker at its death
 //!   budget retires the moment it would pull another task, re-queueing
 //!   it, with the thread backend's `deaths`/`requeued` accounting;
-//! * **virtual deadlines** — dispatch stops at the first task whose
-//!   completion would overrun an absolute virtual-time horizon, so
-//!   resumed batches pass a later horizon for each follow-on job;
 //! * **resume is re-derivation** — the schedule is a pure function of
 //!   the batch description, so a resumed simulation recomputes every
 //!   record bit-for-bit and `Batch::resume` cross-checks them against
 //!   the journal.
 
 use crate::exec::{
-    finish_live, run_frozen, would_overrun, BatchOutcome, Executor, Ledger, LiveDrain, LivePlan,
-    PassParams, PassResult, Plan, Ran,
+    finish_live, run_frozen, BatchOutcome, Executor, Ledger, LiveDrain, LivePlan, PassParams,
+    PassResult, Plan, Ran,
 };
 use crate::retry::PassOutcome;
 use crate::source::{OrderCursor, Pull, SubmissionQueue};
@@ -58,8 +55,7 @@ impl Ord for Slot {
 /// Greedy list scheduling of `p.order` onto the lane's workers, all free
 /// at `p.start_at`, with `overhead` seconds of dispatch gap before each
 /// task. Tasks that exhaust the lane's retry budget burn their attempts
-/// on the worker and move to the next lane; tasks whose completion would
-/// overrun the deadline stop the pass and carry over. Preconditions
+/// on the worker and move to the next lane. Preconditions
 /// (workers > 0, durations correspond to specs, at least one worker
 /// survives the budgets) are guaranteed by [`crate::exec::Batch`]
 /// validation.
@@ -72,7 +68,6 @@ fn schedule_pass<O>(p: &PassParams<'_>, overhead: f64, ledger: &mut Ledger<'_, O
     let mut successes: BTreeMap<usize, usize> = BTreeMap::new();
     let mut out = PassResult {
         registered: (p.id_offset..p.id_offset + p.workers).collect(),
-        carryover: Vec::new(),
         makespan: p.start_at,
         requeued: 0,
     };
@@ -86,16 +81,14 @@ fn schedule_pass<O>(p: &PassParams<'_>, overhead: f64, ledger: &mut Ledger<'_, O
 
     // The frozen path pulls from a cursor over the pre-ordered list —
     // the same worker-pulls-next-dispatch shape as the live queue in
-    // `run_live`, with the un-pulled tail as the carry-over set.
+    // `run_live`.
     let mut cursor = OrderCursor::new(p.order);
-    'dispatch: while let Some((_pos, idx)) = cursor.pull() {
+    while let Some((_pos, idx)) = cursor.pull() {
         // Earliest live worker; dead ones retire (re-queueing the task).
         let (free_at, w) = loop {
             let Some(Reverse(Slot(free_at, w))) = heap.pop() else {
                 // Unreachable: validation keeps at least one survivor.
-                out.carryover.push(idx);
-                out.carryover.extend_from_slice(cursor.rest());
-                break 'dispatch;
+                return out;
             };
             if dead(&successes, w) {
                 out.requeued += 1;
@@ -113,12 +106,6 @@ fn schedule_pass<O>(p: &PassParams<'_>, overhead: f64, ledger: &mut Ledger<'_, O
                 let occupancy =
                     f64::from(failures + 1) * d + policy.backoff_before_success(failures);
                 let end = start + occupancy;
-                if would_overrun(p.deadline, end) {
-                    heap.push(Reverse(Slot(free_at, w)));
-                    out.carryover.push(idx);
-                    out.carryover.extend_from_slice(cursor.rest());
-                    break 'dispatch;
-                }
                 let busy = f64::from(failures + 1) * d;
                 ledger.complete(
                     idx,
@@ -138,12 +125,6 @@ fn schedule_pass<O>(p: &PassParams<'_>, overhead: f64, ledger: &mut Ledger<'_, O
                 // completes nowhere, and moves to the next lane.
                 let busy = f64::from(policy.max_attempts) * d;
                 let end = start + busy + policy.backoff_before_exhaustion();
-                if would_overrun(p.deadline, end) {
-                    heap.push(Reverse(Slot(free_at, w)));
-                    out.carryover.push(idx);
-                    out.carryover.extend_from_slice(cursor.rest());
-                    break 'dispatch;
-                }
                 ledger.burn(
                     idx,
                     Ran {
@@ -164,8 +145,8 @@ fn schedule_pass<O>(p: &PassParams<'_>, overhead: f64, ledger: &mut Ledger<'_, O
 /// Task durations come from the plan's explicit `durations` (or from
 /// `cost_hint` when none are given); the closure still runs once per
 /// task — sequentially, in submission order — so simulated batches
-/// produce real outputs. Worker deaths and deadlines are modeled in
-/// virtual time with the same accounting as the thread backend.
+/// produce real outputs. Worker deaths are modeled in virtual time with
+/// the same accounting as the thread backend.
 #[derive(Debug, Clone, Copy)]
 pub struct VirtualExecutor {
     per_task_overhead: f64,
@@ -196,7 +177,7 @@ impl Executor for VirtualExecutor {
     }
 
     fn run_live(&self, plan: &LivePlan<'_>, queue: &SubmissionQueue) -> BatchOutcome<()> {
-        finish_live(plan, queue, || {
+        finish_live(plan, || {
             let mut heap: BinaryHeap<Reverse<Slot>> =
                 (0..plan.workers).map(|w| Reverse(Slot(0.0, w))).collect();
             let mut drain = LiveDrain {
@@ -207,18 +188,12 @@ impl Executor for VirtualExecutor {
             // Earliest-free worker pulls the queue's next dispatch at its
             // free time; `Wait` re-heaps the worker at the next arrival
             // (strictly later, so the loop always progresses), `Pending` /
-            // `Drained` retires it. A dispatch whose completion would
-            // overrun the horizon is returned to the queue and cuts the
-            // run, mirroring the frozen path's stop-at-first-overrun.
+            // `Drained` retires it.
             while let Some(Reverse(Slot(free_at, w))) = heap.pop() {
                 match queue.pull(free_at) {
                     Pull::Task(d) => {
                         let start = free_at + self.per_task_overhead;
                         let end = start + d.spec.cost_hint.max(0.0);
-                        if would_overrun(plan.deadline, end) {
-                            queue.requeue(d);
-                            break;
-                        }
                         drain
                             .records
                             .push(TaskRecord::new(d.spec.id, w, start, end));
@@ -503,38 +478,6 @@ mod tests {
         assert_eq!(on_dead, 1, "the dead worker completes exactly its budget");
         // Survivor takes the rest: t0,t2,t3,t4,t5 at 10 s each.
         assert!((r.makespan - 50.0).abs() < 1e-9, "{}", r.makespan);
-    }
-
-    #[test]
-    fn deadline_cuts_dispatch_and_the_prefix_matches_the_full_run() {
-        let specs: Vec<TaskSpec> = (0..3)
-            .map(|i| TaskSpec::new(format!("t{i}"), 1.0))
-            .collect();
-        let durations = vec![10.0; 3];
-        let batch = || {
-            Batch::new(&specs)
-                .workers(1)
-                .policy(OrderingPolicy::Fifo)
-                .durations(&durations)
-        };
-        let full = batch().run(&VirtualExecutor::new(0.0)).unwrap();
-        assert_eq!(full.status, crate::exec::BatchStatus::Complete);
-
-        let cut = batch()
-            .deadline(25.0)
-            .run(&VirtualExecutor::new(0.0))
-            .unwrap();
-        assert_eq!(cut.records.len(), 2, "third task would finish at 30 > 25");
-        assert_eq!(cut.status.carried_over(), ["t2".to_owned()]);
-        assert!((cut.makespan - 20.0).abs() < 1e-9);
-        // The dispatched prefix is bit-identical to the full run's.
-        assert_eq!(cut.records[..], full.records[..2]);
-        // A deadline at an exact finish time still dispatches the task.
-        let exact = batch()
-            .deadline(30.0)
-            .run(&VirtualExecutor::new(0.0))
-            .unwrap();
-        assert_eq!(exact.status, crate::exec::BatchStatus::Complete);
     }
 
     #[test]

@@ -112,9 +112,8 @@ pub struct DispatchEntry {
     pub cost: f64,
 }
 
-/// A task handed out by [`SubmissionQueue::pull`], tagged with its
-/// class so a dispatch the executor cannot honor (e.g. past a
-/// deadline) can be [returned](SubmissionQueue::requeue).
+/// A task handed out by [`SubmissionQueue::pull`], tagged with the
+/// class it was served from.
 #[derive(Debug, Clone)]
 pub struct Dispatched {
     /// The task to run.
@@ -358,47 +357,11 @@ impl SubmissionQueue {
         }
     }
 
-    /// Return a dispatch the executor could not honor (e.g. it would
-    /// overrun the deadline): the task goes back to the head of its
-    /// class queue and the fair-share pass and dispatch log are rolled
-    /// back, as if the pull never happened.
-    pub fn requeue(&self, d: Dispatched) {
-        let mut inner = lock(&self.inner);
-        if inner
-            .dispatched
-            .last()
-            .is_some_and(|e| e.class == d.class && e.task_id == d.spec.id)
-        {
-            inner.dispatched.pop();
-        }
-        if let Some(c) = inner.classes.get_mut(d.class) {
-            c.pass -= d.spec.cost_hint.max(MIN_PASS_COST) / c.cfg.weight;
-            let seq = 0; // re-queued at the head: earliest possible order
-            c.queue.push_front(Pending {
-                spec: d.spec,
-                not_before: 0.0,
-                seq,
-            });
-        }
-    }
-
     /// Snapshot of the dispatch log so far (order of service across
     /// classes). The cumulative per-class cost of any prefix is the
     /// fair-share measurement used by tests and the service report.
     pub fn dispatch_log(&self) -> Vec<DispatchEntry> {
         lock(&self.inner).dispatched.clone()
-    }
-
-    /// Ids of tasks still queued, in deterministic (class, arrival,
-    /// submission) order — the carry-over set when a run is cut by a
-    /// deadline or horizon.
-    pub fn pending_ids(&self) -> Vec<String> {
-        let inner = lock(&self.inner);
-        let mut ids = Vec::new();
-        for c in &inner.classes {
-            ids.extend(c.queue.iter().map(|p| p.spec.id.clone()));
-        }
-        ids
     }
 }
 
@@ -452,19 +415,16 @@ pub struct LiveRun<'a> {
     workers: usize,
     recorder: &'a Recorder,
     label: &'a str,
-    deadline: Option<f64>,
 }
 
 impl<'a> LiveRun<'a> {
-    /// A live run over `queue` with one worker, telemetry disabled, and
-    /// no deadline.
+    /// A live run over `queue` with one worker and telemetry disabled.
     pub fn new(queue: &'a SubmissionQueue) -> Self {
         Self {
             queue,
             workers: 1,
             recorder: Recorder::disabled(),
             label: "live",
-            deadline: None,
         }
     }
 
@@ -490,31 +450,15 @@ impl<'a> LiveRun<'a> {
         self
     }
 
-    /// Horizon in seconds on the executor's clock: no task may *end*
-    /// past it. Tasks that would overrun stay queued and are reported
-    /// as carried over, mirroring
-    /// [`Batch::deadline`](crate::exec::Batch::deadline) semantics.
-    #[must_use]
-    pub fn deadline(mut self, seconds: f64) -> Self {
-        self.deadline = Some(seconds);
-        self
-    }
-
     /// Validate and run on `exec`.
     pub fn run<E: Executor>(self, exec: &E) -> Result<BatchOutcome<()>, BatchError> {
         if self.workers == 0 {
             return Err(BatchError::NoWorkers);
         }
-        if let Some(d) = self.deadline {
-            if !d.is_finite() || d < 0.0 {
-                return Err(BatchError::InvalidDeadline);
-            }
-        }
         let plan = LivePlan {
             workers: self.workers,
             recorder: self.recorder,
             label: self.label,
-            deadline: self.deadline,
         };
         Ok(exec.run_live(&plan, self.queue))
     }
@@ -523,8 +467,7 @@ impl<'a> LiveRun<'a> {
 /// Pull cursor over a frozen, pre-ordered index list: the frozen-path
 /// twin of [`SubmissionQueue::pull`]. The virtual executor's dispatch
 /// loop pulls indices from this cursor instead of iterating a borrowed
-/// slice, so the frozen and live scheduling loops share one shape and
-/// the un-dispatched tail (`rest`) is the carry-over set.
+/// slice, so the frozen and live scheduling loops share one shape.
 #[derive(Debug)]
 pub struct OrderCursor<'a> {
     order: &'a [usize],
@@ -543,11 +486,6 @@ impl<'a> OrderCursor<'a> {
         let idx = *self.order.get(pos)?;
         self.next = pos + 1;
         Some((pos, idx))
-    }
-
-    /// The un-pulled tail: what carries over if dispatch stops here.
-    pub fn rest(&self) -> &'a [usize] {
-        &self.order[self.next.min(self.order.len())..]
     }
 }
 
@@ -680,23 +618,6 @@ mod tests {
     }
 
     #[test]
-    fn requeue_rolls_back_log_and_pass() {
-        let q = SubmissionQueue::new();
-        q.submit(0, 0.0, [spec("a", 5.0), spec("b", 1.0)]).unwrap();
-        q.close();
-        let d = match q.pull(0.0) {
-            Pull::Task(d) => d,
-            other => panic!("unexpected {other:?}"),
-        };
-        assert_eq!(d.spec.id, "a");
-        assert_eq!(q.dispatch_log().len(), 1);
-        q.requeue(d);
-        assert_eq!(q.dispatch_log().len(), 0);
-        // The returned task dispatches first again.
-        assert_eq!(drain(&q), ["a", "b"]);
-    }
-
-    #[test]
     fn dispatch_log_records_class_and_cost() {
         let q = SubmissionQueue::with_classes(&[ClassConfig::default(), ClassConfig::default()]);
         q.submit(1, 0.0, [spec("x", 2.5)]).unwrap();
@@ -710,22 +631,12 @@ mod tests {
     }
 
     #[test]
-    fn pending_ids_are_the_carryover_set() {
-        let q = SubmissionQueue::new();
-        q.submit(0, 0.0, [spec("a", 1.0), spec("b", 1.0)]).unwrap();
-        let _ = q.pull(0.0);
-        assert_eq!(q.pending_ids(), ["b"]);
-    }
-
-    #[test]
-    fn order_cursor_pull_and_rest() {
+    fn order_cursor_pulls_in_order() {
         let order = [2usize, 0, 1];
         let mut c = OrderCursor::new(&order);
         assert_eq!(c.pull(), Some((0, 2)));
-        assert_eq!(c.rest(), &[0, 1]);
         assert_eq!(c.pull(), Some((1, 0)));
         assert_eq!(c.pull(), Some((2, 1)));
         assert_eq!(c.pull(), None);
-        assert!(c.rest().is_empty());
     }
 }

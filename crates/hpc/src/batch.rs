@@ -54,55 +54,6 @@ pub fn expected_wait_s(machine: Machine, job: &JobRequest) -> f64 {
     (base_s + walltime_factor * job.walltime_s) * size_bias.max(0.2)
 }
 
-/// A staged campaign: how many sequential job submissions are needed to
-/// push `total_node_seconds` of work through a machine when each job uses
-/// `nodes` nodes for at most `max_walltime_s`, and the total wall-clock
-/// including queue waits.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Campaign {
-    /// Jobs submitted.
-    pub jobs: u32,
-    /// Total busy (compute) wall-clock across jobs (seconds).
-    pub compute_s: f64,
-    /// Total queue-wait wall-clock (seconds).
-    pub queue_wait_s: f64,
-}
-
-impl Campaign {
-    /// Total wall-clock (seconds).
-    #[must_use]
-    pub fn total_s(&self) -> f64 {
-        self.compute_s + self.queue_wait_s
-    }
-}
-
-/// Plan a campaign of identical jobs.
-#[must_use]
-pub fn plan_campaign(
-    machine: Machine,
-    nodes: u32,
-    max_walltime_s: f64,
-    total_node_seconds: f64,
-) -> Campaign {
-    // sfcheck::allow(panic-hygiene, caller contract; an empty allocation cannot be planned)
-    assert!(nodes >= 1 && max_walltime_s > 0.0);
-    let per_job_node_s = f64::from(nodes) * max_walltime_s;
-    let jobs = (total_node_seconds / per_job_node_s).ceil().max(1.0) as u32;
-    let compute_s = total_node_seconds / f64::from(nodes);
-    let wait = expected_wait_s(
-        machine,
-        &JobRequest {
-            nodes,
-            walltime_s: max_walltime_s,
-        },
-    );
-    Campaign {
-        jobs,
-        compute_s,
-        queue_wait_s: wait * f64::from(jobs),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,28 +118,24 @@ mod tests {
     }
 
     #[test]
-    fn campaign_conserves_node_hours() {
-        let c = plan_campaign(Machine::Andes, 24, 3600.0 * 6.0, 240.0 * 3600.0);
-        // 240 node-hours at 24 nodes → 10 h of compute.
-        assert!((c.compute_s - 10.0 * 3600.0).abs() < 1.0);
-        assert_eq!(c.jobs, 2);
-        assert!(c.total_s() > c.compute_s);
-    }
-
-    #[test]
     fn paper_asymmetry_feature_gen_vs_inference() {
         // §5: feature generation (≈240 Andes node-h) needed fewer
         // node-hours than inference (≈400 Summit node-h) but more
         // wall-clock, because Andes jobs are small and its queue favors
         // them long-and-thin while Summit ran one wide job.
-        let andes = plan_campaign(Machine::Andes, 24, 6.0 * 3600.0, 240.0 * 3600.0);
+        // Feature generation: 240 node-h as 24-node, 6 h Andes jobs —
+        // 10 h of compute in two queued jobs.
+        let andes_job = JobRequest {
+            nodes: 24,
+            walltime_s: 6.0 * 3600.0,
+        };
+        let andes = 10.0 * 3600.0 + 2.0 * expected_wait_s(Machine::Andes, &andes_job);
         // Inference: one 32-node Summit job of 44 minutes (Table 1).
-        let summit = plan_campaign(Machine::Summit, 32, 2.0 * 3600.0, 44.0 * 60.0 * 32.0);
-        assert!(
-            andes.total_s() > summit.total_s(),
-            "andes {} vs summit {}",
-            andes.total_s(),
-            summit.total_s()
-        );
+        let summit_job = JobRequest {
+            nodes: 32,
+            walltime_s: 2.0 * 3600.0,
+        };
+        let summit = 44.0 * 60.0 + expected_wait_s(Machine::Summit, &summit_job);
+        assert!(andes > summit, "andes {andes} vs summit {summit}");
     }
 }

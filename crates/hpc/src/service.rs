@@ -171,10 +171,6 @@ pub struct ServiceConfig {
     /// this many tasks queued is rejected as
     /// [`ServiceError::Saturated`].
     pub max_queue_depth: usize,
-    /// Optional horizon (seconds on the executor's clock): no task may
-    /// end past it; the rest stays queued and is reported as carried
-    /// over.
-    pub deadline: Option<f64>,
     /// Span label for the run's trace.
     pub label: String,
     /// Optional result store shared by every [`cached`]
@@ -202,7 +198,6 @@ impl Default for ServiceConfig {
         Self {
             workers: 4,
             max_queue_depth: 4096,
-            deadline: None,
             label: "service".to_owned(),
             store: None,
             dir: None,
@@ -372,14 +367,11 @@ pub struct TenantStatus {
 /// view of it.
 #[derive(Debug)]
 pub struct ServiceOutcome {
-    /// The raw executor outcome (records, makespan, carry-over, …).
+    /// The raw executor outcome (records, makespan, …).
     pub outcome: BatchOutcome<()>,
     /// Dispatch log of the run: order of service across tenants, with
     /// modeled cost per dispatch — the fair-share measurement.
     pub dispatch_log: Vec<DispatchEntry>,
-    /// Task ids still queued when the run was cut (empty on a full
-    /// drain).
-    pub carried_over: Vec<String>,
 }
 
 /// What [`FoldingService::resume`] reconstructed from the WAL.
@@ -945,18 +937,15 @@ impl FoldingService {
             }
             state.ran = true;
         }
-        let mut run = LiveRun::new(&self.queue)
+        let outcome = LiveRun::new(&self.queue)
             .workers(self.cfg.workers)
             .recorder(self.recorder.as_ref())
-            .label(&self.cfg.label);
-        if let Some(d) = self.cfg.deadline {
-            run = run.deadline(d);
-        }
-        let outcome = run.run(exec).map_err(ServiceError::Run)?;
+            .label(&self.cfg.label)
+            .run(exec)
+            .map_err(ServiceError::Run)?;
         self.settle(&outcome)?;
         Ok(ServiceOutcome {
             dispatch_log: self.queue.dispatch_log(),
-            carried_over: self.queue.pending_ids(),
             outcome,
         })
     }
@@ -1386,7 +1375,7 @@ mod tests {
         svc.submit("bob", "c0", 0.0, campaign(3, 10.0)).unwrap();
         let out = svc.run(&VirtualExecutor::new(0.0)).unwrap();
         assert_eq!(out.outcome.records.len(), 9);
-        assert!(out.carried_over.is_empty());
+        assert!(svc.queue.is_empty(), "a live drain leaves nothing queued");
         let a = svc.tenant_status("alice").unwrap();
         let b = svc.tenant_status("bob").unwrap();
         assert_eq!(a.completed_tasks, 6);

@@ -39,7 +39,7 @@ const WINDOW_S: f64 = 300.0;
 const STRAGGLER_FACTOR: f64 = 1.5;
 
 /// Static knowledge about the campaign, supplied up front so the monitor
-/// can report totals, budget burn, and an expected-work ETA.
+/// can report totals and an expected-work ETA.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MonitorConfig {
     /// Total tasks the batch will run, when known.
@@ -50,8 +50,6 @@ pub struct MonitorConfig {
     /// Worker count, when known; otherwise the monitor uses the number
     /// of distinct workers seen so far.
     pub workers: Option<usize>,
-    /// Walltime deadline (seconds) for budget-burn reporting.
-    pub deadline_s: Option<f64>,
 }
 
 /// Rolling health at one instant of the stream.
@@ -84,8 +82,6 @@ pub struct HealthSnapshot {
     /// `retries / executions` — the fraction of task executions that
     /// were repair work.
     pub fault_rate: f64,
-    /// `t / deadline` when a deadline is configured (may exceed 1).
-    pub budget_burn: Option<f64>,
     /// Estimated seconds to completion: 0 when done; remaining expected
     /// work over effective parallelism when expected durations are
     /// known; otherwise remaining count over window throughput.
@@ -113,9 +109,6 @@ impl HealthSnapshot {
                 " | retries {} stragglers {}",
                 self.retries, self.stragglers
             ));
-        }
-        if let Some(burn) = self.budget_burn {
-            line.push_str(&format!(" | budget {:.0}%", burn * 100.0));
         }
         line
     }
@@ -250,7 +243,6 @@ impl Monitor {
             cancelled: state.cancelled,
             stragglers: state.stragglers,
             fault_rate,
-            budget_burn: self.cfg.deadline_s.and_then(|d| (d > 0.0).then(|| now / d)),
             eta_s,
         }
     }
@@ -348,7 +340,6 @@ mod tests {
         let m = Monitor::new(MonitorConfig {
             total_tasks: Some(4),
             workers: Some(2),
-            deadline_s: Some(80.0),
             ..MonitorConfig::default()
         });
         m.feed(&batch_events());
@@ -364,7 +355,6 @@ mod tests {
         assert!((s.idle_fraction - 0.375).abs() < 1e-12);
         // 4 executions, 1 was repair work.
         assert!((s.fault_rate - 0.25).abs() < 1e-12);
-        assert_eq!(s.budget_burn, Some(0.5));
         // 3 completions in the (whole-run) window of 40 s.
         assert!((s.throughput_per_s - 3.0 / 40.0).abs() < 1e-12);
     }
@@ -377,7 +367,6 @@ mod tests {
             total_tasks: Some(4),
             expected_total_s: Some(100.0),
             workers: Some(2),
-            ..MonitorConfig::default()
         });
         m.feed(&batch_events());
         let s = m.snapshot();
@@ -411,7 +400,6 @@ mod tests {
         assert_eq!(s.throughput_per_s, 0.0);
         assert_eq!(s.utilization, 0.0);
         assert_eq!(s.eta_s, 0.0);
-        assert_eq!(s.budget_burn, None);
         assert_eq!(s.t, 0.0);
     }
 
@@ -446,7 +434,6 @@ mod tests {
             total_tasks: Some(4),
             expected_total_s: Some(60.0),
             workers: Some(2),
-            deadline_s: Some(100.0),
         };
         let streaming = Monitor::new(cfg);
         let mut per_event = Vec::new();
@@ -464,13 +451,11 @@ mod tests {
         let m = Monitor::new(MonitorConfig {
             total_tasks: Some(4),
             workers: Some(2),
-            deadline_s: Some(80.0),
             ..MonitorConfig::default()
         });
         m.feed(&batch_events());
         let line = m.snapshot().render_line();
         assert!(line.starts_with("3/4 tasks | "), "{line}");
         assert!(line.contains("retries 1 stragglers 1"), "{line}");
-        assert!(line.contains("budget 50%"), "{line}");
     }
 }

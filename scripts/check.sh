@@ -15,8 +15,8 @@ else
 fi
 
 echo "==> cargo test (workspace, warnings are errors)"
-# One unfiltered run gates every suite — chaos (deadline-kill and
-# kill-resume equality, service kill-resume from the WAL), telemetry (golden schema, bounded sinks, monitor
+# One unfiltered run gates every suite — chaos (multi-leg kill-resume
+# equality, service kill-resume from the WAL), telemetry (golden schema, bounded sinks, monitor
 # stream-vs-replay), service (byte-identical virtual replay, fair share,
 # typed quotas, live drain) and store (stable keys, 100 % warm hits,
 # identical cache counters on both executors) — so none is re-run by name.
@@ -64,6 +64,16 @@ echo "==> benchmark package (compiles against the public dataflow API)"
 # builds it: an API break only sfbench sees would otherwise surface in
 # the driver, not here. Smoke size, ~10 s.
 (cd benchmark && cargo test --release --offline -q)
+
+echo "==> benchmark, every workload at full size (one pass each)"
+# The smoke test above runs each workload at its smallest size, while
+# BENCHMARK.json runs them at full size. One second per workload
+# catches a workload that fails its correctness check or crashes at
+# full size. 30-40 s on a 2-core VM; a non-zero exit fails the gate.
+if ! bash benchmark/run.sh --seconds 1 > target/bench-gate/benchmark_full.txt; then
+    cat target/bench-gate/benchmark_full.txt >&2
+    exit 1
+fi
 
 echo "==> service health snapshot (archive next to bench-gate artifacts)"
 # The folding-service example runs the three-tenant session on the

@@ -1,13 +1,13 @@
 //! Chaos harness: seeded scenarios composing worker deaths, task
-//! faults, long-tail tasks, deadline kills, and mid-append journal kills.
+//! faults, long-tail tasks, kills between tasks, and mid-append journal
+//! kills.
 //!
 //! The invariants pinned here are the robustness contract of the
-//! dataflow layer (paper §3.3 plus the walltime-bin reality of LSF
-//! campaigns): every task completes exactly once in the outputs, resume
-//! never recomputes finished work, a deadline-killed campaign followed
-//! by resume legs reproduces the uninterrupted record set byte for
-//! byte, and attempt accounting matches across the virtual and thread
-//! executors.
+//! dataflow layer (paper §3.3): every task completes exactly once in the
+//! outputs, resume never recomputes finished work, a campaign killed
+//! and resumed leg after leg reproduces the uninterrupted record set
+//! byte for byte, and attempt accounting matches across the virtual and
+//! thread executors.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -19,7 +19,7 @@ use summitfold::dataflow::real::ThreadExecutor;
 use summitfold::dataflow::sim::VirtualExecutor;
 use summitfold::dataflow::stats::to_csv;
 use summitfold::dataflow::{
-    Batch, BatchOutcome, BatchStatus, Journal, OrderingPolicy, RetryPolicy, TaskFault, TaskSpec,
+    Batch, BatchOutcome, Journal, OrderingPolicy, RetryPolicy, TaskFault, TaskSpec,
 };
 use summitfold::hpc::service::{FoldingService, ServiceConfig, ServiceError, TenantSpec};
 use summitfold::obs::{Recorder, Trace};
@@ -45,10 +45,48 @@ fn task_id_set(records: &[summitfold::dataflow::TaskRecord]) -> BTreeSet<String>
     records.iter().map(|r| r.task_id.clone()).collect()
 }
 
-/// Tentpole acceptance: kill-at-deadline → follow-on resume legs
-/// reproduce the uninterrupted record set exactly on the simulator.
+/// Runs a kill-and-resume campaign of `n` tasks: each leg resumes from
+/// what the killed leg before it left on disk and is itself killed at a
+/// later seeded task boundary, until a leg runs to the end. Every leg
+/// skips exactly the journaled tasks, replays their rows verbatim and
+/// completes every task once. Returns the final leg and the leg count.
+fn kill_resume_legs(
+    n: usize,
+    seed: u64,
+    resume: impl Fn(&Journal, &Journal) -> BatchOutcome<()>,
+) -> (BatchOutcome<()>, usize) {
+    let mut rng = Xoshiro256::seed_from_u64(seed);
+    let mut on_disk = Journal::new();
+    let mut leg = 0;
+    loop {
+        leg += 1;
+        let leg_journal = Journal::new();
+        let out = resume(&leg_journal, &on_disk);
+        assert_eq!(out.resumed, on_disk.len(), "seed {seed} leg {leg}");
+        assert_eq!(out.records.len(), n, "seed {seed} leg {leg}");
+        assert_eq!(task_id_set(&out.records).len(), n, "seed {seed} leg {leg}");
+        for e in on_disk.entries() {
+            let r = out.records.iter().find(|r| r.task_id == e.task);
+            let r = r.expect("journaled task present");
+            assert_eq!(
+                (r.worker_id, r.start, r.end, r.attempts),
+                (e.worker, e.start, e.end, e.attempts),
+                "seed {seed} leg {leg}: journaled rows replay verbatim"
+            );
+        }
+        let kill_at = on_disk.len() + 1 + rng.below(n / 3);
+        if kill_at >= n {
+            return (out, leg);
+        }
+        on_disk = leg_journal.truncated(kill_at);
+    }
+}
+
+/// A campaign killed and resumed leg after leg reproduces the
+/// uninterrupted run's records and makespan exactly on the simulator;
+/// the same legs on real threads complete the same task set.
 #[test]
-fn deadline_campaign_reproduces_uninterrupted_records() {
+fn kill_resume_campaign_reproduces_uninterrupted_records() {
     let exec = VirtualExecutor::new(0.25);
     for seed in [1u64, 7, 42] {
         let (specs, durations) = straggler_workload(seed, 30);
@@ -64,48 +102,31 @@ fn deadline_campaign_reproduces_uninterrupted_records() {
                 .retry(RetryPolicy::new(3, 0.5, 2.0))
                 .task_faults(&faults)
         };
+        let full = batch().run(&exec).expect("full run");
 
-        let full_journal = Journal::new();
-        let full = batch().journal(&full_journal).run(&exec).expect("full run");
-        assert_eq!(full.status, BatchStatus::Complete);
-
-        // Campaign legs: each job runs against a walltime horizon one
-        // third of the uninterrupted makespan further out, resuming from
-        // the previous leg's journal — the LSF kill-and-resubmit loop.
-        let step = full.makespan / 3.0;
-        let mut prev = Journal::new();
-        let mut partial_legs = 0usize;
-        let mut finished: Option<BatchOutcome<()>> = None;
-        for leg in 1..=50u32 {
-            let next = Journal::new();
-            let horizon = step * f64::from(leg);
-            let out = batch()
-                .journal(&next)
-                .deadline(horizon)
-                .resume(&exec, &prev)
-                .expect("campaign leg");
-            if out.status.is_partial() {
-                partial_legs += 1;
-                assert!(!out.status.carried_over().is_empty());
-                assert_eq!(
-                    next.carried_over().as_slice(),
-                    out.status.carried_over(),
-                    "seed {seed}: journal carryover mirrors the outcome"
-                );
-                prev = next;
-            } else {
-                finished = Some(out);
-                break;
-            }
-        }
-        let done = finished.expect("campaign finishes within 50 legs");
-        assert!(partial_legs >= 1, "seed {seed}: the deadline must bite");
+        let (done, legs) = kill_resume_legs(specs.len(), seed, |leg, on_disk| {
+            batch()
+                .journal(leg)
+                .resume(&exec, on_disk)
+                .expect("sim leg")
+        });
+        assert!(legs >= 3, "seed {seed}: only {legs} legs");
         assert_eq!(
             to_csv(&done.records),
             to_csv(&full.records),
             "seed {seed}: campaign records diverge from the uninterrupted run"
         );
         assert_eq!(done.makespan, full.makespan, "seed {seed}");
+
+        // Tiny backoffs: the thread executor really sleeps them.
+        let (real, _) = kill_resume_legs(specs.len(), seed, |leg, on_disk| {
+            batch()
+                .retry(RetryPolicy::new(3, 1e-4, 4e-4))
+                .journal(leg)
+                .resume(&ThreadExecutor, on_disk)
+                .expect("thread leg")
+        });
+        assert_eq!(task_id_set(&real.records), task_id_set(&full.records));
     }
 }
 
@@ -124,8 +145,8 @@ fn counter_names(rec: &Recorder) -> BTreeSet<String> {
 }
 
 /// Composed chaos on the simulator: worker deaths, task faults,
-/// long-tail tasks, quarantine, deadline kills, and a byte-level torn journal
-/// tail — the completion/partition/resume invariants all hold. The same
+/// long-tail tasks, quarantine, and a byte-level torn journal tail — the
+/// completion and resume invariants all hold. The same
 /// seeded settings then run on the thread executor, and everything that
 /// does not depend on a clock must come out the same.
 #[test]
@@ -169,23 +190,6 @@ fn chaos_invariants_hold_under_composed_faults() {
         assert_eq!(full.records.len(), n, "seed {seed}");
         assert_eq!(task_id_set(&full.records), all_ids, "seed {seed}");
         assert_eq!(full.deaths, 1, "seed {seed}");
-
-        // Deadline kill: completions and carryover partition the specs,
-        // and the dispatched records are a prefix of the full run's.
-        let cut = batch()
-            .deadline(full.makespan * 0.5)
-            .run(&exec)
-            .expect("cut run");
-        let done_ids = task_id_set(&cut.records);
-        let carried: BTreeSet<String> = cut.status.carried_over().iter().cloned().collect();
-        assert!(done_ids.is_disjoint(&carried), "seed {seed}");
-        let union: BTreeSet<String> = done_ids.union(&carried).cloned().collect();
-        assert_eq!(union, all_ids, "seed {seed}: partition covers the batch");
-        assert_eq!(
-            to_csv(&cut.records),
-            to_csv(&full.records[..cut.records.len()]),
-            "seed {seed}: deadline-cut records are a prefix of the full run"
-        );
 
         // Kill mid-append: truncate the journal inside its final line,
         // parse tolerates the torn tail, resume completes the remainder
@@ -262,34 +266,6 @@ fn chaos_invariants_hold_under_composed_faults() {
         assert_eq!((sim_resumed.resumed, real_resumed.resumed), (k, k));
         assert_eq!(task_id_set(&real_resumed.records), all_ids, "seed {seed}");
         assert_eq!(real_resumed.records.len(), n, "seed {seed}");
-
-        // A wall clock and a virtual clock only agree on a cut that
-        // lands between batch start and the shortest task: nothing
-        // fits, so everything carries over — on both executors, in
-        // submission order, under the same counters.
-        let horizon = durations.iter().copied().fold(f64::INFINITY, f64::min) / 2.0;
-        let (sim_rec, real_rec) = (Recorder::virtual_time(), Recorder::wall());
-        let sim_cut = batch()
-            .deadline(horizon)
-            .recorder(&sim_rec)
-            .run(&exec)
-            .expect("sim cut");
-        let real_cut = threads()
-            .deadline(horizon)
-            .recorder(&real_rec)
-            .run_with(&ThreadExecutor, &items, work)
-            .expect("thread cut");
-        let submitted: Vec<String> = specs.iter().map(|s| s.id.clone()).collect();
-        for (label, out) in [("sim", &sim_cut), ("thread", &real_cut)] {
-            assert!(out.records.is_empty(), "seed {seed} {label}");
-            assert_eq!(out.quarantined, 0, "seed {seed} {label}");
-            assert_eq!(out.status.carried_over(), submitted, "seed {seed} {label}");
-        }
-        assert_eq!(
-            counter_names(&real_rec),
-            counter_names(&sim_rec),
-            "seed {seed}: cut runs emit the same counters"
-        );
     }
 }
 

@@ -209,7 +209,6 @@ fn live_submission_during_thread_run() {
     let totals = Trace::from_events(rec.events()).counter_totals();
     let admitted = totals["service/admitted_tasks"];
     assert_eq!(out.outcome.records.len() as f64, admitted);
-    assert!(out.carried_over.is_empty());
     // Attribution: per-tenant completed counts sum to the total and
     // every record id carries its tenant prefix.
     let mut by_tenant: BTreeMap<&str, usize> = BTreeMap::new();
@@ -232,29 +231,6 @@ fn live_submission_during_thread_run() {
         bob.completed_tasks,
         by_tenant.get("bob").copied().unwrap_or(0)
     );
-}
-
-/// A deadline cuts the live run the same way `Batch::deadline` cuts a
-/// frozen one: nothing ends past the horizon, the rest is carried over
-/// and still queued.
-#[test]
-fn service_deadline_carries_over() {
-    let rec = Arc::new(Recorder::virtual_time());
-    let cfg = ServiceConfig {
-        workers: 1,
-        deadline: Some(50.0),
-        ..ServiceConfig::default()
-    };
-    let svc = FoldingService::new(cfg, tenants(), Arc::clone(&rec)).expect("valid tenants");
-    svc.submit("alice", "c0", 0.0, campaign("a", 10, 20.0))
-        .expect("admitted");
-    let out = svc.run(&VirtualExecutor::new(0.0)).expect("run");
-    assert_eq!(out.outcome.records.len(), 2, "only 2×20s fit under 50s");
-    assert_eq!(out.carried_over.len(), 8);
-    assert!(out.outcome.records.iter().all(|r| r.end <= 50.0 + 1e-9));
-    // Charges cover completed work only.
-    let a = svc.tenant_status("alice").expect("alice");
-    assert!((a.charged_node_hours - 40.0 / 3600.0).abs() < 1e-9);
 }
 
 /// The tenant-facing journey contract: a service campaign's tasks carry

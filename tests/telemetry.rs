@@ -11,7 +11,9 @@ use summitfold::dataflow::sim::VirtualExecutor;
 use summitfold::dataflow::stats::{ascii_gantt, records_from_trace, to_csv};
 use summitfold::dataflow::{Batch, Journal, OrderingPolicy, TaskSpec};
 use summitfold::obs::json::parse_object;
-use summitfold::obs::{lineage, Monitor, MonitorConfig, Recorder, RingSink, Sink as _, Trace};
+use summitfold::obs::{
+    lineage, Event, Monitor, MonitorConfig, Recorder, RingSink, Sink as _, Trace,
+};
 
 fn specs(n: usize) -> Vec<TaskSpec> {
     (0..n)
@@ -97,27 +99,6 @@ fn golden_trace() -> String {
         .label("demo")
         .run(&VirtualExecutor::new(1.0))
         .expect("golden batch is well-formed");
-    // A batch under a walltime budget: pins the
-    // `dataflow/deadline_carryover` counter plus the `:carryover` marker
-    // span in the golden schema. Epsilon ends exactly at the budget (a
-    // finish at the deadline still dispatches); eta would end at 9 s and
-    // carries over.
-    let cut_specs = [
-        TaskSpec::new("delta", 2.0),
-        TaskSpec::new("epsilon", 2.0),
-        TaskSpec::new("zeta", 2.0),
-        TaskSpec::new("eta", 2.0),
-    ];
-    let cut_durations = [2.0, 6.0, 2.0, 2.0];
-    Batch::new(&cut_specs)
-        .workers(2)
-        .policy(OrderingPolicy::Fifo)
-        .durations(&cut_durations)
-        .recorder(&rec)
-        .label("cut")
-        .deadline(7.0)
-        .run(&VirtualExecutor::new(1.0))
-        .expect("golden cut batch is well-formed");
     // A progress-instrumented batch: pins the `monitor/...` gauge family
     // the live health monitor interleaves into the trace.
     let live_specs = [
@@ -286,88 +267,90 @@ fn trace_self_diff_reports_no_regressions() {
     assert!(diff.render().contains("0 regression"), "{}", diff.render());
 }
 
-/// Satellite contract: the monitor's ETA and deadline-burn stay honest
-/// across a carryover campaign (deadline cut + follow-on resume), and a
-/// resumed trace counts every task exactly once — journaled replays
-/// must not double-book completions.
+/// The monitor stays honest across a kill-and-resume campaign: at the
+/// kill its ETA reports the work left, and a resumed trace counts every
+/// task exactly once on both executors — journaled replays must not
+/// double-book completions.
 #[test]
-fn monitor_attributes_carryover_campaigns_without_double_counting() {
+fn monitor_attributes_resumed_campaigns_without_double_counting() {
     let n = 12;
     let specs: Vec<TaskSpec> = (0..n)
         .map(|i| TaskSpec::new(format!("t{i}"), 1.0))
         .collect();
     let durations = vec![10.0; n];
-    let journal = Journal::new();
-
-    // Leg 1: the deadline bites at 25 s — 2 workers × 10 s tasks give
-    // exactly 4 completions (the third wave would end at 30 > 25).
-    let cut_rec = Recorder::virtual_time();
-    let cut = Batch::new(&specs)
-        .workers(2)
-        .durations(&durations)
-        .recorder(&cut_rec)
-        .journal(&journal)
-        .deadline(25.0)
-        .run(&VirtualExecutor::new(0.0))
-        .unwrap();
-    let carried = cut.status.carried_over().len();
-    assert_eq!(carried, 8, "the horizon must cut the third wave");
-
-    let cut_monitor = Monitor::new(MonitorConfig {
-        total_tasks: Some(n),
-        workers: Some(2),
-        deadline_s: Some(25.0),
-        ..MonitorConfig::default()
-    });
-    for e in cut_rec.events() {
-        cut_monitor.event(&e);
-    }
-    let s = cut_monitor.snapshot();
-    assert_eq!(s.tasks_done, n - carried);
-    let burn = s.budget_burn.expect("deadline configured");
-    assert!((burn - 20.0 / 25.0).abs() < 1e-9, "burn {burn}");
-    assert!(s.eta_s > 0.0, "work remains, eta {}", s.eta_s);
-
-    // Leg 2: the follow-on resumes from the journal under a later
-    // horizon. The virtual backend re-derives the full schedule, so the
-    // resumed trace is the canonical whole-campaign view.
-    let resumed_rec = Recorder::virtual_time();
-    let resumed = Batch::new(&specs)
-        .workers(2)
-        .durations(&durations)
-        .recorder(&resumed_rec)
-        .deadline(90.0)
-        .resume(&VirtualExecutor::new(0.0), &journal)
-        .unwrap();
-    assert_eq!(resumed.records.len(), n);
-
-    // Each task appears exactly once in the resumed trace: journaled
-    // replays are not re-emitted as extra completions.
-    let trace = Trace::parse_jsonl(&resumed_rec.to_jsonl()).unwrap();
-    let mut ids: Vec<String> = trace.tasks().into_iter().map(|t| t.task).collect();
-    ids.sort();
+    let batch = || Batch::new(&specs).workers(2).durations(&durations);
+    let monitor = || {
+        Monitor::new(MonitorConfig {
+            total_tasks: Some(n),
+            workers: Some(2),
+            ..MonitorConfig::default()
+        })
+    };
     let mut expected: Vec<String> = specs.iter().map(|s| s.id.clone()).collect();
     expected.sort();
-    assert_eq!(ids, expected, "duplicate or missing completions");
 
-    let resumed_monitor = Monitor::new(MonitorConfig {
-        total_tasks: Some(n),
-        workers: Some(2),
-        deadline_s: Some(90.0),
-        ..MonitorConfig::default()
-    });
-    for e in resumed_rec.events() {
-        resumed_monitor.event(&e);
+    // Leg 1 is killed after the second wave: 2 workers × 10 s tasks
+    // leave four completions on disk. A live monitor saw the batch span
+    // open and those four tasks land.
+    let journal = Journal::new();
+    let rec = Recorder::virtual_time();
+    batch()
+        .journal(&journal)
+        .recorder(&rec)
+        .run(&VirtualExecutor::new(0.0))
+        .unwrap();
+    let killed = journal.truncated(4);
+    let at_kill = monitor();
+    let events = rec.events();
+    let tasks = events.iter().filter(|e| matches!(e, Event::Task { .. }));
+    for e in events.iter().take(1).chain(tasks.take(killed.len())) {
+        at_kill.event(e);
     }
-    let s = resumed_monitor.snapshot();
-    assert_eq!(s.tasks_done, n, "journaled replays double-counted");
-    assert!(
-        s.eta_s.abs() < 1e-9,
-        "campaign complete but eta {}",
-        s.eta_s
-    );
-    let burn = s.budget_burn.expect("deadline configured");
-    assert!((burn - 60.0 / 90.0).abs() < 1e-9, "burn {burn}");
+    let s = at_kill.snapshot();
+    assert_eq!(s.tasks_done, killed.len());
+    assert_eq!(s.t, 20.0, "the second wave ends at the kill");
+    assert!(s.eta_s > 0.0, "work remains, eta {}", s.eta_s);
+
+    // Leg 2 resumes from the journal on either backend. The virtual one
+    // re-derives the full schedule; the thread one replays the journaled
+    // rows (from its own killed leg) and runs the rest.
+    let sim_rec = Recorder::virtual_time();
+    let sim = batch()
+        .recorder(&sim_rec)
+        .resume(&VirtualExecutor::new(0.0), &killed)
+        .unwrap();
+    let thread_journal = Journal::new();
+    batch()
+        .journal(&thread_journal)
+        .run(&ThreadExecutor)
+        .unwrap();
+    let thread_rec = Recorder::wall();
+    let thread = batch()
+        .recorder(&thread_rec)
+        .resume(&ThreadExecutor, &thread_journal.truncated(4))
+        .unwrap();
+    for (label, resumed, rec) in [("sim", &sim, &sim_rec), ("thread", &thread, &thread_rec)] {
+        assert_eq!(resumed.resumed, 4, "{label}");
+        assert_eq!(resumed.records.len(), n, "{label}");
+
+        // Each task appears exactly once in the resumed trace.
+        let trace = Trace::parse_jsonl(&rec.to_jsonl()).unwrap();
+        let mut ids: Vec<String> = trace.tasks().into_iter().map(|t| t.task).collect();
+        ids.sort();
+        assert_eq!(ids, expected, "{label}: duplicate or missing completions");
+
+        let after = monitor();
+        for e in rec.events() {
+            after.event(&e);
+        }
+        let s = after.snapshot();
+        assert_eq!(s.tasks_done, n, "{label}: journaled replays double-counted");
+        assert!(
+            s.eta_s.abs() < 1e-9,
+            "{label}: campaign complete but eta {}",
+            s.eta_s
+        );
+    }
 }
 
 /// The causal journeys folded from a campaign's trace are
