@@ -288,7 +288,7 @@ const RETIRED: [(&str, &str); 5] = [
 /// PR after the one that deprecated it deletes it. The attribute is
 /// therefore itself a finding — fires in every file kind, tests
 /// included — unless an allow directive names the removal plan. Once
-/// deleted, a [`RETIRED`] name coming back is a *hard* finding.
+/// deleted, a `RETIRED` name coming back is a *hard* finding.
 pub fn deprecation(check: &FileCheck<'_>, findings: &mut Vec<Finding>, hard: &mut Vec<Finding>) {
     let toks = &check.scan.tokens;
     for (i, t) in toks.iter().enumerate() {

@@ -4,7 +4,7 @@
 //! clock), then folds its telemetry trace through
 //! [`summitfold_obs::lineage`]: the dependency chain whose busy time
 //! plus waits telescopes exactly to the makespan, the
-//! queue-wait/compute/retry split along that chain, and the per-worker
+//! queue-wait/compute split along that chain, and the per-worker
 //! load-imbalance coefficients (Gini, CoV). Everything is a pure
 //! function of the trace, so every run is byte-stable; the report
 //! attaches both folds and their distillate, `BENCH_profile.json`. A
@@ -25,7 +25,7 @@ pub struct Outcome {
     pub tasks: usize,
     /// Campaign makespan in (virtual) seconds.
     pub makespan_s: f64,
-    /// Busy time along the critical chain (compute + retry).
+    /// Busy time along the critical chain.
     pub critical_path_s: f64,
     /// Links in the critical chain.
     pub chain_len: usize,

@@ -46,8 +46,8 @@ fn journey_of_the_chain_tail_is_pinned() {
         got,
         concat!(
             r#"{"task":"SDI_00310/model_5","admitted_t":null,"wal_t":null,"settled_t":null,"#,
-            r#""cache":null,"cache_t":null,"retry_backoff_s":0,"queue_wait_s":null,"#,
-            r#""compute_s":7265.394907478025,"retry_s":3632.6974537390124,"settle_lag_s":null,"#,
+            r#""cache":null,"cache_t":null,"queue_wait_s":null,"#,
+            r#""compute_s":7265.394907478025,"settle_lag_s":null,"#,
             r#""cancelled_executions":0,"executions":[{"worker":123,"start":84203.19510627285,"#,
             r#""end":91468.59001375087,"attempts":2}],"truncated":0,"dropped_events":0}"#,
             "\n"

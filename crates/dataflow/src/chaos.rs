@@ -3,10 +3,11 @@
 //!
 //! The paper's deployment survived node failures by re-running failed
 //! work (§3.3); the reproduction goes further and makes every failure
-//! mode a *seeded, replayable experiment*. A [`FaultPlan`] extends the
-//! worker-death schedule ([`crate::fault::WorkerFault`]) with I/O
-//! faults: a write torn after `k` bytes, a bit flipped in a chosen
-//! record, a cleanly failed operation, or a kill at a named code point.
+//! mode a *seeded, replayable experiment*. A [`FaultPlan`] schedules the
+//! I/O faults below the executors (worker deaths are the batch's own
+//! [`crate::exec::Batch::faults`]): a write torn after `k` bytes, a bit
+//! flipped in a chosen record, a cleanly failed operation, or a kill at
+//! a named code point.
 //! [`FaultPlan::arm`] turns the plan into an [`IoFaults`] handle that the
 //! store and the folding service thread through their write paths.
 //!
@@ -23,7 +24,6 @@
 //! `fault/*` counters are recorded here and only here (sfcheck enforces
 //! the ownership), one increment per injected fault.
 
-use crate::fault::WorkerFault;
 use crate::sync::lock;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -109,13 +109,10 @@ impl IoFault {
     }
 }
 
-/// A complete deterministic failure schedule: worker deaths (handed to
-/// [`crate::exec::Batch::faults`]) plus I/O faults (armed into an
-/// [`IoFaults`] handle shared by the store and the service).
+/// A deterministic I/O fault schedule, armed into an [`IoFaults`]
+/// handle shared by the store and the service.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Worker-death schedule for the executing batch.
-    pub workers: Vec<WorkerFault>,
     /// I/O fault schedule for the storage and service layers.
     pub io: Vec<IoFault>,
 }
@@ -125,13 +122,6 @@ impl FaultPlan {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Add a worker death to the plan.
-    #[must_use]
-    pub fn worker(mut self, fault: WorkerFault) -> Self {
-        self.workers.push(fault);
-        self
     }
 
     /// Add an I/O fault to the plan.

@@ -30,23 +30,20 @@
 //! are rejected up front with a typed [`BatchError`] instead of
 //! documented panics.
 //!
-//! Resilience rides on the same description: `.retry(policy)` bounds
-//! attempts with capped backoff, `.task_faults(...)` injects the §3.3
-//! failure shapes, `.quarantine(workers)` re-runs retry-exhausted tasks
-//! in a second high-memory pass, `.journal(...)` checkpoints completions
-//! as JSONL, and [`Batch::resume`] restarts a killed batch from that
-//! journal executing only unfinished tasks.
+//! Resilience rides on the same description: `.oom(ids)` names the
+//! tasks that run out of memory on the standard lane (§3.3's over-large
+//! proteins), `.quarantine(workers)` re-runs them in a second
+//! high-memory pass, `.journal(...)` checkpoints completions as JSONL,
+//! and [`Batch::resume`] restarts a killed batch from that journal
+//! executing only unfinished tasks.
 
-use crate::fault::WorkerFault;
+use crate::fault::{entry_matches_record, Lane, ResilienceError, WorkerFault};
 use crate::journal::{Journal, JournalEntry};
 use crate::policy::OrderingPolicy;
-use crate::retry::{
-    entry_matches_record, FaultPlan, Lane, PassOutcome, ResilienceError, RetryPolicy, TaskFault,
-};
 use crate::source::SubmissionQueue;
 use crate::task::{TaskRecord, TaskSpec};
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use summitfold_obs::{Recorder, SpanId};
 
 /// Why a batch could not run.
@@ -84,7 +81,7 @@ pub enum BatchError {
     },
     /// `progress(0)` was requested: the cadence must be at least 1 task.
     InvalidProgress,
-    /// The retry/quarantine/journal configuration cannot complete.
+    /// The OOM/quarantine/journal configuration cannot complete.
     Resilience(ResilienceError),
 }
 
@@ -134,10 +131,9 @@ impl std::error::Error for BatchError {
 /// Constructed only by [`Batch::run_with`]/[`Batch::resume`] after
 /// validation, so backends may rely on: `workers > 0`, `specs.len()`
 /// equals the item count, durations (when present) correspond to specs,
-/// at least one worker survives the fault schedule, every task fault
-/// resolves within the configured lanes (no task exhausts the retry
-/// policy without a quarantine lane to catch it), and `completed` only
-/// names tasks present in `specs`.
+/// at least one worker survives the fault schedule, a quarantine lane
+/// is configured whenever a task runs out of memory on the standard
+/// lane, and `completed` only names tasks present in `specs`.
 pub struct Plan<'a> {
     /// Task descriptions.
     pub specs: &'a [TaskSpec],
@@ -154,10 +150,9 @@ pub struct Plan<'a> {
     pub recorder: &'a Recorder,
     /// Span label for the batch ("batch", "inference", …).
     pub label: &'a str,
-    /// Retry policy applied per task, per lane.
-    pub retry: RetryPolicy,
-    /// Task-level fault schedule (empty = no task failures).
-    pub task_faults: &'a [TaskFault],
+    /// Ids of the tasks that run out of memory on the standard lane
+    /// (empty = no task fails).
+    pub oom: &'a [String],
     /// Quarantine lane width: workers in the high-memory rerun pass,
     /// numbered `workers..workers + quarantine_workers`.
     pub quarantine_workers: Option<usize>,
@@ -193,8 +188,8 @@ pub struct BatchOutcome<O> {
     pub requeued: usize,
     /// Workers that died under the fault schedule.
     pub deaths: usize,
-    /// Tasks that exhausted standard-lane retries and completed in the
-    /// quarantine rerun pass.
+    /// Tasks that ran out of memory on the standard lane and completed
+    /// in the quarantine rerun pass.
     pub quarantined: usize,
     /// Wall/virtual seconds the quarantine pass added after the standard
     /// lane drained (0 when nothing was quarantined).
@@ -204,7 +199,8 @@ pub struct BatchOutcome<O> {
 }
 
 impl<O> BatchOutcome<O> {
-    /// Total failed executions across all tasks (`Σ (attempts - 1)`).
+    /// Total failed executions across all tasks (`Σ (attempts - 1)`):
+    /// one burned standard-lane attempt per quarantined task.
     #[must_use]
     pub fn retries(&self) -> usize {
         self.records
@@ -358,8 +354,8 @@ pub trait Executor {
 /// builder.
 ///
 /// Defaults: 1 worker, [`OrderingPolicy::Fifo`], no faults, no explicit
-/// durations, telemetry disabled, span label `"batch"`, no retries, no
-/// quarantine lane, no journal.
+/// durations, telemetry disabled, span label `"batch"`, no OOM tasks,
+/// no quarantine lane, no journal.
 #[derive(Clone)]
 pub struct Batch<'a> {
     specs: Cow<'a, [TaskSpec]>,
@@ -369,8 +365,7 @@ pub struct Batch<'a> {
     durations: Option<&'a [f64]>,
     recorder: &'a Recorder,
     label: &'a str,
-    retry: RetryPolicy,
-    task_faults: &'a [TaskFault],
+    oom: &'a [String],
     quarantine_workers: Option<usize>,
     journal: Option<&'a Journal>,
     progress: Option<usize>,
@@ -401,8 +396,7 @@ impl<'a> Batch<'a> {
             durations: None,
             recorder: Recorder::disabled(),
             label: "batch",
-            retry: RetryPolicy::none(),
-            task_faults: &[],
+            oom: &[],
             quarantine_workers: None,
             journal: None,
             progress: None,
@@ -454,25 +448,20 @@ impl<'a> Batch<'a> {
         self
     }
 
-    /// Bound attempts per task per lane and insert deterministic capped
-    /// backoff between them.
+    /// Name the tasks that run out of memory on the standard lane: each
+    /// runs once on its standard worker, burns that attempt, and
+    /// completes in the quarantine lane (both backends honor it
+    /// identically).
     #[must_use]
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
+    pub fn oom(mut self, task_ids: &'a [String]) -> Self {
+        self.oom = task_ids;
         self
     }
 
-    /// Attach a task-level fault schedule (transient and OOM-shaped
-    /// failures; both backends honor it identically).
-    #[must_use]
-    pub fn task_faults(mut self, task_faults: &'a [TaskFault]) -> Self {
-        self.task_faults = task_faults;
-        self
-    }
-
-    /// Configure the quarantine lane: tasks that exhaust standard-lane
-    /// retries are collected and re-run in a second pass on `workers`
-    /// wider-memory workers (ids `workers..workers + quarantine`).
+    /// Configure the quarantine lane: tasks that run out of memory on
+    /// the standard lane are collected and re-run in a second pass on
+    /// `workers` wider-memory workers (ids `workers..workers +
+    /// quarantine`).
     #[must_use]
     pub fn quarantine(mut self, workers: usize) -> Self {
         self.quarantine_workers = Some(workers);
@@ -537,28 +526,13 @@ impl<'a> Batch<'a> {
         if self.progress == Some(0) {
             return Err(BatchError::InvalidProgress);
         }
-        // The fault schedule is a pure function of the description, so a
-        // task doomed to exhaust every configured lane is rejected here —
-        // executors may assume every scheduled task eventually succeeds.
-        let fault_plan = FaultPlan::new(self.task_faults, self.retry);
-        for spec in self.specs.iter() {
-            if fault_plan.pass(&spec.id, Lane::Standard, 0) != PassOutcome::Exhausts {
-                continue;
-            }
-            let burned = self.retry.max_attempts;
-            if self.quarantine_workers.is_none() {
+        // An OOM task with no lane to rerun it could never complete, so
+        // it is rejected here — executors may assume every scheduled
+        // task eventually succeeds.
+        if self.quarantine_workers.is_none() {
+            if let Some(spec) = self.specs.iter().find(|s| self.oom.contains(&s.id)) {
                 return Err(ResilienceError::TaskExhausted {
                     task: spec.id.clone(),
-                    attempts: burned,
-                    quarantine_configured: false,
-                }
-                .into());
-            }
-            if fault_plan.pass(&spec.id, Lane::HighMemory, burned) == PassOutcome::Exhausts {
-                return Err(ResilienceError::TaskExhausted {
-                    task: spec.id.clone(),
-                    attempts: 2 * burned,
-                    quarantine_configured: true,
                 }
                 .into());
             }
@@ -571,8 +545,7 @@ impl<'a> Batch<'a> {
             durations: self.durations,
             recorder: self.recorder,
             label: self.label,
-            retry: self.retry,
-            task_faults: self.task_faults,
+            oom: self.oom,
             quarantine_workers: self.quarantine_workers,
             journal: self.journal,
             progress: self.progress,
@@ -671,8 +644,8 @@ pub(crate) struct Ran {
     pub worker: usize,
     pub start: f64,
     pub end: f64,
-    /// Seconds of the interval charged as busy (the simulator leaves
-    /// retry backoff out; wall-clocked intervals charge all of it).
+    /// Seconds of the interval charged as busy: the modeled duration on
+    /// the simulator, `end - start` on the wall clock.
     pub busy: f64,
 }
 
@@ -699,9 +672,9 @@ pub(crate) struct Ledger<'a, O> {
     outputs: Vec<Option<O>>,
     worker_busy: Vec<f64>,
     worker_finish: Vec<f64>,
-    /// Tasks that burned the current lane's attempt budget, in burn
-    /// order; the frame drains it into the next lane's queue.
-    pub(crate) exhausted: Vec<usize>,
+    /// Tasks that ran out of memory in the current lane, in burn order;
+    /// the frame drains it into the next lane's queue.
+    pub(crate) burned: Vec<usize>,
 }
 
 impl<'a, O> Ledger<'a, O> {
@@ -714,7 +687,7 @@ impl<'a, O> Ledger<'a, O> {
             outputs: (0..n).map(|_| None).collect(),
             worker_busy: vec![0.0; lanes],
             worker_finish: vec![0.0; lanes],
-            exhausted: Vec::new(),
+            burned: Vec::new(),
         }
     }
 
@@ -750,12 +723,12 @@ impl<'a, O> Ledger<'a, O> {
         self.outputs[idx] = out;
     }
 
-    /// Task `idx` burned its whole attempt budget on `ran.worker` and
-    /// completed nowhere: the occupancy is charged and the task moves
-    /// to the next lane.
+    /// Task `idx` ran out of memory on `ran.worker` and completed
+    /// nowhere: the occupancy is charged and the task moves to the next
+    /// lane.
     pub(crate) fn burn(&mut self, idx: usize, ran: Ran) {
         self.charge(ran);
-        self.exhausted.push(idx);
+        self.burned.push(idx);
     }
 
     /// Whether task `idx` already has an output (a replayed resume).
@@ -777,11 +750,18 @@ pub(crate) struct PassParams<'a> {
     /// When the lane's workers become free (virtual backends).
     pub start_at: f64,
     pub lane: Lane,
-    /// Failed executions each task burned in earlier lanes.
-    pub prior_failures: u32,
     /// `worker id → tasks_before_death` (first fault per worker wins).
     pub budgets: &'a BTreeMap<usize, usize>,
-    pub fault_plan: &'a FaultPlan<'a>,
+    /// Ids of the tasks that run out of memory on the standard lane.
+    pub oom: &'a BTreeSet<&'a str>,
+}
+
+impl PassParams<'_> {
+    /// Whether task `idx` runs out of memory in this lane: an OOM task
+    /// does on the standard lane and never on the high-memory one.
+    pub fn ooms(&self, idx: usize) -> bool {
+        self.lane == Lane::Standard && self.oom.contains(self.specs[idx].id.as_str())
+    }
 }
 
 /// What one lane reports back, beyond what it wrote to the [`Ledger`].
@@ -794,7 +774,7 @@ pub(crate) struct PassResult {
 }
 
 /// The frozen path, once for every backend: prepare, run the standard
-/// lane, run the high-memory rerun lane when tasks exhausted it,
+/// lane, run the high-memory rerun lane when tasks ran out of memory,
 /// assemble the outcome, close the span. `run_lane` is all a backend
 /// supplies.
 pub(crate) fn run_frozen<I, O, F>(
@@ -817,7 +797,7 @@ where
             &owned_durations
         }
     };
-    let fault_plan = FaultPlan::new(plan.task_faults, plan.retry);
+    let oom: BTreeSet<&str> = plan.oom.iter().map(String::as_str).collect();
     let mut budgets: BTreeMap<usize, usize> = BTreeMap::new();
     for fault in plan.faults {
         budgets
@@ -837,37 +817,32 @@ where
         id_offset: 0,
         start_at: 0.0,
         lane: Lane::Standard,
-        prior_failures: 0,
         budgets: &budgets,
-        fault_plan: &fault_plan,
+        oom: &oom,
     };
     let pass1 = run_lane(&standard, &mut ledger);
-    let exhausted = std::mem::take(&mut ledger.exhausted);
+    let burned = std::mem::take(&mut ledger.burned);
     let mut registered_workers = pass1.registered;
     let mut requeued = pass1.requeued;
     let mut makespan = pass1.makespan;
-    let quarantined = exhausted.len();
+    let quarantined = burned.len();
     if quarantined > 0 {
         // §3.3's dedicated rerun: a fresh high-memory lane, numbered
         // after the standard workers, starts once the standard lane
         // drains.
         let pass2 = run_lane(
             &PassParams {
-                order: &exhausted,
+                order: &burned,
                 workers: q_width,
                 id_offset: plan.workers,
                 start_at: pass1.makespan,
                 lane: Lane::HighMemory,
-                prior_failures: plan.retry.max_attempts,
                 budgets: &no_budgets,
                 ..standard
             },
             &mut ledger,
         );
-        debug_assert!(
-            ledger.exhausted.is_empty(),
-            "validation rejects doomed tasks"
-        );
+        debug_assert!(ledger.burned.is_empty(), "no task ooms on high memory");
         requeued += pass2.requeued;
         makespan = makespan.max(pass2.makespan);
         registered_workers.extend(pass2.registered);
@@ -987,17 +962,6 @@ fn close_batch_span<O>(plan: &Plan<'_>, span: SpanId, t0: f64, outcome: &BatchOu
             r.attempts,
         );
     }
-    // Lineage breadcrumbs for retried tasks: the retry-policy backoff
-    // each paid before its successful attempt. The value is a pure
-    // function of the attempt count and the plan's policy, and the
-    // emission order is task-id order, so the breadcrumb subsequence is
-    // identical across executors regardless of wall-clock noise.
-    let mut retried: Vec<&TaskRecord> = outcome.records.iter().filter(|r| r.attempts > 1).collect();
-    retried.sort_by(|a, b| a.task_id.cmp(&b.task_id));
-    for r in retried {
-        let backoff = plan.retry.backoff_before_success(r.attempts - 1);
-        summitfold_obs::lineage::retry_backoff(rec, &r.task_id, backoff);
-    }
     if let Some(every) = plan.progress {
         emit_progress(plan, t0, outcome, every);
     }
@@ -1087,7 +1051,7 @@ fn emit_progress<O>(plan: &Plan<'_>, t0: f64, outcome: &BatchOutcome<O>, every: 
 /// outside `0..lanes` are dropped — callers size `lanes` to include the
 /// quarantine lane when they want it. This is the single grouped scan
 /// behind both [`BatchOutcome::worker_timelines`] and
-/// [`per_worker_stats`], so the Gantt view and the load-balance stats
+/// `per_worker_stats`, so the Gantt view and the load-balance stats
 /// can never disagree about which records belong to a worker.
 #[must_use]
 pub fn group_by_worker(records: &[TaskRecord], lanes: usize) -> Vec<Vec<&TaskRecord>> {
@@ -1352,45 +1316,29 @@ mod tests {
     #[test]
     fn doomed_tasks_are_rejected_up_front() {
         let s = specs(3);
-        // OOM fault with no quarantine lane: typed error, and it `?`s.
-        let faults = [crate::retry::TaskFault::oom("t1")];
+        // OOM task with no quarantine lane: typed error, and it `?`s.
+        let oom = ["t1".to_owned()];
         let err = Batch::new(&s)
             .workers(2)
-            .task_faults(&faults)
+            .oom(&oom)
             .run(&VirtualExecutor::new(0.0))
             .unwrap_err();
-        match &err {
-            BatchError::Resilience(ResilienceError::TaskExhausted {
-                task,
-                quarantine_configured,
-                ..
-            }) => {
-                assert_eq!(task, "t1");
-                assert!(!quarantine_configured);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(
+            err,
+            BatchError::Resilience(ResilienceError::TaskExhausted { task: "t1".into() })
+        );
         assert!(err.to_string().contains("no quarantine lane"));
         use std::error::Error as _;
         assert!(err.source().is_some(), "Resilience wraps its source");
 
-        // A transient fault too deep for both lanes is doomed even with
-        // quarantine configured.
-        let faults = [crate::retry::TaskFault::transient("t0", 10)];
-        let err = Batch::new(&s)
+        // The same task with a quarantine lane completes there.
+        let ok = Batch::new(&s)
             .workers(2)
-            .task_faults(&faults)
-            .retry(crate::retry::RetryPolicy::new(2, 0.0, 0.0))
+            .oom(&oom)
             .quarantine(1)
             .run(&VirtualExecutor::new(0.0))
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            BatchError::Resilience(ResilienceError::TaskExhausted {
-                quarantine_configured: true,
-                ..
-            })
-        ));
+            .unwrap();
+        assert_eq!(ok.quarantined, 1);
 
         // A zero-width quarantine lane can never drain.
         let err = Batch::new(&s)

@@ -1,21 +1,33 @@
-//! Fault-tolerant execution: workers can die mid-batch and their
-//! in-flight tasks are re-queued.
+//! Failure shapes: workers that die mid-batch, tasks that run out of
+//! memory on the standard lane, and the typed errors of the resilience
+//! layer.
 //!
 //! §3.3 notes that over-large proteins "will have failed to process" and
 //! were re-run on high-memory nodes — failed work re-enters the queue
 //! rather than killing the batch. Dask behaves the same way when a worker
-//! is lost. Both executors model the semantics: attach a [`WorkerFault`]
-//! schedule with [`crate::exec::Batch::faults`] and a worker that dies
-//! between pulling and completing a task returns it to the queue
-//! (exactly-once *completion*, at-least-once execution), and the batch
-//! drains on the survivors — [`crate::real::ThreadExecutor`] on the wall
-//! clock, [`crate::sim::VirtualExecutor`] in virtual time, agreeing on
-//! deaths, requeues, and per-worker task counts (`tests/chaos.rs` pins
-//! the cross-executor agreement). A fault naming a worker outside
-//! `0..workers` is rejected at plan time with
-//! [`crate::exec::BatchError::FaultWorkerOutOfRange`]. Task-level
-//! failure shapes (a task that fails rather than a worker that dies)
-//! live in [`crate::retry`].
+//! is lost. Both executors model the two shapes:
+//!
+//! * **worker deaths** — attach a [`WorkerFault`] schedule with
+//!   [`crate::exec::Batch::faults`] and a worker that dies between
+//!   pulling and completing a task returns it to the queue
+//!   (exactly-once *completion*, at-least-once execution), and the batch
+//!   drains on the survivors — [`crate::real::ThreadExecutor`] on the
+//!   wall clock, [`crate::sim::VirtualExecutor`] in virtual time,
+//!   agreeing on deaths, requeues, and per-worker task counts
+//!   (`tests/chaos.rs` pins the cross-executor agreement). A fault naming
+//!   a worker outside `0..workers` is rejected at plan time with
+//!   [`crate::exec::BatchError::FaultWorkerOutOfRange`];
+//! * **out-of-memory tasks** — the ids given to [`crate::exec::Batch::oom`]
+//!   run once on their [`Lane::Standard`] worker, burn that attempt, and
+//!   complete on the [`Lane::HighMemory`] rerun lane
+//!   ([`crate::exec::Batch::quarantine`]). That is the only way a task
+//!   fails, so its attempt count follows from the lane it completes in
+//!   ([`Lane::attempts`]). A batch with an OOM task and no rerun lane is
+//!   rejected up front with [`ResilienceError::TaskExhausted`], so
+//!   executors may assume every scheduled task eventually succeeds.
+
+use crate::journal::JournalEntry;
+use crate::task::TaskRecord;
 
 /// A worker-death schedule: worker `w` dies after completing
 /// `tasks_before_death` tasks (the next task it pulls is abandoned and
@@ -26,6 +38,94 @@ pub struct WorkerFault {
     pub worker: usize,
     /// Tasks the worker completes before dying.
     pub tasks_before_death: usize,
+}
+
+/// Which worker profile a pass runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lane {
+    /// The batch's normal worker pool.
+    Standard,
+    /// The wider-memory rerun pool (§3.3's dedicated high-memory nodes).
+    HighMemory,
+}
+
+impl Lane {
+    /// Executions a task has made when it completes in this lane: 1 on
+    /// the standard lane, 2 on the high-memory lane (the burned
+    /// standard-lane attempt plus the rerun).
+    #[must_use]
+    pub fn attempts(self) -> u32 {
+        match self {
+            Self::Standard => 1,
+            Self::HighMemory => 2,
+        }
+    }
+}
+
+/// Why a resilient batch could not run or resume.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ResilienceError {
+    /// A task runs out of memory on the standard lane and no quarantine
+    /// lane is configured to rerun it.
+    TaskExhausted {
+        /// The doomed task's id.
+        task: String,
+    },
+    /// A journal entry names a task absent from the batch's specs.
+    UnknownJournalTask {
+        /// The unrecognized task id.
+        task: String,
+    },
+    /// A journal entry disagrees with the record the batch description
+    /// re-derives for that task — the journal came from a different
+    /// batch (or a different backend kind).
+    JournalDiverged {
+        /// The disagreeing task's id.
+        task: String,
+    },
+    /// A journal line could not be parsed.
+    Journal {
+        /// 1-based line number.
+        line: usize,
+        /// What was wrong.
+        message: String,
+    },
+}
+
+impl std::fmt::Display for ResilienceError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::TaskExhausted { task } => write!(
+                f,
+                "task '{task}' runs out of memory on the standard lane and no quarantine lane is configured"
+            ),
+            Self::UnknownJournalTask { task } => {
+                write!(f, "journal names task '{task}' not present in the batch")
+            }
+            Self::JournalDiverged { task } => write!(
+                f,
+                "journal entry for task '{task}' disagrees with the batch description"
+            ),
+            Self::Journal { line, message } => {
+                write!(f, "journal line {line}: {message}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ResilienceError {}
+
+/// Whether a journal entry matches a re-derived record exactly (task,
+/// worker, times, attempts). Times compare bit-for-bit: deterministic
+/// re-simulation reproduces them; wall-clock resumes replay the entry
+/// verbatim instead of re-deriving it.
+#[must_use]
+pub fn entry_matches_record(entry: &JournalEntry, record: &TaskRecord) -> bool {
+    entry.task == record.task_id
+        && entry.worker == record.worker_id
+        && entry.start == record.start
+        && entry.end == record.end
+        && entry.attempts == record.attempts
 }
 
 #[cfg(test)]
@@ -142,25 +242,45 @@ mod tests {
 
     #[test]
     fn worker_deaths_compose_with_task_retries() {
-        // A dying worker and a transiently failing task in the same
-        // batch: the batch still drains and the attempt count survives.
+        // A dying worker and an out-of-memory task in the same batch: the
+        // batch still drains and the rerun's attempt count survives.
         let n = 60;
         let faults = [WorkerFault {
             worker: 0,
             tasks_before_death: 2,
         }];
-        let task_faults = [crate::retry::TaskFault::transient("t7", 1)];
+        let oom = ["t7".to_owned()];
         let items: Vec<usize> = (0..n).collect();
         let r = Batch::new(&specs(n))
             .workers(3)
             .faults(&faults)
-            .task_faults(&task_faults)
-            .retry(crate::retry::RetryPolicy::new(2, 0.0, 0.0))
+            .oom(&oom)
+            .quarantine(1)
             .run_with(&ThreadExecutor, &items, slow_double)
             .unwrap();
         assert_eq!(r.outputs, (0..n).map(|x| x * 2).collect::<Vec<_>>());
         assert_eq!(r.deaths, 1);
         let t7 = r.records.iter().find(|rec| rec.task_id == "t7").unwrap();
         assert_eq!(t7.attempts, 2);
+        assert_eq!(t7.worker_id, 3, "rerun on the high-memory lane");
+    }
+
+    #[test]
+    fn errors_render_usefully() {
+        let msgs = [
+            ResilienceError::TaskExhausted { task: "t".into() }.to_string(),
+            ResilienceError::UnknownJournalTask { task: "x".into() }.to_string(),
+            ResilienceError::JournalDiverged { task: "x".into() }.to_string(),
+            ResilienceError::Journal {
+                line: 3,
+                message: "bad".into(),
+            }
+            .to_string(),
+        ];
+        assert!(msgs[0].contains("no quarantine lane"));
+        assert!(msgs[3].contains("line 3"));
+        for m in &msgs {
+            assert!(!m.is_empty());
+        }
     }
 }

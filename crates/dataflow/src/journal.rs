@@ -27,8 +27,8 @@
 //! `dataflow/journal_torn` counter. The journal shares the rule, not the
 //! sealing: its lines stay unsealed.
 
+use crate::fault::ResilienceError;
 use crate::log::complete_lines;
-use crate::retry::ResilienceError;
 use crate::sync::lock;
 use std::collections::BTreeMap;
 use std::sync::Mutex;

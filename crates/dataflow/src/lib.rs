@@ -36,16 +36,15 @@
 //! JSONL trace.
 //!
 //! On top of the scheduling core sits the resilience layer (§3.3's
-//! failure handling): a per-task [`retry::RetryPolicy`] with capped
-//! deterministic backoff, a [`retry::TaskFault`] model (transient vs
-//! OOM-shaped failures) alongside the worker-death schedule, a
-//! *quarantine lane* that re-runs retry-exhausted tasks on a wider-memory
-//! worker profile, and a [`journal::Journal`] checkpoint (append-only
-//! JSONL) that lets `exec::Batch::resume` restart a killed batch
-//! executing only unfinished tasks. Both backends share the same fault
-//! arithmetic, so attempt counts agree executor-to-executor. The
+//! failure handling), in [`fault`]: a worker-death schedule
+//! ([`fault::WorkerFault`]), out-of-memory tasks that burn one attempt
+//! on the standard lane and complete on a *quarantine lane* of
+//! wider-memory workers, and a [`journal::Journal`] checkpoint
+//! (append-only JSONL) that lets `exec::Batch::resume` restart a killed
+//! batch executing only unfinished tasks. Both backends run the same
+//! lane sequence, so attempt counts agree executor-to-executor. The
 //! [`chaos`] module extends the schedule below the executors: a
-//! [`chaos::FaultPlan`] adds deterministic *I/O* faults (torn writes,
+//! [`chaos::FaultPlan`] of deterministic *I/O* faults (torn writes,
 //! bit flips, failed puts, kills at named code points) that the store
 //! and the folding service observe through a shared [`chaos::IoFaults`]
 //! handle, making crash/corruption recovery a seeded, replayable test.
@@ -66,7 +65,6 @@ pub mod journal;
 pub mod log;
 pub mod policy;
 pub mod real;
-pub mod retry;
 pub mod sim;
 pub mod source;
 pub mod stats;
@@ -75,10 +73,10 @@ pub mod task;
 
 pub use chaos::{IoFault, IoFaultKind, IoFaults, WriteOutcome};
 pub use exec::{Batch, BatchError, BatchOutcome, Executor};
+pub use fault::ResilienceError;
 pub use journal::{Journal, JournalEntry};
 pub use policy::OrderingPolicy;
-pub use retry::{ResilienceError, RetryPolicy, TaskFault, TaskFaultKind};
 pub use source::{
-    ClassConfig, DispatchEntry, Dispatched, LiveRun, Pull, SubmissionQueue, SubmitError, TaskSource,
+    ClassConfig, DispatchEntry, LiveRun, Pull, SubmissionQueue, SubmitError, TaskSource,
 };
 pub use task::{TaskRecord, TaskSpec};

@@ -8,7 +8,7 @@
 //!   is not a record, whether or not the bytes before the missing
 //!   newline parse. [`Log::open`] drops it from replay *and* truncates it
 //!   on disk before anything appends, so what a process folds into
-//!   memory is exactly the bytes it leaves behind. [`complete_lines`] is
+//!   memory is exactly the bytes it leaves behind. `complete_lines` is
 //!   the rule as a pure function; the in-memory checkpoint
 //!   [`Journal`](crate::journal::Journal) parses with it too.
 //! * **Seals as data.** Every recovered line carries its [`Seal`]

@@ -24,10 +24,10 @@
 //! * **racing threads, not a heap** — workers pull from a mutex-guarded
 //!   deque; a dying worker (see [`crate::fault`]) re-queues its pull and
 //!   exits, and the survivors drain the queue;
-//! * **really executed faults** — per the task-level model in
-//!   [`crate::retry`], failed attempts re-execute the closure, backoff
-//!   delays sleep, and retry-exhausted tasks burn their whole budget on
-//!   the worker before the frame hands them to the high-memory lane;
+//! * **really executed faults** — an out-of-memory task (see
+//!   [`crate::fault`]) really runs the closure once on its standard
+//!   worker, the result is discarded, and the frame hands the task to
+//!   the high-memory lane;
 //! * **resume replays the journal verbatim** — wall-clock times cannot
 //!   be re-derived, so journaled records go back into the ledger as
 //!   written (outputs recomputed inline) and only the remainder runs
@@ -37,7 +37,7 @@ use crate::exec::{
     finish_live, run_frozen, BatchOutcome, Executor, Ledger, LiveDrain, LivePlan, PassParams,
     PassResult, Plan, Ran,
 };
-use crate::retry::{Lane, PassOutcome};
+use crate::fault::Lane;
 use crate::source::{Pull, SubmissionQueue};
 use crate::sync::lock;
 use crate::task::{TaskRecord, TaskSpec};
@@ -53,9 +53,9 @@ fn sleep_secs(s: f64) {
 }
 
 /// One lane on OS threads: `p.workers` workers drain `p.order` through a
-/// shared deque, wall-clocked from `epoch`. Failed attempts really
-/// re-execute `f` (results discarded) and backoff delays really sleep on
-/// the worker; completions and burns go to the shared ledger behind the
+/// shared deque, wall-clocked from `epoch`. A task that runs out of
+/// memory in the lane really executes `f` once and its result is
+/// discarded; completions and burns go to the shared ledger behind the
 /// lane's one mutex.
 fn run_lane<I, O, F>(
     p: &PassParams<'_>,
@@ -70,7 +70,6 @@ where
     F: Fn(&TaskSpec, &I) -> O + Sync,
 {
     let now = || epoch.elapsed().as_secs_f64();
-    let retry = p.fault_plan.policy();
     // The scheduler queue: pending task indices in lane order, minus what
     // a resume already replayed into the ledger. The whole lane is
     // enqueued before any worker starts; workers drain the deque until
@@ -115,35 +114,14 @@ where
                     requeued.fetch_add(1, Ordering::Relaxed);
                     return;
                 }
-                let run = || f(&p.specs[idx], &items[idx]);
                 let start = now();
-                match p
-                    .fault_plan
-                    .pass(&p.specs[idx].id, p.lane, p.prior_failures)
-                {
-                    PassOutcome::Succeeds { failures } => {
-                        for i in 1..=failures {
-                            let _ = run();
-                            sleep_secs(retry.backoff_after(i));
-                        }
-                        let out = run();
-                        let ran = Ran::new(worker_id, start, now());
-                        let attempts = p.prior_failures + failures + 1;
-                        lock(&ledger).complete(idx, ran, attempts, Some(out));
-                        completed += 1;
-                    }
-                    PassOutcome::Exhausts => {
-                        // Burn the lane's full attempt budget (sleeping
-                        // between attempts, not after the last), then
-                        // hand the task to the next lane.
-                        for i in 1..=retry.max_attempts {
-                            let _ = run();
-                            if i < retry.max_attempts {
-                                sleep_secs(retry.backoff_after(i));
-                            }
-                        }
-                        lock(&ledger).burn(idx, Ran::new(worker_id, start, now()));
-                    }
+                let out = f(&p.specs[idx], &items[idx]);
+                let ran = Ran::new(worker_id, start, now());
+                if p.ooms(idx) {
+                    lock(&ledger).burn(idx, ran);
+                } else {
+                    lock(&ledger).complete(idx, ran, p.lane.attempts(), Some(out));
+                    completed += 1;
                 }
                 remaining.fetch_sub(1, Ordering::Release);
             }
@@ -156,8 +134,8 @@ where
         });
     }
     // Race-free deterministic rerun order regardless of which worker
-    // exhausted which task first.
-    ledger.exhausted.sort_unstable();
+    // burned which task first.
+    ledger.burned.sort_unstable();
     let registered = std::mem::take(&mut *lock(registered));
     PassResult {
         registered,
@@ -224,10 +202,10 @@ impl Executor for ThreadExecutor {
                 loop {
                     let now = epoch.elapsed().as_secs_f64();
                     match queue.pull(now) {
-                        Pull::Task(d) => {
+                        Pull::Task(spec) => {
                             let start = epoch.elapsed().as_secs_f64();
                             let end = epoch.elapsed().as_secs_f64();
-                            lock(&records).push(TaskRecord::new(d.spec.id, worker_id, start, end));
+                            lock(&records).push(TaskRecord::new(spec.id, worker_id, start, end));
                         }
                         Pull::Wait(t) => {
                             waits.fetch_add(1, Ordering::Relaxed);
@@ -264,7 +242,6 @@ mod tests {
     use crate::exec::Batch;
     use crate::journal::Journal;
     use crate::policy::OrderingPolicy;
-    use crate::retry::{RetryPolicy, TaskFault};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn specs(n: usize) -> Vec<TaskSpec> {
@@ -401,39 +378,13 @@ mod tests {
     }
 
     #[test]
-    fn transient_failures_reexecute_and_count_attempts() {
-        let s = specs(6);
-        let items = vec![(); 6];
-        let executions = AtomicUsize::new(0);
-        let faults = [TaskFault::transient("t2", 2)];
-        let result = Batch::new(&s)
-            .workers(2)
-            .task_faults(&faults)
-            .retry(RetryPolicy::new(3, 0.001, 0.002))
-            .run_with(&ThreadExecutor, &items, |_, ()| {
-                executions.fetch_add(1, Ordering::Relaxed);
-            })
-            .unwrap();
-        // 5 clean tasks + 3 executions of t2 (2 failures + success).
-        assert_eq!(executions.load(Ordering::Relaxed), 8);
-        let r2 = result.records.iter().find(|r| r.task_id == "t2").unwrap();
-        assert_eq!(r2.attempts, 3);
-        assert!(result
-            .records
-            .iter()
-            .all(|r| r.task_id != "t2" || r.attempts == 3));
-        assert_eq!(result.retries(), 2);
-        assert_eq!(result.quarantined, 0);
-    }
-
-    #[test]
     fn oom_tasks_finish_in_the_quarantine_scope() {
         let s = specs(5);
         let items = vec![(); 5];
-        let faults = [TaskFault::oom("t1"), TaskFault::oom("t3")];
+        let oom = ["t1".to_owned(), "t3".to_owned()];
         let result = Batch::new(&s)
             .workers(2)
-            .task_faults(&faults)
+            .oom(&oom)
             .quarantine(1)
             .run_with(&ThreadExecutor, &items, |_, ()| ())
             .unwrap();

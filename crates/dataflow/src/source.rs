@@ -17,7 +17,7 @@
 //!   accepts: either a frozen `Vec<TaskSpec>` (the classic batch,
 //!   owned instead of borrowed) or a live [`SubmissionQueue`] handle.
 //! * [`LiveRun`] — the builder that validates a live run and drives
-//!   [`Executor::run_live`](crate::exec::Executor::run_live) on either
+//!   [`Executor::run_live`] on either
 //!   backend.
 //! * [`OrderCursor`] — the frozen-path pull cursor: the virtual
 //!   executor's dispatch loop now pulls indices from a cursor rather
@@ -112,21 +112,12 @@ pub struct DispatchEntry {
     pub cost: f64,
 }
 
-/// A task handed out by [`SubmissionQueue::pull`], tagged with the
-/// class it was served from.
-#[derive(Debug, Clone)]
-pub struct Dispatched {
-    /// The task to run.
-    pub spec: TaskSpec,
-    /// Scheduling class it was pulled from.
-    pub class: usize,
-}
-
 /// Outcome of one [`SubmissionQueue::pull`] call.
 #[derive(Debug, Clone)]
 pub enum Pull {
-    /// A task is ready: run it.
-    Task(Dispatched),
+    /// A task is ready: run it. The class it was served from is in the
+    /// dispatch log ([`DispatchEntry::class`]).
+    Task(TaskSpec),
     /// Nothing is due yet, but a submission arrives at the contained
     /// time (strictly later than the `now` passed to `pull`). Virtual
     /// executors advance their clock to it; wall executors sleep.
@@ -342,10 +333,7 @@ impl SubmissionQueue {
                 task_id: head.spec.id.clone(),
                 cost: head.spec.cost_hint,
             });
-            return Pull::Task(Dispatched {
-                spec: head.spec,
-                class: id,
-            });
+            return Pull::Task(head.spec);
         }
         if next_arrival.is_finite() && next_arrival > now {
             return Pull::Wait(next_arrival);
@@ -505,7 +493,7 @@ mod tests {
         let mut now = 0.0;
         loop {
             match q.pull(now) {
-                Pull::Task(d) => out.push(d.spec.id),
+                Pull::Task(spec) => out.push(spec.id),
                 Pull::Wait(t) => now = t,
                 Pull::Pending | Pull::Drained => return out,
             }
@@ -538,12 +526,12 @@ mod tests {
                 .unwrap();
         }
         q.close();
-        let mut served = [0usize; 2];
         for _ in 0..60 {
-            match q.pull(0.0) {
-                Pull::Task(d) => served[d.class] += 1,
-                other => panic!("unexpected {other:?}"),
-            }
+            assert!(matches!(q.pull(0.0), Pull::Task(_)));
+        }
+        let mut served = [0usize; 2];
+        for e in q.dispatch_log() {
+            served[e.class] += 1;
         }
         // 2:1 split over any prefix, within one dispatch of exact.
         assert!((served[0] as i64 - 40).abs() <= 1, "{served:?}");
@@ -575,7 +563,7 @@ mod tests {
         q.submit(0, 0.0, [spec("early", 1.0)]).unwrap();
         q.close();
         match q.pull(0.0) {
-            Pull::Task(d) => assert_eq!(d.spec.id, "early"),
+            Pull::Task(spec) => assert_eq!(spec.id, "early"),
             other => panic!("unexpected {other:?}"),
         }
         match q.pull(0.0) {
@@ -583,7 +571,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         match q.pull(10.0) {
-            Pull::Task(d) => assert_eq!(d.spec.id, "late"),
+            Pull::Task(spec) => assert_eq!(spec.id, "late"),
             other => panic!("unexpected {other:?}"),
         }
         assert!(matches!(q.pull(10.0), Pull::Drained));

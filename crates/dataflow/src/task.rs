@@ -35,13 +35,13 @@ pub struct TaskRecord {
     /// Worker that executed the task.
     pub worker_id: usize,
     /// Start time (seconds since batch start; wall-clock for the real
-    /// executor, virtual for the simulator). For retried tasks this is
-    /// the start of the *first* attempt on the completing lane.
+    /// executor, virtual for the simulator). For a quarantine rerun this
+    /// is the start of the high-memory attempt.
     pub start: f64,
     /// End time of the successful attempt (same clock).
     pub end: f64,
-    /// Executions including the successful one (1 = first-try success;
-    /// retries and quarantine reruns push it higher).
+    /// Executions including the successful one: 1 on the standard lane,
+    /// 2 after the high-memory rerun of a task that ran out of memory.
     pub attempts: u32,
 }
 
@@ -58,8 +58,8 @@ impl TaskRecord {
         }
     }
 
-    /// Task occupancy in seconds (includes retry attempts and backoff on
-    /// the completing lane).
+    /// Task occupancy in seconds on the completing lane (a burned
+    /// standard-lane attempt is charged to its own worker, not here).
     #[must_use]
     pub fn duration(&self) -> f64 {
         self.end - self.start

@@ -9,7 +9,7 @@
 //!
 //! [`FoldingService`] composes three existing layers:
 //!
-//! * a [`SubmissionQueue`](summitfold_dataflow::SubmissionQueue) with
+//! * a [`SubmissionQueue`] with
 //!   one scheduling class per tenant (weight + priority from the
 //!   [`TenantSpec`]), drained by either executor through
 //!   [`Executor::run_live`](summitfold_dataflow::Executor);
@@ -173,8 +173,8 @@ pub struct ServiceConfig {
     pub max_queue_depth: usize,
     /// Span label for the run's trace.
     pub label: String,
-    /// Optional result store shared by every [`cached`]
-    /// (TenantSpec::cached) tenant. `None` (the default) disables
+    /// Optional result store shared by every
+    /// [`cached`](TenantSpec::cached) tenant. `None` (the default) disables
     /// caching service-wide and leaves behavior — including the
     /// telemetry trace — exactly as before the store existed.
     pub store: Option<Arc<Store>>,
@@ -841,9 +841,9 @@ impl FoldingService {
     /// admission time — no queue slot, no quota reservation, no charge
     /// — and only the misses are enqueued.
     ///
-    /// Admission is atomic: on any rejection ([`quota`]
-    /// (ServiceError::QuotaExceeded), [backpressure]
-    /// (ServiceError::Saturated), queue errors) nothing is enqueued,
+    /// Admission is atomic: on any rejection
+    /// ([`quota`](ServiceError::QuotaExceeded),
+    /// [backpressure](ServiceError::Saturated), queue errors) nothing is enqueued,
     /// nothing is reserved, no hit is settled, and the rejection is
     /// counted.
     pub fn submit(

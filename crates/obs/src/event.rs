@@ -22,15 +22,15 @@
 //! start* — exactly the numbers the paper's per-task statistics CSV
 //! carries — so CSV and Gantt artifacts regenerate byte-identically from
 //! a trace. `attempts` counts executions of the task including the
-//! successful one (1 = first-try success; retries and quarantine reruns
-//! push it higher). Numbers are written with Rust's shortest-round-trip
+//! successful one (1 = first-try success, 2 = a quarantine rerun after a
+//! burned standard-lane attempt). Numbers are written with Rust's shortest-round-trip
 //! `f64` formatting via [`crate::json::ObjectWriter`], so parsing a trace
 //! recovers every value exactly.
 //!
 //! `lineage` events are the causal breadcrumbs of one task's journey
 //! through the system (admission, WAL append, cache lookup outcome,
-//! retry backoff, settlement). Their `name` follows the `lineage/<phase>`
-//! grammar and is emitted only by the helpers in [`crate::lineage`], so
+//! settlement). Their `name` follows the `lineage/<phase>` grammar and
+//! is emitted only by the helpers in [`crate::lineage`], so
 //! both executors produce identical lineage streams by construction.
 //! Like `task` events they carry attribution, not clock progress:
 //! analysis views exclude them from makespan and diff metrics.

@@ -152,8 +152,8 @@ impl ObjectWriter {
 
     /// Close the object with a trailing `sum` checksum field.
     ///
-    /// The checksum is [`fnv64`] over the line exactly as [`finish`]
-    /// (Self::finish) would have produced it, written as 16 lowercase hex
+    /// The checksum is [`fnv64`] over the line exactly as
+    /// [`finish`](Self::finish) would have produced it, written as 16 lowercase hex
     /// digits (a string field: the parser reads numbers as `f64`, which
     /// cannot carry 64 bits). [`check_seal`] inverts this.
     #[must_use]

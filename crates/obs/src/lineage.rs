@@ -8,12 +8,12 @@
 //! causally-linked `lineage/*` breadcrumbs into three views:
 //!
 //! * [`journeys_of`] — one [`Journey`] per task: admission, WAL append,
-//!   cache lookup outcome, every execution (retries, quarantine reruns,
-//!   rows that never completed), and settlement, on one absolute timeline;
+//!   cache lookup outcome, every execution (quarantine reruns, rows that
+//!   never completed), and settlement, on one absolute timeline;
 //! * [`critical_path_of`] — the dependency-ordered chain of task
 //!   intervals whose durations plus waits telescope exactly to the
 //!   campaign makespan, with a per-category breakdown (queue-wait vs
-//!   compute vs retry vs cache);
+//!   compute vs cache);
 //! * [`imbalance_of`] — per-worker busy/idle/finish attribution with
 //!   Gini and coefficient-of-variation imbalance coefficients and the
 //!   top-k straggler tasks, each with its journey breakdown.
@@ -34,13 +34,10 @@
 //! | `lineage/cache_hit`      | cache lookup resolved (clock seconds)    |
 //! | `lineage/cache_near_hit` | cache lookup resolved (clock seconds)    |
 //! | `lineage/cache_miss`     | cache lookup resolved (clock seconds)    |
-//! | `lineage/retry_backoff`  | **policy backoff seconds** before success|
 //!
-//! `lineage/retry_backoff` is the one duration-valued phase: its `t` is
-//! the retry-policy wait the task paid before its successful attempt, a
-//! number that is a pure function of the task's attempt count and the
-//! batch's retry policy — and therefore identical across executors,
-//! where an instant would be wall-clock noise on the thread backend.
+//! Any other phase — a future extension, or the legacy retry breadcrumb
+//! older traces carry for rerun tasks — parses and carries no journey
+//! field.
 //!
 //! # Executor equivalence
 //!
@@ -50,8 +47,8 @@
 //! the committed fig2 trace and both reports byte for byte). The thread
 //! backend measures wall time with racy worker assignment, so its
 //! *timings* differ run to run; the executor-invariant projection —
-//! task set, attempts, lineage breadcrumb structure, retry-backoff
-//! values — is identical by construction, and the canonical attribution
+//! task set, attempts, lineage breadcrumb structure — is identical by
+//! construction, and the canonical attribution
 //! basis for a thread-run campaign is its deterministic virtual replay
 //! of the same plan.
 //!
@@ -104,12 +101,6 @@ pub fn cache_near_hit(rec: &Recorder, task: &str, t: f64) {
 /// A cache lookup resolved to a miss at `t`.
 pub fn cache_miss(rec: &Recorder, task: &str, t: f64) {
     rec.lineage("lineage/cache_miss", task, t);
-}
-
-/// The task retried; `backoff_s` is the policy backoff it paid before
-/// the successful attempt (duration-valued — see the module docs).
-pub fn retry_backoff(rec: &Recorder, task: &str, backoff_s: f64) {
-    rec.lineage("lineage/retry_backoff", task, backoff_s);
 }
 
 /// Outcome of a task's content-addressed cache lookup.
@@ -171,11 +162,8 @@ pub struct Journey {
     pub settled_t: Option<f64>,
     /// Cache lookup outcome and the instant it resolved.
     pub cache: Option<(CacheOutcome, f64)>,
-    /// Exact retry-policy backoff the task paid (0 when it never
-    /// retried or the policy has no backoff).
-    pub retry_backoff_s: f64,
-    /// Executions in recorded order (completed, retried, quarantine
-    /// reruns, and cancelled rows that never completed).
+    /// Executions in recorded order (completed, quarantine reruns, and
+    /// cancelled rows that never completed).
     pub executions: Vec<Execution>,
 }
 
@@ -184,21 +172,6 @@ impl Journey {
     #[must_use]
     pub fn compute_s(&self) -> f64 {
         self.completed().map(Execution::duration).sum()
-    }
-
-    /// Retry overhead inside the completed executions, in seconds.
-    ///
-    /// A task row folds its failed attempts and backoffs into one
-    /// interval, so the exact split is not recoverable from the trace;
-    /// the estimate charges `(attempts - 1) / attempts` of each retried
-    /// execution to retries. [`Journey::retry_backoff_s`] carries the
-    /// exact policy-wait component separately.
-    #[must_use]
-    pub fn retry_s(&self) -> f64 {
-        self.completed()
-            .filter(|e| e.attempts > 1)
-            .map(|e| e.duration() * f64::from(e.attempts - 1) / f64::from(e.attempts))
-            .sum()
     }
 
     /// Seconds between admission and first execution start, if both are
@@ -272,10 +245,8 @@ impl Journey {
                 w.null_field("cache_t");
             }
         }
-        w.num_field("retry_backoff_s", self.retry_backoff_s);
         opt_num(&mut w, "queue_wait_s", self.queue_wait_s());
         w.num_field("compute_s", self.compute_s());
-        w.num_field("retry_s", self.retry_s());
         opt_num(&mut w, "settle_lag_s", self.settle_lag_s());
         w.int_field("cancelled_executions", self.cancelled_executions() as u64);
         let execs: Vec<String> = self
@@ -327,13 +298,6 @@ impl Journey {
                     e.attempts
                 );
             }
-        }
-        if self.retry_backoff_s > 0.0 {
-            let _ = writeln!(
-                out,
-                "  backoff    {:.3}s (retry policy)",
-                self.retry_backoff_s
-            );
         }
         if let Some(w) = self.queue_wait_s() {
             let _ = writeln!(out, "  queue wait {w:.3}s");
@@ -389,7 +353,7 @@ fn steps(trace: &Trace) -> impl Iterator<Item = Step<'_>> {
 
 impl Journey {
     /// Apply one breadcrumb: `admitted`/`wal`/`settled`/cache keep the
-    /// first occurrence and `retry_backoff` values accumulate.
+    /// first occurrence.
     fn record(&mut self, phase: &str, t: f64) {
         match phase {
             "lineage/admitted" => {
@@ -410,9 +374,9 @@ impl Journey {
             "lineage/cache_miss" => {
                 self.cache.get_or_insert((CacheOutcome::Miss, t));
             }
-            "lineage/retry_backoff" => self.retry_backoff_s += t,
-            // The grammar is closed; an unknown phase is a future
-            // extension and carries no journey field.
+            // The grammar is closed; an unknown phase (a future
+            // extension, or an older trace's legacy retry breadcrumb)
+            // carries no journey field.
             _ => {}
         }
     }
@@ -478,7 +442,7 @@ impl<'t> Fold<'t> {
 /// Tasks known only from lineage breadcrumbs — e.g. cache-settled
 /// service tasks that never execute — get a journey with no
 /// executions. Repeated `admitted`/`wal`/`settled`/cache breadcrumbs
-/// keep the first occurrence; `retry_backoff` values accumulate.
+/// keep the first occurrence.
 ///
 /// One borrowed pass over the trace, materialised with one owned id per
 /// distinct task.
@@ -569,10 +533,8 @@ pub struct CriticalPath {
     /// Chain links in chronological order; durations plus waits
     /// telescope to the makespan.
     pub chain: Vec<ChainLink>,
-    /// Busy seconds on the chain net of retry overhead.
+    /// Busy seconds on the chain.
     pub compute_s: f64,
-    /// Estimated retry overhead on the chain (see [`Journey::retry_s`]).
-    pub retry_s: f64,
     /// Wait seconds on the chain (queue/dependency gaps).
     pub queue_wait_s: f64,
     /// Cache lookup latency on the chain ([`Journey::cache_lookup_s`]).
@@ -584,10 +546,10 @@ pub struct CriticalPath {
 }
 
 impl CriticalPath {
-    /// Busy seconds on the chain (compute plus retry overhead).
+    /// Busy seconds on the chain: its compute, every link's execution.
     #[must_use]
     pub fn critical_path_s(&self) -> f64 {
-        self.compute_s + self.retry_s
+        self.compute_s
     }
 
     /// The accounting identity the extraction guarantees:
@@ -613,7 +575,6 @@ impl CriticalPath {
         w.num_field("origin_t", self.origin);
         w.int_field("chain_len", self.chain.len() as u64);
         w.num_field("compute_s", self.compute_s);
-        w.num_field("retry_s", self.retry_s);
         w.num_field("queue_wait_s", self.queue_wait_s);
         w.num_field("cache_s", self.cache_s);
         w.num_field("idle_total_s", self.idle_total_s);
@@ -652,8 +613,8 @@ impl CriticalPath {
         );
         let _ = writeln!(
             out,
-            "  breakdown: compute {:.3}s | retry {:.3}s | queue-wait {:.3}s | cache {:.3}s",
-            self.compute_s, self.retry_s, self.queue_wait_s, self.cache_s
+            "  breakdown: compute {:.3}s | queue-wait {:.3}s | cache {:.3}s",
+            self.compute_s, self.queue_wait_s, self.cache_s
         );
         let _ = writeln!(
             out,
@@ -774,18 +735,10 @@ pub fn critical_path_of(trace: &Trace) -> Option<CriticalPath> {
     let chain = rev;
 
     let mut compute = 0.0;
-    let mut retry = 0.0;
     let mut wait = 0.0;
     let mut cache = 0.0;
     for l in &chain {
-        let d = l.duration();
-        let r = if l.attempts > 1 {
-            d * f64::from(l.attempts - 1) / f64::from(l.attempts)
-        } else {
-            0.0
-        };
-        compute += d - r;
-        retry += r;
+        compute += l.duration();
         wait += l.wait_s;
         cache += fold
             .crumbs
@@ -805,7 +758,6 @@ pub fn critical_path_of(trace: &Trace) -> Option<CriticalPath> {
         makespan_s: makespan,
         chain,
         compute_s: compute,
-        retry_s: retry,
         queue_wait_s: wait,
         cache_s: cache,
         idle_total_s: idle_total,
@@ -839,7 +791,7 @@ pub struct Straggler {
     pub worker: usize,
     /// Largest attempt count.
     pub attempts: u32,
-    /// The task's journey (for queue-wait/retry breakdown).
+    /// The task's journey (for its queue-wait breakdown).
     pub journey: Journey,
 }
 
@@ -904,8 +856,6 @@ impl ImbalanceReport {
                 sw.int_field("worker", s.worker as u64);
                 sw.int_field("attempts", u64::from(s.attempts));
                 opt_num(&mut sw, "queue_wait_s", s.journey.queue_wait_s());
-                sw.num_field("retry_s", s.journey.retry_s());
-                sw.num_field("retry_backoff_s", s.journey.retry_backoff_s);
                 sw.finish()
             })
             .collect();
@@ -954,13 +904,8 @@ impl ImbalanceReport {
                     .map_or(String::from("-"), |q| format!("{q:.3}s"));
                 let _ = writeln!(
                     out,
-                    "    {:.3}s {} (worker {}, attempts {}, queue wait {}, retry {:.3}s)",
-                    s.duration_s,
-                    s.task,
-                    s.worker,
-                    s.attempts,
-                    wait,
-                    s.journey.retry_s()
+                    "    {:.3}s {} (worker {}, attempts {}, queue wait {})",
+                    s.duration_s, s.task, s.worker, s.attempts, wait
                 );
             }
         }
@@ -1224,7 +1169,6 @@ mod reference {
                         "lineage/cache_miss" => {
                             j.cache.get_or_insert((CacheOutcome::Miss, *t));
                         }
-                        "lineage/retry_backoff" => j.retry_backoff_s += *t,
                         _ => {}
                     }
                 }
@@ -1303,18 +1247,10 @@ mod reference {
         let chain = rev;
 
         let mut compute = 0.0;
-        let mut retry = 0.0;
         let mut wait = 0.0;
         let mut cache = 0.0;
         for l in &chain {
-            let d = l.duration();
-            let r = if l.attempts > 1 {
-                d * f64::from(l.attempts - 1) / f64::from(l.attempts)
-            } else {
-                0.0
-            };
-            compute += d - r;
-            retry += r;
+            compute += l.duration();
             wait += l.wait_s;
             if let Some(j) = journeys.get(&l.task) {
                 cache += j.cache_lookup_s().unwrap_or(0.0);
@@ -1332,7 +1268,6 @@ mod reference {
             makespan_s: makespan,
             chain,
             compute_s: compute,
-            retry_s: retry,
             queue_wait_s: wait,
             cache_s: cache,
             idle_total_s: idle_total,
@@ -1432,7 +1367,7 @@ mod tests {
     use crate::event::SpanId;
     use crate::recorder::Recorder;
 
-    /// Two workers, one retried task, one cancelled row of that task,
+    /// Two workers, one rerun task, one cancelled row of that task,
     /// service breadcrumbs on t1.
     fn sample_trace() -> Trace {
         let r = Recorder::virtual_time();
@@ -1444,7 +1379,6 @@ mod tests {
         admitted(&r, "t1", 0.25);
         wal(&r, "t1", 0.5);
         cache_miss(&r, "t1", 0.75);
-        retry_backoff(&r, "t1", 0.125);
         settled(&r, "t1", 7.5);
         r.advance_clock_to(9.0);
         r.span_end(s);
@@ -1460,16 +1394,32 @@ mod tests {
         assert_eq!(j.wal_t, Some(0.5));
         assert_eq!(j.settled_t, Some(7.5));
         assert_eq!(j.cache, Some((CacheOutcome::Miss, 0.75)));
-        assert_eq!(j.retry_backoff_s, 0.125);
         assert_eq!(j.executions.len(), 2);
         assert_eq!(j.cancelled_executions(), 1);
         assert_eq!(j.compute_s(), 6.0);
-        assert_eq!(j.retry_s(), 3.0); // 6s × (2-1)/2
         assert_eq!(j.queue_wait_s(), Some(0.75)); // 1.0 − 0.25
         assert_eq!(j.settle_lag_s(), Some(0.5)); // 7.5 − 7.0
         assert_eq!(j.cache_lookup_s(), Some(0.5)); // 0.75 − 0.25
         assert_eq!(j.max_attempts(), 2);
         assert!(js["t0"].admitted_t.is_none());
+    }
+
+    #[test]
+    fn legacy_retry_backoff_breadcrumb_parses_and_changes_nothing() {
+        let plain = sample_trace().to_jsonl();
+        // Older traces carry this line for every rerun task.
+        let legacy = format!(
+            "{plain}{}\n",
+            r#"{"event":"lineage","name":"lineage/retry_backoff","task":"t1","t":0}"#
+        );
+        let (plain, legacy) = (
+            Trace::parse_jsonl(&plain).expect("plain trace parses"),
+            Trace::parse_jsonl(&legacy).expect("legacy trace parses"),
+        );
+        assert_eq!(legacy.events().len(), plain.events().len() + 1);
+        assert_eq!(journeys_of(&legacy), journeys_of(&plain));
+        assert_eq!(journey_of(&legacy, "t1"), journey_of(&plain, "t1"));
+        assert_eq!(critical_path_of(&legacy), critical_path_of(&plain));
     }
 
     #[test]
@@ -1503,15 +1453,17 @@ mod tests {
 
     #[test]
     fn critical_path_categories_split_retry_overhead() {
+        // A row with attempts 2 is a high-memory rerun: its burned
+        // standard-lane attempt is a separate execution, so the whole
+        // row is compute and nothing splits off as retry overhead.
         let r = Recorder::virtual_time();
         let s = r.span_start("batch");
-        r.task(Some(s), "a", 0, 0.0, 4.0, 2); // retried: 2s retry share
+        r.task(Some(s), "a", 0, 0.0, 4.0, 2); // rerun: 4s of compute
         r.task(Some(s), "b", 0, 5.0, 6.0, 1); // 1s wait after a
         r.advance_clock_to(6.0);
         r.span_end(s);
         let cp = critical_path_of(&Trace::from_events(r.events())).expect("path");
-        assert_eq!(cp.compute_s, 3.0);
-        assert_eq!(cp.retry_s, 2.0);
+        assert_eq!(cp.compute_s, 5.0);
         assert_eq!(cp.queue_wait_s, 1.0);
         assert_eq!(cp.cache_s, 0.0);
         assert_eq!(cp.critical_path_s(), 5.0);
@@ -1670,7 +1622,8 @@ mod tests {
         }
     }
 
-    /// Every breadcrumb phase, plus one the grammar does not know.
+    /// Every breadcrumb phase, plus two the grammar does not know: the
+    /// legacy retry breadcrumb and a made-up one.
     const PHASES: [&str; 8] = [
         "lineage/admitted",
         "lineage/wal",

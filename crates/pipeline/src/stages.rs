@@ -33,7 +33,7 @@
 use crate::artifacts;
 use summitfold_dataflow::exec::BatchOutcome;
 use summitfold_dataflow::sim::VirtualExecutor;
-use summitfold_dataflow::{Batch, OrderingPolicy, TaskFault, TaskSpec};
+use summitfold_dataflow::{Batch, OrderingPolicy, TaskSpec};
 use summitfold_hpc::fs::ReplicaLayout;
 use summitfold_hpc::machine::Machine;
 use summitfold_hpc::Ledger;
@@ -472,7 +472,7 @@ pub mod inference {
             let mut failures = Vec::new();
             let mut specs: Vec<TaskSpec> = Vec::new();
             let mut durations: Vec<f64> = Vec::new();
-            let mut faults: Vec<TaskFault> = Vec::new();
+            let mut oom: Vec<String> = Vec::new();
 
             for (i, (entry, feats)) in entries.iter().zip(features).enumerate() {
                 let content = artifacts::content_with_fingerprint(
@@ -522,12 +522,12 @@ pub mod inference {
                             match rescue_engine.predict_target_traced(entry, feats, rec) {
                                 Ok(result) => {
                                     // The target's tasks enter the same batch
-                                    // carrying OOM-shaped faults: they burn
-                                    // their standard-lane attempts and
-                                    // complete in the quarantine rerun pass.
+                                    // as OOM tasks: each burns one attempt on
+                                    // the standard lane and completes in the
+                                    // quarantine rerun pass.
                                     for p in &result.predictions {
                                         let id = format!("{}/{}", entry.sequence.id, p.model);
-                                        faults.push(TaskFault::oom(id.clone()));
+                                        oom.push(id.clone());
                                         specs.push(TaskSpec::new(id, entry.sequence.len() as f64));
                                         durations.push(p.gpu_seconds);
                                     }
@@ -557,7 +557,7 @@ pub mod inference {
                 .workers(workers)
                 .policy(cfg.policy)
                 .durations(&durations)
-                .task_faults(&faults)
+                .oom(&oom)
                 .recorder(rec)
                 .label("inference");
             if cfg.rescue_on_high_mem {

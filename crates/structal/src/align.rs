@@ -20,9 +20,9 @@
 //! anti-diagonal depend only on the two before it, so the proximity scores
 //! and the recurrence of a diagonal are element-wise loops over three
 //! rolling diagonal buffers, and only a `u8` traceback is kept per cell.
-//! One [`Workspace`] per call holds every buffer for all seeds and rounds,
+//! One `Workspace` per call holds every buffer for all seeds and rounds,
 //! and an exact memo ends a refinement that reaches a correspondence the
-//! call has already refined (see [`refine`] for why the result cannot
+//! call has already refined (see `refine` for why the result cannot
 //! change). Outputs are bit-identical to a row-major, memo-free DP.
 
 use crate::kabsch::superpose;

@@ -14,6 +14,11 @@ else
     echo "==> cargo clippy unavailable; skipping"
 fi
 
+echo "==> cargo doc (rustdoc warnings are errors)"
+# A deleted or private item must not leave a dangling [`link`] behind in
+# some other module's docs. ~6 s.
+RUSTDOCFLAGS="${RUSTDOCFLAGS:-} -D warnings" cargo doc --workspace --no-deps -q
+
 echo "==> cargo test (workspace, warnings are errors)"
 # One unfiltered run gates every suite — chaos (multi-leg kill-resume
 # equality, service kill-resume from the WAL), telemetry (golden schema, bounded sinks, monitor

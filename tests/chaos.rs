@@ -1,6 +1,6 @@
-//! Chaos harness: seeded scenarios composing worker deaths, task
-//! faults, long-tail tasks, kills between tasks, and mid-append journal
-//! kills.
+//! Chaos harness: seeded scenarios composing worker deaths,
+//! out-of-memory tasks, long-tail tasks, kills between tasks, and
+//! mid-append journal kills.
 //!
 //! The invariants pinned here are the robustness contract of the
 //! dataflow layer (paper §3.3): every task completes exactly once in the
@@ -18,9 +18,7 @@ use summitfold::dataflow::fault::WorkerFault;
 use summitfold::dataflow::real::ThreadExecutor;
 use summitfold::dataflow::sim::VirtualExecutor;
 use summitfold::dataflow::stats::to_csv;
-use summitfold::dataflow::{
-    Batch, BatchOutcome, Journal, OrderingPolicy, RetryPolicy, TaskFault, TaskSpec,
-};
+use summitfold::dataflow::{Batch, BatchOutcome, Journal, OrderingPolicy, TaskSpec};
 use summitfold::hpc::service::{FoldingService, ServiceConfig, ServiceError, TenantSpec};
 use summitfold::obs::{Recorder, Trace};
 use summitfold::protein::rng::Xoshiro256;
@@ -84,23 +82,21 @@ fn kill_resume_legs(
 
 /// A campaign killed and resumed leg after leg reproduces the
 /// uninterrupted run's records and makespan exactly on the simulator;
-/// the same legs on real threads complete the same task set.
+/// the same legs on real threads complete the same task set. Two tasks
+/// run out of memory, so later kills can land in the rerun lane.
 #[test]
 fn kill_resume_campaign_reproduces_uninterrupted_records() {
     let exec = VirtualExecutor::new(0.25);
     for seed in [1u64, 7, 42] {
         let (specs, durations) = straggler_workload(seed, 30);
-        let faults = [
-            TaskFault::transient(specs[2].id.clone(), 1),
-            TaskFault::transient(specs[9].id.clone(), 2),
-        ];
+        let oom = [specs[2].id.clone(), specs[9].id.clone()];
         let batch = || {
             Batch::new(&specs)
                 .workers(3)
                 .policy(OrderingPolicy::LongestFirst)
                 .durations(&durations)
-                .retry(RetryPolicy::new(3, 0.5, 2.0))
-                .task_faults(&faults)
+                .oom(&oom)
+                .quarantine(1)
         };
         let full = batch().run(&exec).expect("full run");
 
@@ -118,10 +114,8 @@ fn kill_resume_campaign_reproduces_uninterrupted_records() {
         );
         assert_eq!(done.makespan, full.makespan, "seed {seed}");
 
-        // Tiny backoffs: the thread executor really sleeps them.
         let (real, _) = kill_resume_legs(specs.len(), seed, |leg, on_disk| {
             batch()
-                .retry(RetryPolicy::new(3, 1e-4, 4e-4))
                 .journal(leg)
                 .resume(&ThreadExecutor, on_disk)
                 .expect("thread leg")
@@ -144,7 +138,7 @@ fn counter_names(rec: &Recorder) -> BTreeSet<String> {
         .collect()
 }
 
-/// Composed chaos on the simulator: worker deaths, task faults,
+/// Composed chaos on the simulator: worker deaths, out-of-memory tasks,
 /// long-tail tasks, quarantine, and a byte-level torn journal tail — the
 /// completion and resume invariants all hold. The same
 /// seeded settings then run on the thread executor, and everything that
@@ -156,12 +150,10 @@ fn chaos_invariants_hold_under_composed_faults() {
         let mut rng = Xoshiro256::seed_from_u64(seed.wrapping_mul(0xC0FFEE) ^ 7);
         let n = 18 + rng.below(18);
         let (specs, durations) = straggler_workload(seed ^ 0xABCD, n);
-        let mut task_faults = Vec::new();
+        let mut oom = Vec::new();
         for spec in &specs {
-            match rng.below(6) {
-                0 => task_faults.push(TaskFault::transient(spec.id.clone(), 1)),
-                1 => task_faults.push(TaskFault::oom(spec.id.clone())),
-                _ => {}
+            if rng.below(6) == 1 {
+                oom.push(spec.id.clone());
             }
         }
         let worker_faults = [WorkerFault {
@@ -173,8 +165,7 @@ fn chaos_invariants_hold_under_composed_faults() {
                 .workers(3)
                 .policy(OrderingPolicy::LongestFirst)
                 .durations(&durations)
-                .retry(RetryPolicy::new(3, 0.5, 2.0))
-                .task_faults(&task_faults)
+                .oom(&oom)
                 .faults(&worker_faults)
                 .quarantine(2)
         };
@@ -220,16 +211,14 @@ fn chaos_invariants_hold_under_composed_faults() {
             "seed {seed}: the torn tail is visible in telemetry"
         );
 
-        // The same settings on real threads (tiny backoffs: the thread
-        // executor really sleeps them; 1 ms of work per task so the
-        // dying worker reaches its budget). Task set, attempts, lane
+        // The same settings on real threads (1 ms of work per task so
+        // the dying worker reaches its budget). Task set, attempts, lane
         // counts and counter names are executor-invariant.
-        let threads = || batch().retry(RetryPolicy::new(3, 1e-4, 4e-4));
         let items = vec![(); n];
         let work = |_: &TaskSpec, (): &()| std::thread::sleep(Duration::from_millis(1));
         let real_rec = Recorder::wall();
         let real_journal = Journal::new();
-        let real_full = threads()
+        let real_full = batch()
             .recorder(&real_rec)
             .journal(&real_journal)
             .run_with(&ThreadExecutor, &items, work)
@@ -260,7 +249,7 @@ fn chaos_invariants_hold_under_composed_faults() {
         let sim_resumed = batch()
             .resume(&exec, &journal.truncated(k))
             .expect("sim resume");
-        let real_resumed = threads()
+        let real_resumed = batch()
             .resume(&ThreadExecutor, &real_journal.truncated(k))
             .expect("thread resume");
         assert_eq!((sim_resumed.resumed, real_resumed.resumed), (k, k));
@@ -328,10 +317,10 @@ fn thread_deaths_quarantine_and_resume_compose() {
         let specs: Vec<TaskSpec> = (0..n)
             .map(|i| TaskSpec::new(format!("t{i}"), ((i % 3) + 1) as f64))
             .collect();
-        let mut task_faults = Vec::new();
+        let mut oom = Vec::new();
         for spec in &specs {
             if rng.below(6) == 0 {
-                task_faults.push(TaskFault::oom(spec.id.clone()));
+                oom.push(spec.id.clone());
             }
         }
         let worker_faults = [WorkerFault {
@@ -342,8 +331,7 @@ fn thread_deaths_quarantine_and_resume_compose() {
             Batch::new(&specs)
                 .workers(4)
                 .policy(OrderingPolicy::Fifo)
-                .retry(RetryPolicy::new(2, 1e-4, 4e-4))
-                .task_faults(&task_faults)
+                .oom(&oom)
                 .faults(&worker_faults)
                 .quarantine(2)
         };
@@ -355,7 +343,7 @@ fn thread_deaths_quarantine_and_resume_compose() {
             .expect("full");
         assert_eq!(full.records.len(), n, "seed {seed}");
         assert_eq!(task_id_set(&full.records).len(), n, "seed {seed}");
-        assert_eq!(full.quarantined, task_faults.len(), "seed {seed}");
+        assert_eq!(full.quarantined, oom.len(), "seed {seed}");
         assert_eq!(full.deaths, 1, "seed {seed}");
         assert_eq!(journal.len(), n, "seed {seed}");
 

@@ -1,13 +1,15 @@
-//! Resilience acceptance tests: checkpoint-resume determinism, retry
+//! Resilience acceptance tests: checkpoint-resume determinism, attempt
 //! accounting across executors, and the quarantine rerun lane charged
 //! to the ledger and visible in the telemetry trace (paper §3.3: tasks
 //! that "will have failed to process" re-run on high-memory nodes).
+//! Out-of-memory tasks and worker deaths are the only failures.
 
 use std::sync::Arc;
+use summitfold::dataflow::fault::WorkerFault;
 use summitfold::dataflow::real::ThreadExecutor;
 use summitfold::dataflow::sim::VirtualExecutor;
 use summitfold::dataflow::stats::to_csv;
-use summitfold::dataflow::{Batch, Journal, OrderingPolicy, RetryPolicy, TaskFault, TaskSpec};
+use summitfold::dataflow::{Batch, Journal, OrderingPolicy, TaskSpec};
 use summitfold::hpc::Ledger;
 use summitfold::inference::Preset;
 use summitfold::msa::FeatureSet;
@@ -28,9 +30,10 @@ fn specs_and_durations(seed: u64, n: usize) -> (Vec<TaskSpec>, Vec<f64>) {
     (specs, durations)
 }
 
-/// Seeded property: run → kill at a random journal boundary → resume
-/// reproduces the uninterrupted record set byte-for-byte on the
-/// deterministic simulator.
+/// Seeded property: run → kill at a random journal boundary (possibly
+/// inside the rerun lane) → resume reproduces the uninterrupted record
+/// set byte-for-byte on the deterministic simulator, with out-of-memory
+/// tasks and a worker death in the batch.
 #[test]
 fn sim_resume_after_kill_is_byte_identical() {
     let exec = VirtualExecutor::new(0.5);
@@ -38,22 +41,29 @@ fn sim_resume_after_kill_is_byte_identical() {
         let mut rng = Xoshiro256::seed_from_u64(seed ^ 0xD15EA5E);
         let n = 20 + rng.below(40);
         let (specs, durations) = specs_and_durations(seed, n);
-        let faults = [
-            TaskFault::transient(specs[rng.below(n)].id.clone(), 1),
-            TaskFault::transient(specs[rng.below(n)].id.clone(), 2),
+        let oom = [
+            specs[rng.below(n)].id.clone(),
+            specs[rng.below(n)].id.clone(),
         ];
+        let deaths = [WorkerFault {
+            worker: 2,
+            tasks_before_death: n / 6,
+        }];
         let batch = || {
             Batch::new(&specs)
                 .workers(3)
                 .policy(OrderingPolicy::LongestFirst)
                 .durations(&durations)
-                .retry(RetryPolicy::new(3, 2.0, 8.0))
-                .task_faults(&faults)
+                .oom(&oom)
+                .faults(&deaths)
+                .quarantine(2)
         };
 
         let journal = Journal::new();
         let full = batch().journal(&journal).run(&exec).expect("full run");
         assert_eq!(journal.len(), n, "every task journaled");
+        assert!(full.quarantined >= 1, "seed {seed}");
+        assert_eq!(full.deaths, 1, "seed {seed}");
 
         // Kill at a random completed-task boundary and restart from the
         // surviving journal prefix.
@@ -111,7 +121,8 @@ fn thread_resume_completes_only_the_remainder() {
 }
 
 /// Attempt counts are a pure function of the fault schedule: the
-/// virtual-time simulator and the real thread pool agree per task.
+/// virtual-time simulator and the real thread pool agree per task, with
+/// out-of-memory tasks and a worker death in the batch.
 #[test]
 fn attempt_counts_agree_across_executors() {
     for seed in 0..6u64 {
@@ -120,25 +131,22 @@ fn attempt_counts_agree_across_executors() {
         let specs: Vec<TaskSpec> = (0..n)
             .map(|i| TaskSpec::new(format!("t{i}"), (1 + rng.below(5)) as f64))
             .collect();
-        let mut faults = Vec::new();
+        let mut oom = Vec::new();
         for i in 0..n {
-            match rng.below(5) {
-                0 => faults.push(TaskFault::transient(
-                    format!("t{i}"),
-                    1 + (rng.below(2) as u32),
-                )),
-                1 => faults.push(TaskFault::oom(format!("t{i}"))),
-                _ => {}
+            if rng.below(5) < 2 {
+                oom.push(format!("t{i}"));
             }
         }
-        // Backoffs must be tiny: the thread executor really sleeps.
-        let retry = RetryPolicy::new(3, 1e-4, 4e-4);
+        let deaths = [WorkerFault {
+            worker: 0,
+            tasks_before_death: 2,
+        }];
         let batch = || {
             Batch::new(&specs)
                 .workers(3)
                 .policy(OrderingPolicy::Fifo)
-                .retry(retry)
-                .task_faults(&faults)
+                .oom(&oom)
+                .faults(&deaths)
                 .quarantine(2)
         };
         let sim = batch().run(&VirtualExecutor::new(0.0)).expect("sim");
@@ -147,7 +155,9 @@ fn attempt_counts_agree_across_executors() {
         assert_eq!(sim.records.len(), n);
         assert_eq!(real.records.len(), n);
         assert_eq!(sim.quarantined, real.quarantined, "seed {seed}");
+        assert_eq!(sim.quarantined, oom.len(), "seed {seed}");
         assert_eq!(sim.retries(), real.retries(), "seed {seed}");
+        assert_eq!(sim.deaths, real.deaths, "seed {seed}");
         for spec in &specs {
             let a = |o: &summitfold::dataflow::BatchOutcome<()>| {
                 o.records
@@ -161,7 +171,7 @@ fn attempt_counts_agree_across_executors() {
     }
 }
 
-/// A retry-exhausted task occupies its standard-lane worker for every
+/// An out-of-memory task occupies its standard-lane worker for the one
 /// attempt it burns before moving to the rerun lane. Both executors
 /// charge that time, so the standard lane shows neither an idle worker
 /// nor a phantom idle tail.
@@ -169,14 +179,8 @@ fn attempt_counts_agree_across_executors() {
 fn burned_attempts_are_charged_to_the_standard_lane() {
     let sleep_s = 0.02;
     let specs = [TaskSpec::new("big", sleep_s)];
-    let faults = [TaskFault::oom("big")];
-    let batch = || {
-        Batch::new(&specs)
-            .workers(1)
-            .retry(RetryPolicy::new(3, 0.0, 0.0))
-            .task_faults(&faults)
-            .quarantine(1)
-    };
+    let oom = ["big".to_owned()];
+    let batch = || Batch::new(&specs).workers(1).oom(&oom).quarantine(1);
     let sim = batch().run(&VirtualExecutor::new(0.0)).expect("sim");
     let real = batch()
         .run_with(&ThreadExecutor, &[()], |_, ()| {
@@ -185,8 +189,8 @@ fn burned_attempts_are_charged_to_the_standard_lane() {
         .expect("thread");
     for (label, out) in [("sim", &sim), ("thread", &real)] {
         assert_eq!(out.quarantined, 1, "{label}");
-        assert_eq!(out.records[0].attempts, 4, "{label}: 3 burned + the rerun");
-        let burned = 3.0 * sleep_s - 1e-9;
+        assert_eq!(out.records[0].attempts, 2, "{label}: 1 burned + the rerun");
+        let burned = sleep_s - 1e-9;
         assert!(
             out.worker_busy[0] >= burned,
             "{label}: {:?}",

@@ -394,7 +394,6 @@ fn lineage_attribution_agrees_across_executors() {
         let w = &wj[task];
         assert_eq!(v.max_attempts(), w.max_attempts(), "task {task}");
         assert_eq!(v.executions.len(), w.executions.len(), "task {task}");
-        assert_eq!(v.retry_backoff_s, w.retry_backoff_s, "task {task}");
     }
 
     // Both traces support the full reports, and the accounting identity
@@ -447,19 +446,11 @@ fn golden_fig2_attribution_is_pinned() {
     assert!((0.0..=1.0).contains(&im.gini));
     assert!(im.utilization > 0.0);
     // The rescue lane retried tasks: their journeys show the extra
-    // attempts, and the trace carries the causal retry-backoff
-    // breadcrumbs for them (value 0 — the rescue policy has no
-    // backoff, but the causal link itself must be present).
+    // attempt of the high-memory rerun.
     let journeys = lineage::journeys_of(&trace);
     assert!(
-        journeys
-            .values()
-            .any(|j| j.max_attempts() > 1 && j.retry_s() > 0.0),
+        journeys.values().any(|j| j.max_attempts() > 1),
         "fig2 quick campaign lost its retries"
-    );
-    assert!(
-        jsonl.contains(r#""name":"lineage/retry_backoff""#),
-        "fig2 quick campaign lost its retry lineage breadcrumbs"
     );
 }
 
