@@ -29,11 +29,11 @@
 //! fold the trace's `lineage/*` breadcrumbs and span/task rows into the
 //! attribution reports of `summitfold_obs::lineage`. They are pure
 //! functions of the trace: the same file yields byte-identical reports
-//! on every run. Whenever a trace looks truncated (a ring sink dropped
-//! events, or counters/spans arrive mid-stream), a warning naming the
-//! file goes to stderr — for `--diff`, one per truncated side, marked
-//! `new` or `baseline` — and the JSON reports carry `"truncated":1`
-//! with the dropped-event count.
+//! on every run. Whenever a trace looks truncated (its producer
+//! reported dropped events, or counters/spans arrive mid-stream), a
+//! warning naming the file goes to stderr — for `--diff`, one per
+//! truncated side, marked `new` or `baseline` — and the JSON reports
+//! carry `"truncated":1` with the dropped-event count.
 //!
 //! Exit codes: 0 success / no regressions, 1 regressions found (or a
 //! task/report the trace cannot support), 2 bad usage — unknown flag,
@@ -162,7 +162,7 @@ fn bad_usage() {
     std::process::exit(2);
 }
 
-/// Detect a truncated capture (ring-sink drop marker or structural
+/// Detect a truncated capture (dropped-events gauge or structural
 /// gaps), warn on stderr naming the trace by `label`, and hand the
 /// verdict to the report JSON.
 fn warn_if_truncated(label: &str, trace: &Trace) -> Truncation {

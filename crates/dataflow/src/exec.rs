@@ -42,7 +42,6 @@ use crate::journal::{Journal, JournalEntry};
 use crate::policy::OrderingPolicy;
 use crate::source::SubmissionQueue;
 use crate::task::{TaskRecord, TaskSpec};
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use summitfold_obs::{Recorder, SpanId};
 
@@ -199,15 +198,6 @@ pub struct BatchOutcome<O> {
 }
 
 impl<O> BatchOutcome<O> {
-    /// Total failed executions across all tasks (`Σ (attempts - 1)`):
-    /// one burned standard-lane attempt per quarantined task.
-    #[must_use]
-    pub fn retries(&self) -> usize {
-        self.records
-            .iter()
-            .map(|r| r.attempts.saturating_sub(1) as usize)
-            .sum()
-    }
     /// Mean worker utilization over the makespan, in `[0, 1]`.
     #[must_use]
     pub fn utilization(&self) -> f64 {
@@ -348,17 +338,12 @@ pub trait Executor {
 
 /// Builder describing a batch, independent of the backend that runs it.
 ///
-/// The task list is either borrowed ([`Batch::new`]) or owned
-/// ([`Batch::from_specs`]) — callers building specs on the fly, like
-/// the folding service, no longer need an array that outlives the
-/// builder.
-///
 /// Defaults: 1 worker, [`OrderingPolicy::Fifo`], no faults, no explicit
 /// durations, telemetry disabled, span label `"batch"`, no OOM tasks,
 /// no quarantine lane, no journal.
 #[derive(Clone)]
 pub struct Batch<'a> {
-    specs: Cow<'a, [TaskSpec]>,
+    specs: &'a [TaskSpec],
     workers: usize,
     policy: OrderingPolicy,
     faults: &'a [WorkerFault],
@@ -375,19 +360,6 @@ impl<'a> Batch<'a> {
     /// Start describing a batch over borrowed task specs.
     #[must_use]
     pub fn new(specs: &'a [TaskSpec]) -> Self {
-        Self::from_cow(Cow::Borrowed(specs))
-    }
-
-    /// Start describing a batch that owns its task specs — the caller
-    /// hands over the `Vec` and the builder is `'static` as far as the
-    /// task list is concerned. This is the constructor services and
-    /// other long-lived submitters use.
-    #[must_use]
-    pub fn from_specs(specs: Vec<TaskSpec>) -> Self {
-        Self::from_cow(Cow::Owned(specs))
-    }
-
-    fn from_cow(specs: Cow<'a, [TaskSpec]>) -> Self {
         Self {
             specs,
             workers: 1,
@@ -538,7 +510,7 @@ impl<'a> Batch<'a> {
             }
         }
         Ok(Plan {
-            specs: &self.specs[..],
+            specs: self.specs,
             workers: self.workers,
             policy: self.policy,
             faults: self.faults,
@@ -942,9 +914,10 @@ pub(crate) fn finish_live(
 /// Emit per-task events and close the batch span, advancing virtual
 /// clocks to the batch end so the span duration equals the makespan.
 ///
-/// Resilience telemetry rides along: `dataflow/retries`,
-/// `dataflow/quarantined` and `dataflow/resumed` counters and a nested
-/// `{label}:quarantine` span covering the rerun pass when one happened.
+/// Resilience telemetry rides along: a nested `{label}:quarantine` span
+/// covering the rerun pass when one happened, then the
+/// `dataflow/requeued`, `dataflow/worker_deaths`, `dataflow/quarantined`
+/// and `dataflow/resumed` counters, stamped at the batch end.
 /// When the plan asked for progress telemetry, `monitor/...` gauges are interleaved at their
 /// completion timestamps (see [`Batch::progress`]).
 fn close_batch_span<O>(plan: &Plan<'_>, span: SpanId, t0: f64, outcome: &BatchOutcome<O>) {
@@ -965,22 +938,6 @@ fn close_batch_span<O>(plan: &Plan<'_>, span: SpanId, t0: f64, outcome: &BatchOu
     if let Some(every) = plan.progress {
         emit_progress(plan, t0, outcome, every);
     }
-    if outcome.requeued > 0 {
-        rec.add("dataflow/requeued", outcome.requeued as f64);
-    }
-    if outcome.deaths > 0 {
-        rec.add("dataflow/worker_deaths", outcome.deaths as f64);
-    }
-    let retries = outcome.retries();
-    if retries > 0 {
-        rec.add("dataflow/retries", retries as f64);
-    }
-    if outcome.quarantined > 0 {
-        rec.add("dataflow/quarantined", outcome.quarantined as f64);
-    }
-    if outcome.resumed > 0 {
-        rec.add("dataflow/resumed", outcome.resumed as f64);
-    }
     if outcome.quarantined > 0 && outcome.quarantine_makespan > 0.0 {
         // On a virtual clock the quarantine span covers exactly the
         // rerun tail; a wall clock has already passed it, so the span
@@ -991,6 +948,19 @@ fn close_batch_span<O>(plan: &Plan<'_>, span: SpanId, t0: f64, outcome: &BatchOu
         rec.span_end(q);
     }
     rec.advance_clock_to(t0 + outcome.makespan);
+    // End-of-batch totals, stamped at the batch end they describe.
+    if outcome.requeued > 0 {
+        rec.add("dataflow/requeued", outcome.requeued as f64);
+    }
+    if outcome.deaths > 0 {
+        rec.add("dataflow/worker_deaths", outcome.deaths as f64);
+    }
+    if outcome.quarantined > 0 {
+        rec.add("dataflow/quarantined", outcome.quarantined as f64);
+    }
+    if outcome.resumed > 0 {
+        rec.add("dataflow/resumed", outcome.resumed as f64);
+    }
     rec.span_end(span);
 }
 
@@ -1272,6 +1242,44 @@ mod tests {
             })
             .collect();
         assert!(ts.windows(2).all(|w| w[0] <= w[1]), "{ts:?}");
+    }
+
+    #[test]
+    fn dataflow_counters_are_stamped_at_the_batch_end() {
+        use summitfold_obs::{Event, Recorder};
+        let s = specs(6);
+        let oom = ["t2".to_owned()];
+        let rec = Recorder::virtual_time();
+        rec.advance_clock_to(100.0);
+        let outcome = Batch::new(&s)
+            .workers(2)
+            .oom(&oom)
+            .quarantine(1)
+            .recorder(&rec)
+            .run(&VirtualExecutor::new(0.0))
+            .unwrap();
+        let events = rec.events();
+        let Some(Event::SpanStart { id: batch, .. }) = events.first() else {
+            panic!("batch span opens the trace: {events:?}");
+        };
+        let end = events
+            .iter()
+            .find_map(|e| match e {
+                Event::SpanEnd { id, t } if id == batch => Some(*t),
+                _ => None,
+            })
+            .expect("batch span closes");
+        assert_eq!(end, 100.0 + outcome.makespan);
+        let stamps: Vec<(&str, f64)> = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::Counter { name, t, .. } if name.starts_with("dataflow/") => {
+                    Some((name.as_str(), *t))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(stamps, vec![("dataflow/quarantined", end)]);
     }
 
     #[test]

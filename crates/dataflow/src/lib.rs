@@ -76,7 +76,5 @@ pub use exec::{Batch, BatchError, BatchOutcome, Executor};
 pub use fault::ResilienceError;
 pub use journal::{Journal, JournalEntry};
 pub use policy::OrderingPolicy;
-pub use source::{
-    ClassConfig, DispatchEntry, LiveRun, Pull, SubmissionQueue, SubmitError, TaskSource,
-};
+pub use source::{ClassConfig, DispatchEntry, LiveRun, Pull, SubmissionQueue, SubmitError};
 pub use task::{TaskRecord, TaskSpec};

@@ -29,7 +29,7 @@ use crate::exec::{
     finish_live, run_frozen, BatchOutcome, Executor, Ledger, LiveDrain, LivePlan, PassParams,
     PassResult, Plan, Ran,
 };
-use crate::source::{OrderCursor, Pull, SubmissionQueue};
+use crate::source::{Pull, SubmissionQueue};
 use crate::task::{TaskRecord, TaskSpec};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -77,11 +77,7 @@ fn schedule_pass<O>(p: &PassParams<'_>, overhead: f64, ledger: &mut Ledger<'_, O
             .is_some_and(|&b| successes.get(&w).copied().unwrap_or(0) >= b)
     };
 
-    // The frozen path pulls from a cursor over the pre-ordered list —
-    // the same worker-pulls-next-dispatch shape as the live queue in
-    // `run_live`.
-    let mut cursor = OrderCursor::new(p.order);
-    while let Some((_pos, idx)) = cursor.pull() {
+    for &idx in p.order {
         // Earliest live worker; dead ones retire (re-queueing the task).
         let (free_at, w) = loop {
             let Some(Reverse(Slot(free_at, w))) = heap.pop() else {

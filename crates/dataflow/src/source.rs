@@ -1,28 +1,17 @@
 //! Live task sources: the submission queue behind the folding service.
 //!
-//! The original execution API froze the task list before `run()`:
-//! [`Batch`](crate::exec::Batch) borrows `&[TaskSpec]` and both
-//! executors walk a plan fixed at validation time. That shape cannot
-//! admit work while a batch is in flight, which blocks the
-//! folding-as-a-service pivot (ROADMAP item 1).
-//!
-//! This module adds the owned side of the redesign:
+//! A [`Batch`](crate::exec::Batch) is frozen: it borrows `&[TaskSpec]`
+//! and both executors walk a plan fixed at validation time. That shape
+//! cannot admit work while a batch is in flight, which the folding
+//! service needs. This module is the live side:
 //!
 //! * [`SubmissionQueue`] — a clonable, thread-safe handle to a live
 //!   queue of tasks grouped into *classes* (one per tenant in the
 //!   service). Submitters push campaigns with an arrival time; workers
 //!   pull one dispatch at a time. Scheduling across classes is
 //!   weighted fair-share (stride scheduling) within priority tiers.
-//! * [`TaskSource`] — the owned abstraction the `Executor` trait now
-//!   accepts: either a frozen `Vec<TaskSpec>` (the classic batch,
-//!   owned instead of borrowed) or a live [`SubmissionQueue`] handle.
 //! * [`LiveRun`] — the builder that validates a live run and drives
-//!   [`Executor::run_live`] on either
-//!   backend.
-//! * [`OrderCursor`] — the frozen-path pull cursor: the virtual
-//!   executor's dispatch loop now pulls indices from a cursor rather
-//!   than iterating a borrowed slice, so the frozen and live paths
-//!   share one shape.
+//!   [`Executor::run_live`] on either backend.
 //!
 //! # Determinism
 //!
@@ -274,11 +263,6 @@ impl SubmissionQueue {
         lock(&self.inner).closed = true;
     }
 
-    /// Whether [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        lock(&self.inner).closed
-    }
-
     /// Number of tasks currently queued (not yet dispatched).
     pub fn len(&self) -> usize {
         lock(&self.inner)
@@ -353,48 +337,6 @@ impl SubmissionQueue {
     }
 }
 
-/// The owned task source behind the executor API: a frozen task list
-/// (the classic batch, owned) or a live [`SubmissionQueue`] handle.
-#[derive(Debug, Clone)]
-pub enum TaskSource {
-    /// A task list fixed before the run — scheduled exactly like
-    /// [`Batch::from_specs`](crate::exec::Batch::from_specs).
-    Frozen(Vec<TaskSpec>),
-    /// A live queue: tasks may be submitted while the run is in
-    /// flight (thread backend) or with staggered virtual arrival
-    /// times (virtual backend; close the queue before running).
-    Live(SubmissionQueue),
-}
-
-impl TaskSource {
-    /// Run this source to completion on `exec`.
-    ///
-    /// A frozen source builds an owned batch with unit-duration tasks
-    /// derived from `cost_hint`s and runs it; a live source drives
-    /// [`Executor::run_live`]. Either way the outcome's records carry
-    /// the dispatch order and per-worker assignment.
-    pub fn run_on<E: Executor>(
-        self,
-        exec: &E,
-        workers: usize,
-        recorder: &Recorder,
-        label: &str,
-    ) -> Result<BatchOutcome<()>, BatchError> {
-        match self {
-            Self::Frozen(specs) => crate::exec::Batch::from_specs(specs)
-                .workers(workers)
-                .recorder(recorder)
-                .label(label)
-                .run(exec),
-            Self::Live(queue) => LiveRun::new(&queue)
-                .workers(workers)
-                .recorder(recorder)
-                .label(label)
-                .run(exec),
-        }
-    }
-}
-
 /// Builder for a live-queue run: validates, then drives
 /// [`Executor::run_live`] on the chosen backend.
 #[derive(Debug, Clone)]
@@ -449,31 +391,6 @@ impl<'a> LiveRun<'a> {
             label: self.label,
         };
         Ok(exec.run_live(&plan, self.queue))
-    }
-}
-
-/// Pull cursor over a frozen, pre-ordered index list: the frozen-path
-/// twin of [`SubmissionQueue::pull`]. The virtual executor's dispatch
-/// loop pulls indices from this cursor instead of iterating a borrowed
-/// slice, so the frozen and live scheduling loops share one shape.
-#[derive(Debug)]
-pub struct OrderCursor<'a> {
-    order: &'a [usize],
-    next: usize,
-}
-
-impl<'a> OrderCursor<'a> {
-    /// Cursor over `order`, positioned at the first index.
-    pub fn new(order: &'a [usize]) -> Self {
-        Self { order, next: 0 }
-    }
-
-    /// Pull the next task index, advancing the cursor.
-    pub fn pull(&mut self) -> Option<(usize, usize)> {
-        let pos = self.next;
-        let idx = *self.order.get(pos)?;
-        self.next = pos + 1;
-        Some((pos, idx))
     }
 }
 
@@ -616,15 +533,5 @@ mod tests {
         assert_eq!(log[0].class, 1);
         assert_eq!(log[0].task_id, "x");
         assert_eq!(log[0].cost, 2.5);
-    }
-
-    #[test]
-    fn order_cursor_pulls_in_order() {
-        let order = [2usize, 0, 1];
-        let mut c = OrderCursor::new(&order);
-        assert_eq!(c.pull(), Some((0, 2)));
-        assert_eq!(c.pull(), Some((1, 0)));
-        assert_eq!(c.pull(), Some((2, 1)));
-        assert_eq!(c.pull(), None);
     }
 }

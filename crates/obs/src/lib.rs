@@ -9,10 +9,10 @@
 //! reproduction's equivalent substrate: a zero-dependency observability
 //! subsystem that every executor and pipeline stage can record into.
 //!
-//! * [`Recorder`] — append-only event sink: hierarchical spans
+//! * [`Recorder`] — append-only event log: hierarchical spans
 //!   (batch → stage → task), counters, gauges, histograms. Thread-safe
-//!   behind `&self`; [`Recorder::disabled`] is a free no-op for
-//!   uninstrumented calls.
+//!   behind `&self`; an enabled recorder retains every event, and
+//!   [`Recorder::disabled`] is a free no-op for uninstrumented calls.
 //! * [`Clock`] — pluggable time source. [`VirtualClock`] gives
 //!   deterministic traces for the simulator and all repro-number paths;
 //!   [`WallClock`] (quarantined in `wall.rs`, the one sfcheck-exempt
@@ -21,12 +21,14 @@
 //!   derives every view (span durations, counter totals, task rows) so
 //!   CSV and Gantt artifacts regenerate byte-identically from a trace
 //!   file.
-//! * [`Sink`] — streaming consumers ([`RingSink`], [`JsonlSink`],
-//!   [`TeeSink`]) that receive events as they are recorded, bounding
-//!   memory for production-scale runs.
-//! * [`Monitor`] — a `Sink` folding the stream into live campaign
-//!   health ([`HealthSnapshot`]: done/total, throughput, utilization,
-//!   stragglers, budget burn, ETA).
+//! * [`Sink`] — incremental consumers that fold events one at a time,
+//!   fed by their callers; [`RingSink`] keeps the newest `N` and counts
+//!   what it evicted.
+//! * [`Monitor`] — a `Sink` folding completions into campaign health
+//!   ([`HealthSnapshot`]: done/total, throughput, utilization,
+//!   stragglers, budget burn, ETA); the executors feed it a batch's
+//!   completions for progress gauges, the folding service one tenant's
+//!   settlements.
 //! * [`TraceDiff`] — relative-threshold comparison of two traces
 //!   ([`Trace::diff`]), the regression gate behind `lens --diff`.
 //! * [`lineage`] — causal task attribution over a trace: per-task
@@ -52,6 +54,6 @@ pub use event::{Event, SpanId};
 pub use lineage::{CriticalPath, ImbalanceReport, Journey, Truncation};
 pub use monitor::{HealthSnapshot, Monitor, MonitorConfig};
 pub use recorder::Recorder;
-pub use sink::{JsonlSink, RingSink, Sink, TeeSink};
+pub use sink::{RingSink, Sink};
 pub use trace::{HistogramView, SpanView, TaskView, Trace, TraceError};
 pub use wall::WallClock;

@@ -52,21 +52,23 @@
 //! basis for a thread-run campaign is its deterministic virtual replay
 //! of the same plan.
 //!
-//! # Truncated streams
+//! # Truncated traces
 //!
-//! A report computed from a bounded [`crate::sink::RingSink`] capture
-//! silently under-attributes: evicted events erase executions and
-//! breadcrumbs. [`truncation_of`] detects truncation structurally
-//! (counters whose first retained increment already carries history,
-//! span ends without starts, task rows referencing evicted spans) and
-//! from the explicit drop-marker gauge a ring sink can append; every
-//! report JSON embeds the verdict so downstream consumers cannot
-//! mistake a partial report for a complete one.
+//! The recorder retains every event, so a trace it writes is complete.
+//! A trace that reaches the reports from elsewhere may not be: a file
+//! cut short, a suffix of a longer capture, or a foreign trace whose
+//! producer dropped events and said so with a [`DROPPED_EVENTS_GAUGE`]
+//! gauge. A report over such a trace silently under-attributes, since
+//! the missing events erase executions and breadcrumbs. [`truncation_of`]
+//! detects truncation structurally (counters whose first retained
+//! increment already carries history, span ends without starts, task
+//! rows referencing missing spans) and from that gauge; every report
+//! JSON embeds the verdict so downstream consumers cannot mistake a
+//! partial report for a complete one.
 
 use crate::event::Event;
 use crate::json::ObjectWriter;
 use crate::recorder::Recorder;
-use crate::sink::DROPPED_EVENTS_GAUGE;
 use crate::trace::Trace;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -1022,12 +1024,17 @@ fn gini_of(values: impl Iterator<Item = f64>) -> f64 {
     (2.0 * weighted) / (n * sum) - (n + 1.0) / n
 }
 
+/// Gauge name a trace's producer uses to report how many events it
+/// dropped before writing the trace. Read by [`truncation_of`]; nothing
+/// in this workspace writes it, since the recorder drops nothing.
+pub const DROPPED_EVENTS_GAUGE: &str = "obs/dropped_events";
+
 /// Structural evidence that a trace is a truncated suffix of the real
-/// event stream (e.g. a bounded [`crate::sink::RingSink`] capture).
+/// event stream (a cut file, or a capture whose producer dropped events).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Truncation {
-    /// Events the producing ring sink reported dropping (from the
-    /// explicit drop-marker gauge, 0 when absent).
+    /// Events the trace's producer reported dropping (from the
+    /// [`DROPPED_EVENTS_GAUGE`] gauge, 0 when absent).
     pub dropped_events: f64,
     /// Counters whose first retained increment already carries history
     /// (`total ≠ delta`): their earlier increments were evicted.
@@ -1066,8 +1073,9 @@ impl Truncation {
     }
 }
 
-/// Detect trace truncation structurally and from the ring-sink drop
-/// marker. Purely a read-side view: complete traces report all zeros.
+/// Detect trace truncation structurally and from the
+/// [`DROPPED_EVENTS_GAUGE`] gauge. Purely a read-side view: complete
+/// traces report all zeros.
 #[must_use]
 pub fn truncation_of(trace: &Trace) -> Truncation {
     let mut seen_counters: BTreeSet<&str> = BTreeSet::new();

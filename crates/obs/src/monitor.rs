@@ -3,10 +3,11 @@
 //! The paper's 1000-node campaigns were babysat by operators watching
 //! worker occupancy plots *while the job ran* — load imbalance, OOM
 //! storms, and straggler tails had to be caught mid-flight, not in the
-//! post-mortem. [`Monitor`] is that view: a [`Sink`] that folds the
-//! event stream incrementally into rolling health, so it works over a
-//! bounded [`crate::sink::RingSink`]-style stream just as well as over a
-//! full retained trace.
+//! post-mortem. [`Monitor`] is that view: a [`Sink`] that folds events
+//! incrementally into rolling health. Its callers feed it: the
+//! executors replay a batch's completions for `monitor/*` progress
+//! gauges, the folding service feeds each tenant's settlements, and
+//! [`Monitor::feed`] replays a retained trace.
 //!
 //! Every statistic is a **pure, deterministic function of the event
 //! sequence** — no wall clock, no sampling. Feeding the monitor one
@@ -141,8 +142,8 @@ struct State {
     window_ends: VecDeque<f64>,
 }
 
-/// Incremental health monitor; itself a [`Sink`], so it can be attached
-/// to a live [`crate::recorder::Recorder`] or fed a replayed trace.
+/// Incremental health monitor; a [`Sink`] its callers feed one event
+/// at a time, or a whole retained trace through [`Monitor::feed`].
 #[derive(Debug)]
 pub struct Monitor {
     cfg: MonitorConfig,

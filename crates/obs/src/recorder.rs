@@ -1,6 +1,6 @@
 //! The event recorder: spans, counters, gauges, histograms.
 //!
-//! A [`Recorder`] is an append-only event sink shared by reference across
+//! A [`Recorder`] is an append-only event log shared by reference across
 //! a run. Producers (executors, pipeline stages, the inference engine,
 //! the ledger) call its methods; consumers read the trace back out with
 //! [`Recorder::to_jsonl`] or render [`Recorder::summary`]. All methods
@@ -11,14 +11,14 @@
 //! without telemetry pass [`Recorder::disabled`], which drops every event
 //! without locking overhead beyond a single boolean check.
 //!
-//! Events can also *stream*: any number of [`Sink`]s attached via
-//! [`Recorder::with_sink`] or [`Recorder::attach_sink`] receive each
-//! event the moment it is recorded. With no sink attached, behavior —
-//! including the exact bytes of [`Recorder::to_jsonl`] — is unchanged.
+//! An enabled recorder always retains what it records: there is one
+//! path, the retained trace. Consumers that fold events incrementally
+//! (a [`crate::sink::Sink`] such as [`crate::monitor::Monitor`]) are fed
+//! by their callers, from [`Recorder::events`] or from the records a
+//! batch produced.
 
 use crate::clock::Clock;
 use crate::event::{Event, SpanId};
-use crate::sink::Sink;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -28,26 +28,9 @@ struct Inner {
     next_span: u64,
     span_stack: Vec<SpanId>,
     counters: BTreeMap<String, f64>,
-    /// Attached streaming consumers; each sees every event in order.
-    sinks: Vec<Box<dyn Sink>>,
-    /// Whether events are kept in `events` after streaming. Only
-    /// [`Recorder::with_sink`] turns this off (bounded-memory mode).
-    retain: bool,
 }
 
-impl Inner {
-    /// Route one event: stream to every sink, then retain if configured.
-    fn emit(&mut self, e: Event) {
-        for s in &self.sinks {
-            s.event(&e);
-        }
-        if self.retain {
-            self.events.push(e);
-        }
-    }
-}
-
-/// Append-only event sink with a pluggable [`Clock`].
+/// Append-only event log with a pluggable [`Clock`].
 pub struct Recorder {
     enabled: bool,
     clock: Option<Box<dyn Clock>>,
@@ -73,8 +56,6 @@ static DISABLED: Recorder = Recorder {
         next_span: 1,
         span_stack: Vec::new(),
         counters: BTreeMap::new(),
-        sinks: Vec::new(),
-        retain: true,
     }),
 };
 
@@ -90,8 +71,6 @@ impl Recorder {
                 next_span: 1,
                 span_stack: Vec::new(),
                 counters: BTreeMap::new(),
-                sinks: Vec::new(),
-                retain: true,
             }),
         }
     }
@@ -118,36 +97,6 @@ impl Recorder {
     #[must_use]
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Builder: stream every event into `sink` *instead of* retaining it.
-    ///
-    /// This is the bounded-memory mode for production-scale runs: with a
-    /// [`crate::sink::RingSink`] of capacity N the recorder holds at most
-    /// N events regardless of run length, and [`Recorder::events`] /
-    /// [`Recorder::to_jsonl`] return nothing — the sink owns the stream.
-    /// Attach further sinks with [`Recorder::attach_sink`] (or use a
-    /// [`crate::sink::TeeSink`]) to fan out.
-    #[must_use]
-    pub fn with_sink(self, sink: Box<dyn Sink>) -> Self {
-        {
-            let mut inner = self.lock();
-            inner.sinks.push(sink);
-            inner.retain = false;
-        }
-        self
-    }
-
-    /// Tee every future event into `sink` *in addition to* the existing
-    /// behavior (retained snapshot and previously attached sinks).
-    ///
-    /// Events recorded before the attach are not replayed. No-op on the
-    /// disabled recorder.
-    pub fn attach_sink(&self, sink: Box<dyn Sink>) {
-        if !self.enabled {
-            return;
-        }
-        self.lock().sinks.push(sink);
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
@@ -184,7 +133,7 @@ impl Recorder {
         inner.next_span += 1;
         let parent = inner.span_stack.last().copied();
         inner.span_stack.push(id);
-        inner.emit(Event::SpanStart {
+        inner.events.push(Event::SpanStart {
             id,
             parent,
             name: name.to_string(),
@@ -207,7 +156,7 @@ impl Recorder {
         if let Some(pos) = inner.span_stack.iter().rposition(|s| *s == id) {
             inner.span_stack.remove(pos);
         }
-        inner.emit(Event::SpanEnd { id, t });
+        inner.events.push(Event::SpanEnd { id, t });
     }
 
     /// Record one executed task under `span` (batch-relative seconds).
@@ -225,7 +174,7 @@ impl Recorder {
         if !self.enabled {
             return;
         }
-        self.lock().emit(Event::Task {
+        self.lock().events.push(Event::Task {
             span: span.filter(|s| *s != SpanId(0)),
             task: task.to_string(),
             worker,
@@ -247,7 +196,7 @@ impl Recorder {
             *slot += delta;
             *slot
         };
-        inner.emit(Event::Counter {
+        inner.events.push(Event::Counter {
             name: name.to_string(),
             delta,
             total,
@@ -270,7 +219,7 @@ impl Recorder {
         if !self.enabled {
             return;
         }
-        self.lock().emit(Event::Gauge {
+        self.lock().events.push(Event::Gauge {
             name: name.to_string(),
             value,
             t,
@@ -290,7 +239,7 @@ impl Recorder {
         if !self.enabled {
             return;
         }
-        self.lock().emit(Event::Lineage {
+        self.lock().events.push(Event::Lineage {
             name: name.to_string(),
             task: task.to_string(),
             t,
@@ -303,14 +252,14 @@ impl Recorder {
             return;
         }
         let t = self.now();
-        self.lock().emit(Event::Observe {
+        self.lock().events.push(Event::Observe {
             name: name.to_string(),
             value,
             t,
         });
     }
 
-    /// Snapshot of all events recorded so far (empty in streaming mode).
+    /// Snapshot of all events recorded so far.
     #[must_use]
     pub fn events(&self) -> Vec<Event> {
         self.lock().events.clone()
@@ -426,61 +375,6 @@ mod tests {
         };
         assert_eq!(build(), build());
         assert!(build().contains("\"t\":12.5"));
-    }
-
-    #[test]
-    fn attach_sink_tees_without_changing_snapshot() {
-        use crate::sink::RingSink;
-        use std::sync::Arc;
-        let baseline = {
-            let r = Recorder::virtual_time();
-            let s = r.span_start("batch");
-            r.add("demo/completed", 1.0);
-            r.span_end(s);
-            r.to_jsonl()
-        };
-        let ring = Arc::new(RingSink::new(16));
-        let r = Recorder::virtual_time();
-        r.attach_sink(Box::new(Arc::clone(&ring)));
-        let s = r.span_start("batch");
-        r.add("demo/completed", 1.0);
-        r.span_end(s);
-        assert_eq!(
-            r.to_jsonl(),
-            baseline,
-            "tee leaves the snapshot path intact"
-        );
-        assert_eq!(ring.to_jsonl(), baseline, "sink saw the same stream");
-    }
-
-    #[test]
-    fn with_sink_streams_instead_of_retaining() {
-        use crate::sink::RingSink;
-        use std::sync::Arc;
-        let ring = Arc::new(RingSink::new(2));
-        let r = Recorder::virtual_time().with_sink(Box::new(Arc::clone(&ring)));
-        let s = r.span_start("batch");
-        for i in 0..5 {
-            r.task(Some(s), &format!("t{i}"), 0, 0.0, 1.0, 1);
-        }
-        r.span_end(s);
-        assert!(r.events().is_empty(), "streaming mode retains nothing");
-        assert_eq!(r.to_jsonl(), "");
-        assert_eq!(ring.len(), 2);
-        assert_eq!(ring.dropped(), 5); // 7 events through a 2-slot ring
-    }
-
-    #[test]
-    fn attach_sink_on_disabled_recorder_is_noop() {
-        use crate::sink::RingSink;
-        use std::sync::Arc;
-        let ring = Arc::new(RingSink::new(4));
-        let r = Recorder::disabled();
-        r.attach_sink(Box::new(Arc::clone(&ring)));
-        r.add("c/x", 1.0);
-        assert!(ring.is_empty());
-        // The shared static must not have accumulated a sink.
-        assert!(Recorder::disabled().lock().sinks.is_empty());
     }
 
     #[test]

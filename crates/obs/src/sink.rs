@@ -1,56 +1,29 @@
-//! Streaming event sinks: bounded buffers, incremental writers, fan-out.
+//! Incremental event consumers.
 //!
-//! A [`Sink`] receives every [`Event`] the instant a
-//! [`crate::recorder::Recorder`] records it, instead of waiting for the
-//! run to end and snapshotting the accumulated vector. This is the
-//! production half of the telemetry layer: a proteome-scale campaign
-//! emits one task event per model prediction (millions of lines), and an
-//! operator watching the run needs the stream — bounded in memory — not
-//! the retrospective.
+//! A [`Sink`] folds events one at a time, in recording order. The
+//! recorder retains every event it records and feeds no sink itself: a
+//! consumer that wants the stream is handed events by its caller — the
+//! executors replay a batch's completions into a
+//! [`crate::monitor::Monitor`] for progress gauges, the folding service
+//! feeds each tenant's monitor as it settles tasks, and any retained
+//! trace can be replayed with [`crate::monitor::Monitor::feed`].
 //!
-//! Three implementations cover the common shapes:
-//!
-//! * [`RingSink`] — bounded ring buffer keeping the most recent `N`
-//!   events and counting what it dropped; the "last minutes of the
-//!   campaign" view with O(N) memory regardless of run length.
-//! * [`JsonlSink`] — incremental line writer: each event is serialized
-//!   with [`Event::to_json_line`] and appended immediately, so a killed
-//!   run leaves a readable (at worst torn-tail) trace on disk.
-//! * [`TeeSink`] — fan-out to several sinks, e.g. a ring for the live
-//!   view plus a JSONL file for the archive.
-//!
-//! [`crate::monitor::Monitor`] is itself a `Sink`, so live health rides
-//! the same mechanism.
-//!
-//! Sinks are invoked while the recorder's internal lock is held: an
-//! implementation must not call back into the same recorder (it would
-//! deadlock) and should keep per-event work small.
+//! [`RingSink`] is the bounded consumer: it keeps the most recent `N`
+//! events and counts what it evicted, which measures how much of a
+//! stream a consumer of that capacity would lose.
 
 use crate::event::Event;
 use std::collections::VecDeque;
-use std::io::Write;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
-/// Gauge name a [`RingSink`] uses to annotate a truncated capture with
-/// its drop count ([`RingSink::drop_marker`]). Read back by
-/// [`crate::lineage::truncation_of`] so attribution reports computed
-/// from a bounded capture carry an explicit truncation verdict.
-pub const DROPPED_EVENTS_GAUGE: &str = "obs/dropped_events";
-
-/// A consumer of the live event stream.
+/// An incremental consumer of events.
 ///
-/// `event` takes `&self` because sinks are shared across the recorder's
-/// callers (the thread executor's workers record concurrently);
-/// implementations carry their own interior mutability.
+/// `event` takes `&self`, so a sink can be fed and read through a
+/// shared reference; implementations carry their own interior
+/// mutability.
 pub trait Sink: Send + Sync {
     /// Receive one event, in recording order.
     fn event(&self, e: &Event);
-}
-
-impl<S: Sink + ?Sized> Sink for Arc<S> {
-    fn event(&self, e: &Event) {
-        (**self).event(e);
-    }
 }
 
 /// Interior state of a [`RingSink`].
@@ -88,12 +61,6 @@ impl RingSink {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Configured capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Events currently held (≤ capacity).
     #[must_use]
     pub fn len(&self) -> usize {
@@ -116,67 +83,6 @@ impl RingSink {
     #[must_use]
     pub fn events(&self) -> Vec<Event> {
         self.lock().buf.iter().cloned().collect()
-    }
-
-    /// Serialize the retained events as JSONL (a trace *suffix*: the
-    /// dropped prefix is gone, which [`RingSink::dropped`] reports).
-    #[must_use]
-    pub fn to_jsonl(&self) -> String {
-        let state = self.lock();
-        let mut out = String::with_capacity(state.buf.len() * 96);
-        for e in &state.buf {
-            out.push_str(&e.to_json_line());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// The explicit truncation marker for this capture: a
-    /// [`DROPPED_EVENTS_GAUGE`] gauge carrying the drop count, stamped
-    /// at the newest retained event's timestamp. `None` while nothing
-    /// has been dropped. The event is constructed here (not recorded
-    /// through a recorder) so writing a capture never mutates the
-    /// stream it observed.
-    #[must_use]
-    pub fn drop_marker(&self) -> Option<Event> {
-        let state = self.lock();
-        if state.dropped == 0 {
-            return None;
-        }
-        let t = state
-            .buf
-            .iter()
-            .rev()
-            .find_map(|e| match e {
-                Event::SpanStart { t, .. }
-                | Event::SpanEnd { t, .. }
-                | Event::Counter { t, .. }
-                | Event::Gauge { t, .. }
-                | Event::Observe { t, .. }
-                | Event::Lineage { t, .. } => Some(*t),
-                Event::Task { .. } => None,
-            })
-            .unwrap_or(0.0);
-        Some(Event::Gauge {
-            name: DROPPED_EVENTS_GAUGE.to_string(),
-            value: state.dropped as f64,
-            t,
-        })
-    }
-
-    /// [`RingSink::to_jsonl`] plus the [`RingSink::drop_marker`] line
-    /// when events were dropped — the form to persist when the capture
-    /// will feed attribution tools, so they can flag the truncation
-    /// instead of silently under-reporting. With no drops the output is
-    /// byte-identical to [`RingSink::to_jsonl`].
-    #[must_use]
-    pub fn to_jsonl_annotated(&self) -> String {
-        let mut out = self.to_jsonl();
-        if let Some(marker) = self.drop_marker() {
-            out.push_str(&marker.to_json_line());
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -202,115 +108,6 @@ impl std::fmt::Debug for RingSink {
             .field("capacity", &self.capacity)
             .field("len", &state.buf.len())
             .field("dropped", &state.dropped)
-            .finish()
-    }
-}
-
-/// Interior state of a [`JsonlSink`].
-struct JsonlState {
-    writer: Box<dyn Write + Send>,
-    write_errors: u64,
-}
-
-/// Incremental JSONL writer: one line per event, appended as recorded.
-///
-/// Write failures never panic or poison the recorder — they are counted
-/// ([`JsonlSink::write_errors`]) and the stream continues, matching the
-/// telemetry contract that observation must not take down the campaign.
-pub struct JsonlSink {
-    state: Mutex<JsonlState>,
-}
-
-impl JsonlSink {
-    /// Stream events into any writer (a file, a pipe, a `Vec<u8>`).
-    #[must_use]
-    pub fn new(writer: Box<dyn Write + Send>) -> Self {
-        Self {
-            state: Mutex::new(JsonlState {
-                writer,
-                write_errors: 0,
-            }),
-        }
-    }
-
-    /// Create (truncating) `path` and stream events into it.
-    ///
-    /// # Errors
-    /// Returns the underlying I/O error when the file cannot be created.
-    pub fn create(path: &std::path::Path) -> std::io::Result<Self> {
-        let file = std::fs::File::create(path)?;
-        Ok(Self::new(Box::new(std::io::BufWriter::new(file))))
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, JsonlState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Events that failed to write so far.
-    #[must_use]
-    pub fn write_errors(&self) -> u64 {
-        self.lock().write_errors
-    }
-
-    /// Flush the underlying writer.
-    ///
-    /// # Errors
-    /// Returns the underlying I/O error on a failed flush.
-    pub fn flush(&self) -> std::io::Result<()> {
-        self.lock().writer.flush()
-    }
-}
-
-impl Sink for JsonlSink {
-    fn event(&self, e: &Event) {
-        let mut state = self.lock();
-        let mut line = e.to_json_line();
-        line.push('\n');
-        if state.writer.write_all(line.as_bytes()).is_err() {
-            state.write_errors += 1;
-        }
-    }
-}
-
-impl std::fmt::Debug for JsonlSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JsonlSink")
-            .field("write_errors", &self.lock().write_errors)
-            .finish()
-    }
-}
-
-/// Fan-out to several sinks, in order.
-pub struct TeeSink {
-    sinks: Vec<Box<dyn Sink>>,
-}
-
-impl TeeSink {
-    /// Tee the stream into every sink in `sinks`.
-    #[must_use]
-    pub fn new(sinks: Vec<Box<dyn Sink>>) -> Self {
-        Self { sinks }
-    }
-
-    /// Number of downstream sinks.
-    #[must_use]
-    pub fn fanout(&self) -> usize {
-        self.sinks.len()
-    }
-}
-
-impl Sink for TeeSink {
-    fn event(&self, e: &Event) {
-        for s in &self.sinks {
-            s.event(e);
-        }
-    }
-}
-
-impl std::fmt::Debug for TeeSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TeeSink")
-            .field("fanout", &self.sinks.len())
             .finish()
     }
 }
@@ -353,85 +150,5 @@ mod tests {
         ring.event(&gauge(1));
         assert!(ring.is_empty());
         assert_eq!(ring.dropped(), 2);
-        assert_eq!(ring.to_jsonl(), "");
-    }
-
-    #[test]
-    fn drop_marker_annotates_truncated_captures_only() {
-        let ring = RingSink::new(3);
-        ring.event(&gauge(0));
-        assert_eq!(ring.drop_marker(), None);
-        assert_eq!(ring.to_jsonl_annotated(), ring.to_jsonl());
-        for i in 1..6 {
-            ring.event(&gauge(i));
-        }
-        let marker = ring.drop_marker().expect("dropped events");
-        match &marker {
-            Event::Gauge { name, value, t } => {
-                assert_eq!(name, DROPPED_EVENTS_GAUGE);
-                assert_eq!(*value, 3.0);
-                assert_eq!(*t, 5.0, "stamped at the newest retained timestamp");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        let annotated = ring.to_jsonl_annotated();
-        assert!(
-            annotated.starts_with(&ring.to_jsonl()),
-            "suffix is appended"
-        );
-        assert!(annotated.contains(DROPPED_EVENTS_GAUGE), "{annotated}");
-    }
-
-    #[test]
-    fn jsonl_sink_streams_lines_incrementally() {
-        let dir = std::env::temp_dir().join("summitfold_jsonl_sink_test");
-        let _ = std::fs::create_dir_all(&dir);
-        let path = dir.join("stream.jsonl");
-        let sink = JsonlSink::create(&path).unwrap();
-        sink.event(&gauge(0));
-        sink.event(&gauge(1));
-        sink.flush().unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.starts_with("{\"event\":\"gauge\""), "{text}");
-        assert_eq!(sink.write_errors(), 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A writer that fails after its budget is exhausted.
-    struct Failing(usize);
-    impl Write for Failing {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            if self.0 == 0 {
-                return Err(std::io::Error::other("full"));
-            }
-            self.0 -= 1;
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn jsonl_sink_counts_write_errors_without_panicking() {
-        let sink = JsonlSink::new(Box::new(Failing(1)));
-        sink.event(&gauge(0));
-        sink.event(&gauge(1));
-        sink.event(&gauge(2));
-        assert_eq!(sink.write_errors(), 2);
-    }
-
-    #[test]
-    fn tee_fans_out_in_order() {
-        let a = Arc::new(RingSink::new(8));
-        let b = Arc::new(RingSink::new(1));
-        let tee = TeeSink::new(vec![Box::new(Arc::clone(&a)), Box::new(Arc::clone(&b))]);
-        assert_eq!(tee.fanout(), 2);
-        tee.event(&gauge(0));
-        tee.event(&gauge(1));
-        assert_eq!(a.len(), 2);
-        assert_eq!(b.len(), 1);
-        assert_eq!(b.dropped(), 1);
     }
 }

@@ -7,12 +7,14 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-if command -v cargo-clippy >/dev/null 2>&1; then
-    echo "==> cargo clippy (warnings are errors)"
-    cargo clippy --workspace --all-targets -- -D warnings
-else
-    echo "==> cargo clippy unavailable; skipping"
+echo "==> cargo clippy (warnings are errors)"
+# Clippy runs nowhere else, so a missing cargo-clippy fails the gate
+# instead of skipping it.
+if ! command -v cargo-clippy >/dev/null 2>&1; then
+    echo "cargo-clippy not found; install the clippy component" >&2
+    exit 1
 fi
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc (rustdoc warnings are errors)"
 # A deleted or private item must not leave a dangling [`link`] behind in
@@ -21,7 +23,7 @@ RUSTDOCFLAGS="${RUSTDOCFLAGS:-} -D warnings" cargo doc --workspace --no-deps -q
 
 echo "==> cargo test (workspace, warnings are errors)"
 # One unfiltered run gates every suite — chaos (multi-leg kill-resume
-# equality, service kill-resume from the WAL), telemetry (golden schema, bounded sinks, monitor
+# equality, service kill-resume from the WAL), telemetry (golden schema, monitor
 # stream-vs-replay), service (byte-identical virtual replay, fair share,
 # typed quotas, live drain) and store (stable keys, 100 % warm hits,
 # identical cache counters on both executors) — so none is re-run by name.
@@ -64,7 +66,7 @@ if [ "$test_status" -ne 0 ]; then
     exit 1
 fi
 
-echo "==> benchmark package (compiles against the public dataflow API)"
+echo "==> benchmark package (compiles against the workspace's public API)"
 # benchmark/ is its own workspace, so `cargo test --workspace` never
 # builds it: an API break only sfbench sees would otherwise surface in
 # the driver, not here. Smoke size, ~10 s.

@@ -156,7 +156,6 @@ fn attempt_counts_agree_across_executors() {
         assert_eq!(real.records.len(), n);
         assert_eq!(sim.quarantined, real.quarantined, "seed {seed}");
         assert_eq!(sim.quarantined, oom.len(), "seed {seed}");
-        assert_eq!(sim.retries(), real.retries(), "seed {seed}");
         assert_eq!(sim.deaths, real.deaths, "seed {seed}");
         for spec in &specs {
             let a = |o: &summitfold::dataflow::BatchOutcome<()>| {
@@ -269,7 +268,6 @@ fn quarantine_rerun_is_charged_and_traced() {
         totals["dataflow/quarantined"],
         report.sim.quarantined as f64
     );
-    assert!(totals["dataflow/retries"] >= report.sim.quarantined as f64);
     assert!(
         totals
             .keys()

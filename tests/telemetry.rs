@@ -5,15 +5,12 @@
 //! lets analysis tooling work from trace files instead of live runs.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 use summitfold::dataflow::real::ThreadExecutor;
 use summitfold::dataflow::sim::VirtualExecutor;
 use summitfold::dataflow::stats::{ascii_gantt, records_from_trace, to_csv};
 use summitfold::dataflow::{Batch, Journal, OrderingPolicy, TaskSpec};
 use summitfold::obs::json::parse_object;
-use summitfold::obs::{
-    lineage, Event, Monitor, MonitorConfig, Recorder, RingSink, Sink as _, Trace,
-};
+use summitfold::obs::{lineage, Event, Monitor, MonitorConfig, Recorder, Sink as _, Trace};
 
 fn specs(n: usize) -> Vec<TaskSpec> {
     (0..n)
@@ -147,30 +144,13 @@ fn golden_jsonl_trace_is_byte_stable() {
 }
 
 #[test]
-fn streaming_recorder_bounds_memory_with_a_ring_sink() {
-    let ring = Arc::new(RingSink::new(8));
-    let rec = Recorder::virtual_time().with_sink(Box::new(Arc::clone(&ring)));
-    let specs = specs(30);
-    Batch::new(&specs)
-        .workers(3)
-        .recorder(&rec)
-        .run(&VirtualExecutor::new(1.0))
-        .unwrap();
-    // A 30-task batch emits far more than 8 events; the streaming
-    // recorder retains none of them and the ring holds only the tail.
-    assert!(rec.events().is_empty(), "with_sink disables retention");
-    assert_eq!(ring.len(), 8);
-    assert!(ring.dropped() > 0, "overflow must be counted, not silent");
-}
-
-#[test]
 fn monitor_stream_snapshot_equals_full_trace_replay() {
-    // Live: the monitor rides the recorder as a sink and folds events
-    // as they happen. Replay: a fresh monitor consumes the retained
-    // trace afterwards. Both must land on the identical snapshot.
-    let live = Arc::new(Monitor::new(MonitorConfig::default()));
+    // Streaming: one monitor folds the batch's events one at a time and
+    // is read every `k` events, the cadence `Batch::progress` samples
+    // at. Replay: a fresh monitor consumes the retained trace at once.
+    // Reading a snapshot must not disturb the fold, so both land on the
+    // identical final snapshot.
     let rec = Recorder::virtual_time();
-    rec.attach_sink(Box::new(Arc::clone(&live)));
     let specs = specs(40);
     Batch::new(&specs)
         .workers(4)
@@ -178,12 +158,21 @@ fn monitor_stream_snapshot_equals_full_trace_replay() {
         .recorder(&rec)
         .run(&VirtualExecutor::new(1.0))
         .unwrap();
-    let replay = Monitor::new(MonitorConfig::default());
-    for e in rec.events() {
-        replay.event(&e);
+    let events = rec.events();
+    let k = 7;
+    let streamed = Monitor::new(MonitorConfig::default());
+    for (i, e) in events.iter().enumerate() {
+        streamed.event(e);
+        if (i + 1) % k == 0 {
+            let _ = streamed.snapshot();
+        }
     }
-    assert_eq!(live.snapshot(), replay.snapshot());
-    assert_eq!(live.snapshot().tasks_done, 40);
+    let replay = Monitor::new(MonitorConfig::default());
+    replay.feed(&events);
+    let snap = streamed.snapshot();
+    assert_eq!(snap, replay.snapshot());
+    assert_eq!(snap.tasks_done, 40);
+    assert!(snap.throughput_per_s > 0.0, "{snap:?}");
 }
 
 /// The ordered values of one gauge name in a recorder's trace.
